@@ -60,6 +60,7 @@ from .spectral import (
     SpectralDecomposition,
     alpha_field,
     alpha_infinity,
+    decompose,
     eigendecompose,
     resolvent_density,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "axes_from_perimeter",
     "contrast",
     "cross_sections",
+    "decompose",
     "deformation_index",
     "dominant_peak",
     "drude_mu",

@@ -30,9 +30,8 @@ from .errors import (
     OverdampedModeError,
 )
 from .geometry import CellGeometry, make_disk_cell, make_ellipse_cell, make_smooth_cell
-from .layer_ops import assemble_np_adjoint, assemble_single_layer
-from .resonance_sweep import CalibrationRow, CalibrationTable, dominant_peak, sweep
-from .spectral import SpectralDecomposition, eigendecompose
+from .resonance_sweep import CalibrationRow, CalibrationTable, calibrate
+from .spectral import decompose
 from .strain import CapsuleState, invert_peak_to_deformation
 from .validate import run_validation
 
@@ -76,11 +75,6 @@ class RunConfig:
     capsule: dict
     output_dir: str
     resolved: dict
-
-    @property
-    def deterministic(self) -> bool:
-        """The pipeline uses no randomness; identical configs give identical bytes."""
-        return True
 
     def material_params(self) -> MaterialParams:
         m = self.material
@@ -234,13 +228,9 @@ def _write_csv(path: Path, config: RunConfig, header: dict, columns: dict):
             writer.writerow([_fmt(v.item() if hasattr(v, "item") else v) for v in row])
 
 
-def _decompose(cell: CellGeometry) -> SpectralDecomposition:
-    return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
-
-
 def cmd_eigs(config: RunConfig, out_dir: Path) -> int:
     cell = config.build_cell()
-    dec = _decompose(cell)
+    dec = decompose(cell)
     path = out_dir / "eigs.csv"
     _write_csv(path, config,
                {"node_count": cell.node_count, "period_ratio": cell.period_ratio},
@@ -251,36 +241,19 @@ def cmd_eigs(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _calibration(config: RunConfig, periods) -> tuple[CalibrationTable, list]:
+def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
+    periods = list(config.sweep["periods"]) if periods is None else periods
     material = config.material_params()
     s = config.sweep
-    rows, curves = [], []
-    for period in periods:
-        cell = config.build_cell(period=period)
-        dec = _decompose(cell)
-        curve = sweep(dec, material, s["wavelength_min_m"], s["wavelength_max_m"],
-                      s["samples"], cell_descriptor=f"{config.geometry['shape']} period={period:g}")
-        curves.append((period, curve))
-        peak = dominant_peak(curve)
-        if peak is None:
-            rows.append(CalibrationRow(period=float(period), peak_wavelength=None,
-                                       peak_magnitude=None, mode_index=None,
-                                       note="no interior peak in window"))
-        else:
-            rows.append(CalibrationRow(period=float(period), peak_wavelength=peak.wavelength,
-                                       peak_magnitude=peak.magnitude, mode_index=peak.mode_index))
-    table = CalibrationTable(rows=tuple(rows), radius=config.geometry.get("radius", float("nan")),
+    results = list(calibrate(config.build_cell, periods, material, s["wavelength_min_m"],
+                             s["wavelength_max_m"], s["samples"]))
+    table = CalibrationTable(rows=tuple(row for row, _ in results),
+                             radius=config.geometry.get("radius", float("nan")),
                              node_count=config.geometry["node_count"],
                              wavelength_min=s["wavelength_min_m"],
                              wavelength_max=s["wavelength_max_m"],
                              samples=s["samples"], material=material)
-    return table, curves
-
-
-def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
-    periods = list(config.sweep["periods"]) if periods is None else periods
-    table, curves = _calibration(config, periods)
-    for period, curve in curves:
+    for period, (_, curve) in zip(periods, results):
         path = out_dir / f"sweep_period_{period:g}.csv"
         _write_csv(path, config,
                    {"period_ratio": period, "node_count": config.geometry["node_count"]},
@@ -302,7 +275,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
 
 def cmd_scatter(config: RunConfig, out_dir: Path, beta_zero: bool = False) -> int:
     cell = config.build_cell()
-    dec = _decompose(cell)
+    dec = decompose(cell)
     s = config.sweep
     wavelengths = np.linspace(s["wavelength_min_m"], s["wavelength_max_m"], s["samples"])
     curve = extinction_spectrum(

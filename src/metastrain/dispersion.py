@@ -95,14 +95,6 @@ def contrast(omega: float, material: MaterialParams) -> Contrast:
     return Contrast(value=complex(contrast_values(omega, material)))
 
 
-def contrast_drude_simple(omega, material: MaterialParams):
-    """Simplified contrast (omega^2 + i*omega/T)/omega_p^2 - 1/2, valid for mu_m = mu0."""
-    omega = np.asarray(omega, dtype=float)
-    gamma = 1.0 / material.collision_time
-    val = (omega**2 + 1j * omega * gamma) / material.omega_p**2 - 0.5
-    return complex(val) if val.ndim == 0 else val
-
-
 def resonance_frequency(lambda_j: float, material: MaterialParams) -> float:
     """Real part of the frequency solving lambda_j = lam(omega).
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample
 
 from .errors import EvaluationDistanceError
 from .geometry import CellGeometry
@@ -148,31 +147,6 @@ def assemble_double_layer(cell: CellGeometry) -> BoundaryOperator:
     return BoundaryOperator(matrix=matrix, weights=cell.weights, tag="double_layer", cell=cell)
 
 
-def dump_matrix(operator: BoundaryOperator, path) -> None:
-    """Write the assembled matrix row-major as CSV for debugging.
-
-    Header comment lines carry the node count, the period ratio and the tag.
-    """
-    n = operator.matrix.shape[0]
-    with open(path, "w") as stream:
-        stream.write(f"# node_count = {n}\n")
-        stream.write(f"# period_ratio = {operator.cell.period_ratio!r}\n")
-        stream.write(f"# tag = {operator.tag}\n")
-        for row in operator.matrix:
-            stream.write(",".join(repr(v) for v in row.tolist()) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read back a matrix written by :func:`dump_matrix`."""
-    rows = []
-    with open(path) as stream:
-        for line in stream:
-            if line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.strip().split(",")])
-    return np.array(rows)
-
-
 def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):
     """Trigonometric upsampling of nodes, weights and density (exact for resolved data)."""
     if factor <= 1:
@@ -183,11 +157,16 @@ def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):
     dz = cell.parametrization.evaluate(tf, order=1)
     weights = np.abs(dz) * (2.0 * np.pi / m)
     density = np.asarray(density)
-    if np.iscomplexobj(density):
-        dens = resample(density.real, m) + 1j * resample(density.imag, m)
-    else:
-        dens = resample(density, m)
-    return z, weights, dens
+    # zero-pad the spectrum; the Nyquist bin of the (even) node count is split
+    # evenly between frequencies +n/2 and -n/2 of the fine grid
+    half = cell.node_count // 2
+    coeffs = np.fft.fft(density) * factor
+    padded = np.zeros(m, dtype=complex)
+    padded[:half] = coeffs[:half]
+    padded[m - half + 1:] = coeffs[half + 1:]
+    padded[half] = padded[m - half] = 0.5 * coeffs[half]
+    dens = np.fft.ifft(padded)
+    return z, weights, dens if np.iscomplexobj(density) else dens.real
 
 
 def evaluate_single_layer_off_surface(cell: CellGeometry, density: np.ndarray, xi,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,7 @@ from .dispersion import (
 )
 from .errors import OverdampedModeError
 from .geometry import make_disk_cell
-from .layer_ops import assemble_np_adjoint, assemble_single_layer
-from .spectral import SpectralDecomposition, alpha2_plus_batch, eigendecompose
+from .spectral import SpectralDecomposition, alpha2_plus_batch, decompose
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,13 @@ class ResonanceCurve:
     wavelengths: np.ndarray
     magnitudes: np.ndarray
     period_ratio: float
-    cell_descriptor: str
     material: MaterialParams
     spectrum: SpectralDecomposition
     peaks: tuple[Peak, ...] = ()
 
 
 def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
-          wavelength_min: float, wavelength_max: float, samples: int = 400,
-          cell_descriptor: str = "") -> ResonanceCurve:
+          wavelength_min: float, wavelength_max: float, samples: int = 400) -> ResonanceCurve:
     """Sample |alpha2_plus| on a uniform wavelength grid and locate its peaks."""
     if not wavelength_min < wavelength_max:
         raise ValueError("need wavelength_min < wavelength_max")
@@ -55,7 +53,6 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
         wavelengths=lam_grid,
         magnitudes=magnitudes,
         period_ratio=decomposition.cell.period_ratio,
-        cell_descriptor=cell_descriptor,
         material=material,
         spectrum=decomposition,
     )
@@ -150,25 +147,34 @@ class CalibrationTable:
         return bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 
 
+def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: float,
+              wavelength_max: float, samples: int = 400
+              ) -> Iterator[tuple[CalibrationRow, ResonanceCurve]]:
+    """Per period: ``make_cell(period)``, spectrum, sweep and dominant peak.
+
+    Yields the calibration row and the resonance curve of each period in
+    order, so a caller that keeps only the rows holds one spectrum at a time.
+    """
+    for period in periods:
+        curve = sweep(decompose(make_cell(period)), material, wavelength_min,
+                      wavelength_max, samples)
+        peak = dominant_peak(curve)
+        if peak is None:
+            row = CalibrationRow(period=float(period), peak_wavelength=None,
+                                 peak_magnitude=None, mode_index=None,
+                                 note="no interior peak in window")
+        else:
+            row = CalibrationRow(period=float(period), peak_wavelength=peak.wavelength,
+                                 peak_magnitude=peak.magnitude, mode_index=peak.mode_index)
+        yield row, curve
+
+
 def peak_vs_period(radius: float, periods, material: MaterialParams,
                    wavelength_min: float, wavelength_max: float,
                    samples: int = 400, node_count: int = 256) -> CalibrationTable:
-    """Full pipeline per period: geometry, operators, spectrum, sweep, dominant peak."""
-    rows = []
-    for period in periods:
-        cell = make_disk_cell(radius, period, node_count)
-        decomposition = eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
-        curve = sweep(decomposition, material, wavelength_min, wavelength_max, samples,
-                      cell_descriptor=f"disk radius={radius} period={period}")
-        peak = dominant_peak(curve)
-        if peak is None:
-            rows.append(CalibrationRow(period=float(period), peak_wavelength=None,
-                                       peak_magnitude=None, mode_index=None,
-                                       note="no interior peak in window"))
-        else:
-            rows.append(CalibrationRow(period=float(period), peak_wavelength=peak.wavelength,
-                                       peak_magnitude=peak.magnitude,
-                                       mode_index=peak.mode_index))
-    return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count,
+    """Calibration table of a disk of the given radius over the period ratios."""
+    results = calibrate(lambda period: make_disk_cell(radius, period, node_count), periods,
+                        material, wavelength_min, wavelength_max, samples)
+    return CalibrationTable(rows=tuple(row for row, _ in results), radius=radius, node_count=node_count,
                             wavelength_min=wavelength_min, wavelength_max=wavelength_max,
                             samples=samples, material=material)

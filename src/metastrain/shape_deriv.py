@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import DegenerateModeError, ModeTrackingError
 from .geometry import CellGeometry, perturb_normal
-from .layer_ops import assemble_np_adjoint, assemble_single_layer
-from .spectral import SpectralDecomposition, eigendecompose
+from .spectral import SpectralDecomposition, decompose
 
 SIGN_CONVENTIONS = ("statement", "proof", "corrected")
 DEFAULT_SIGN = "corrected"
@@ -108,26 +107,6 @@ class ShapeDerivativeReport:
     def fd_slope(self) -> float:
         return float(self.fd_slopes[-1])
 
-    def describe(self) -> str:
-        lines = [
-            f"mode_index      = {self.mode_index}",
-            f"base_eigenvalue = {self.base_eigenvalue!r}",
-            f"predicted_slope = {self.predicted_slope!r}",
-            f"fd_slope        = {self.fd_slope!r}",
-            f"sign_used       = {self.selected_sign}",
-            f"sign_consistent = {self.sign_consistent}",
-        ]
-        return "\n".join(lines)
-
-    def csv_row(self) -> dict:
-        return {
-            "j": self.mode_index,
-            "lambda_j": self.base_eigenvalue,
-            "predicted_slope": self.predicted_slope,
-            "fd_slope": self.fd_slope,
-            "sign_used": self.selected_sign,
-        }
-
 
 def _tracked_eigenvalue(base: SpectralDecomposition, perturbed: SpectralDecomposition,
                         j: int) -> tuple[float, float]:
@@ -139,10 +118,6 @@ def _tracked_eigenvalue(base: SpectralDecomposition, perturbed: SpectralDecompos
     overlaps = np.abs(cross) / norms
     k = int(np.argmax(overlaps))
     return float(perturbed.eigenvalues[1 + k]), float(overlaps[k])
-
-
-def _decompose(cell: CellGeometry) -> SpectralDecomposition:
-    return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
 
 
 def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder,
@@ -158,14 +133,14 @@ def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder,
     etas = np.sort(np.asarray(eta_ladder, dtype=float))[::-1]
     if etas.size == 0 or np.any(etas <= 0.0):
         raise ValueError("eta ladder must contain positive values")
-    base = _decompose(cell)
+    base = decompose(cell)
     predictions = {s: shape_derivative(base, cell, j, sign=s) for s in SIGN_CONVENTIONS}
 
     slopes = np.empty(etas.size)
     worst_overlap = 1.0
     for i, eta in enumerate(etas):
-        lam_plus, o_plus = _tracked_eigenvalue(base, _decompose(perturb_normal(cell, eta)), j)
-        lam_minus, o_minus = _tracked_eigenvalue(base, _decompose(perturb_normal(cell, -eta)), j)
+        lam_plus, o_plus = _tracked_eigenvalue(base, decompose(perturb_normal(cell, eta)), j)
+        lam_minus, o_minus = _tracked_eigenvalue(base, decompose(perturb_normal(cell, -eta)), j)
         worst_overlap = min(worst_overlap, o_plus, o_minus)
         if worst_overlap < min_overlap:
             raise ModeTrackingError(

@@ -24,7 +24,12 @@ import scipy.linalg
 
 from .errors import QuadratureFailure, ResonanceError
 from .geometry import CellGeometry
-from .layer_ops import BoundaryOperator, evaluate_single_layer_off_surface
+from .layer_ops import (
+    BoundaryOperator,
+    assemble_np_adjoint,
+    assemble_single_layer,
+    evaluate_single_layer_off_surface,
+)
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,11 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     )
 
 
+def decompose(cell: CellGeometry) -> SpectralDecomposition:
+    """Assemble S and K* on the cell and diagonalise K*: the pipeline's one entry."""
+    return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
+
+
 def _check_off_spectrum(decomposition: SpectralDecomposition, lam: complex):
     if lam.imag != 0.0:
         return
@@ -212,11 +222,8 @@ def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: i
     """
     if component not in (1, 2):
         raise ValueError("component must be 1 or 2")
-    lam = complex(lam)
-    _check_off_spectrum(decomposition, lam)
     cell = decomposition.cell
-    rhs = cell.normals[:, component - 1]
-    n = cell.node_count
-    system = lam * np.eye(n) - decomposition.np_adjoint
-    psi = scipy.linalg.solve(system, rhs.astype(complex))
+    adjoint = BoundaryOperator(matrix=decomposition.np_adjoint, weights=cell.weights,
+                               tag="np_adjoint", cell=cell)
+    psi = resolvent_density(adjoint, lam, cell.normals[:, component - 1], decomposition)
     return evaluate_single_layer_off_surface(cell, psi, xi, upsample=upsample)

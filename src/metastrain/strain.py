@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import CalibrationError, OutOfRangeError
 from .resonance_sweep import CalibrationTable
@@ -95,6 +94,8 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
     ratio, the physical spacing follows as ratio * delta_phys, and the axes
     come from the perimeter inversion.
     """
+    from scipy.interpolate import PchipInterpolator  # deferred: only inversion needs it
+
     if not calibration.complete():
         missing = [row.period for row in calibration.rows if row.peak_wavelength is None]
         raise CalibrationError(f"calibration rows without a peak at periods {missing}")

@@ -22,7 +22,7 @@ from .layer_ops import (
 )
 from .periodic_green import PeriodicKernel
 from .shape_deriv import validate_shape_derivative
-from .spectral import alpha_field, alpha_infinity, eigendecompose
+from .spectral import alpha_field, alpha_infinity, decompose, eigendecompose
 
 PROBE_CONTRAST = 0.8
 FAR_FIELD_HEIGHT = 8.0
@@ -42,8 +42,9 @@ class CheckResult:
         return f"{status}  {self.name:<28s} residual={self.residual:9.3e} tol={self.tolerance:.1e}{extra}"
 
 
-def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
-    ys = [float(y) for y in ys]
+def neville_to_zero(xs, ys):
+    """Value at x = 0 of the polynomial through the samples (xs, ys); complex ys stay complex."""
+    ys = list(ys)
     xs = list(xs)
     n = len(xs)
     for m in range(1, n):
@@ -53,12 +54,12 @@ def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node: int,
-                                  side: int, distances=None, upsample: int = 32) -> float:
+                                  side: int, distances=None, upsample: int = 32):
     """Limit of the normal derivative of S[density] from one side of the boundary.
 
     Fourth-order finite differences along the normal at a ladder of distances,
     extrapolated to the boundary.  ``side`` is +1 for the exterior limit and
-    -1 for the interior one.
+    -1 for the interior one.  A complex density gives a complex limit.
     """
     if distances is None:
         distances = np.array([0.006, 0.009, 0.012, 0.016, 0.020])
@@ -78,7 +79,7 @@ def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node:
         ]
         values.append(side * (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3])
                       / (12.0 * h))
-    return _neville_to_zero(distances, values)
+    return neville_to_zero(distances, values)
 
 
 def _broken_copy(cell: CellGeometry) -> CellGeometry:
@@ -181,7 +182,7 @@ def run_validation(cell: CellGeometry, break_quadrature: bool = False,
     results.append(CheckResult("green_far_field", far_gap < 1e-12, far_gap, 1e-12))
 
     ellipse = make_ellipse_cell(0.35, 0.22, 1.0, 96)
-    ellipse_dec = eigendecompose(assemble_single_layer(ellipse), assemble_np_adjoint(ellipse))
+    ellipse_dec = decompose(ellipse)
     report = validate_shape_derivative(
         ellipse, j=ellipse_dec.dominant_mode(), eta_ladder=[1e-2, 1e-3]
     )

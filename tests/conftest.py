@@ -1,17 +1,14 @@
-import numpy as np
 import pytest
 
 from metastrain import (
     assemble_np_adjoint,
     assemble_single_layer,
+    decompose,
     eigendecompose,
     make_disk_cell,
     make_ellipse_cell,
 )
 from metastrain.dispersion import MaterialParams
-
-def decompose(cell):
-    return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
 
 
 @pytest.fixture(scope="session")
@@ -56,34 +53,3 @@ def water_gold():
         eps_m_rel=1.77**2, omega_p=2.0e15, collision_time=1.0e-14,
         plasma_frequency_is_angular=True,
     )
-
-
-def neville_to_zero(xs, ys):
-    """Polynomial extrapolation of samples (xs, ys) to x = 0."""
-    ys = [complex(y) for y in ys]
-    xs = list(xs)
-    n = len(xs)
-    for m in range(1, n):
-        for i in range(n - m):
-            ys[i] = ((0.0 - xs[i + m]) * ys[i] + xs[i] * ys[i + 1]) / (xs[i] - xs[i + m])
-    out = ys[0]
-    return out.real if abs(out.imag) < 1e-300 else out
-
-
-def normal_derivative_fd(cell, density, node, side, distances=(0.006, 0.009, 0.012, 0.016, 0.020),
-                         upsample=32):
-    """One-sided boundary limit of d(S[density])/dnu by FD plus extrapolation.
-
-    Independent of the assembled operators: uses only off-surface quadrature.
-    """
-    from metastrain import evaluate_single_layer_off_surface as ev
-
-    x0 = cell.nodes[node]
-    nu = cell.normals[node]
-    vals = []
-    for d in distances:
-        h = d / 4.0
-        st = [ev(cell, density, x0 + side * (d + s * h) * nu, upsample=upsample)
-              for s in (-2, -1, 1, 2)]
-        vals.append(side * (st[0] - 8 * st[1] + 8 * st[2] - st[3]) / (12.0 * h))
-    return neville_to_zero(np.asarray(distances), vals)

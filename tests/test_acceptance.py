@@ -18,6 +18,7 @@ from metastrain import (
     assemble_np_adjoint,
     assemble_single_layer,
     cross_sections,
+    decompose,
     extinction_spectrum,
     field,
     invert_peak_to_deformation,
@@ -36,8 +37,7 @@ from metastrain.dispersion import (
     resonance_frequency,
 )
 from metastrain.spectral import alpha2_plus_batch
-from metastrain.validate import run_validation
-from conftest import decompose, normal_derivative_fd
+from metastrain.validate import off_surface_normal_derivative, run_validation
 
 GRATING_PERIODS = (1.0, 1.25, 1.5, 1.75, 2.0)
 WINDOW = (6.5e-7, 1.7e-6)
@@ -85,8 +85,8 @@ def test_criterion_1_operator_identities():
     minus = (-0.5 * np.eye(256) + adjoint.matrix) @ phi
     trace = 0.0
     for node in (17, 171):
-        fd_plus = normal_derivative_fd(cell, phi, node, +1)
-        fd_minus = normal_derivative_fd(cell, phi, node, -1)
+        fd_plus = off_surface_normal_derivative(cell, phi, node, +1)
+        fd_minus = off_surface_normal_derivative(cell, phi, node, -1)
         trace = max(trace, abs(fd_plus - plus[node]), abs(fd_minus - minus[node]),
                     abs((fd_plus - fd_minus) - phi[node]))
     elapsed = time.perf_counter() - t0

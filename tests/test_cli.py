@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metastrain
 from metastrain.cli import main
 
 FAST_CONFIG = {
@@ -195,3 +200,13 @@ def test_ellipse_and_fourier_geometry(tmp_path):
                                                 "fourier_coefficients": coeffs,
                                                 "node_count": 64, "period": 1.0}})
     assert main(["--config", str(cfg2), "--out", str(out), "eigs"]) == 0
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.interpolate is loaded by the inversion only, scipy.signal never
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+    code = f"import sys, metastrain; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(metastrain.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

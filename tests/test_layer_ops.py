@@ -11,7 +11,7 @@ from metastrain import (
     make_ellipse_cell,
 )
 from metastrain.errors import EvaluationDistanceError
-from conftest import neville_to_zero, normal_derivative_fd
+from metastrain.validate import neville_to_zero, off_surface_normal_derivative
 
 
 def weighted_norm(matrix, weights):
@@ -197,8 +197,8 @@ def test_trace_formulae_via_fd(disk256, disk256_ops):
     plus = (0.5 * np.eye(n) + adjoint.matrix) @ phi
     minus = (-0.5 * np.eye(n) + adjoint.matrix) @ phi
     for node in (17, 171):
-        fd_plus = normal_derivative_fd(disk256, phi, node, +1)
-        fd_minus = normal_derivative_fd(disk256, phi, node, -1)
+        fd_plus = off_surface_normal_derivative(disk256, phi, node, +1)
+        fd_minus = off_surface_normal_derivative(disk256, phi, node, -1)
         assert abs(fd_plus - plus[node]) < 1e-6
         assert abs(fd_minus - minus[node]) < 1e-6
         assert abs((fd_plus - fd_minus) - phi[node]) < 1e-6
@@ -249,14 +249,37 @@ def test_spectrum_containment(disk256_dec):
     assert lam.min() >= -0.5 - 1e-6
 
 
-def test_matrix_dump_round_trip(tmp_path):
-    from metastrain.layer_ops import dump_matrix, load_matrix
+@pytest.mark.parametrize("complex_density", [False, True])
+def test_upsampled_density_matches_trigonometric_interpolation(complex_density):
+    # band-limited density with an explicit Nyquist term cos(n/2 t): the
+    # interpolant splits it evenly between frequencies +-n/2
+    from metastrain.layer_ops import _upsampled
 
-    cell = make_disk_cell(0.3, 1.0, 32)
-    op = assemble_np_adjoint(cell)
-    path = tmp_path / "np_adjoint.csv"
-    dump_matrix(op, path)
-    text = path.read_text()
-    assert text.startswith("# node_count = 32")
-    assert "# tag = np_adjoint" in text
-    assert np.array_equal(load_matrix(path), op.matrix)
+    n, factor = 32, 4
+    cell = make_disk_cell(0.3, 1.0, n)
+    rng = np.random.default_rng(3)
+    k = np.arange(1, n // 2)
+    shape = (k.size, 2) if complex_density else (k.size,)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    if complex_density:
+        a, b = a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+    nyquist = 0.7 - 0.4j if complex_density else 0.7
+
+    def density(t):
+        t = np.asarray(t)[:, None]
+        series = (a * np.cos(k * t) + b * np.sin(k * t)).sum(axis=1)
+        return 0.3 + series + nyquist * np.cos(n // 2 * t[:, 0])
+
+    fine = 2 * np.pi * np.arange(factor * n) / (factor * n)
+    _, _, dens = _upsampled(cell, density(cell.t), factor)
+    assert np.iscomplexobj(dens) == complex_density
+    assert np.abs(dens - density(fine)).max() < 1e-13
+
+
+def test_neville_keeps_complex_intercept():
+    xs = np.array([0.006, 0.009, 0.012, 0.016, 0.020])
+    coeffs = np.array([5.0, 100.0j, -40.0 + 7.0j, 3.0 + 2.0j, 0.25 - 1.5j])  # highest first
+    ys = [np.polyval(coeffs, x) for x in xs]
+    value = neville_to_zero(xs, ys)
+    assert isinstance(value, complex)
+    assert value == pytest.approx(coeffs[-1], abs=1e-10)

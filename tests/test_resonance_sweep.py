@@ -113,8 +113,7 @@ def test_peak_vs_period_single_row_matches_direct(disk128_dec, water_gold, disk_
 def test_peak_vs_period_closed_form_crosscheck(water_gold):
     # dominant peak within two grid steps of the closed-form resonance for the
     # heaviest-moment mode
-    from conftest import decompose
-    from metastrain import make_disk_cell
+    from metastrain import decompose, make_disk_cell
 
     table = peak_vs_period(0.45, [1.0, 1.5], water_gold, *WINDOW, samples=400, node_count=96)
     step = (WINDOW[1] - WINDOW[0]) / 399

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metastrain import (
+    decompose,
     make_disk_cell,
     perturb_normal,
     shape_derivative,
@@ -9,7 +10,6 @@ from metastrain import (
 )
 from metastrain.errors import DegenerateModeError
 from metastrain.shape_deriv import SIGN_CONVENTIONS
-from conftest import decompose
 
 
 @pytest.fixture(scope="module")
@@ -105,12 +105,3 @@ def test_report_fields(ellipse_report, ellipse128_dec):
     assert ellipse_report.base_eigenvalue == pytest.approx(
         ellipse128_dec.eigenvalues[ellipse_report.mode_index])
     assert set(ellipse_report.predicted_slopes) == set(SIGN_CONVENTIONS)
-
-
-def test_report_formatting(ellipse_report):
-    text = ellipse_report.describe()
-    assert "sign_used       = corrected" in text
-    assert f"mode_index      = {ellipse_report.mode_index}" in text
-    row = ellipse_report.csv_row()
-    assert set(row) == {"j", "lambda_j", "predicted_slope", "fd_slope", "sign_used"}
-    assert row["sign_used"] == "corrected"

@@ -5,12 +5,13 @@ from metastrain import (
     alpha_field,
     alpha_infinity,
     assemble_np_adjoint,
+    decompose,
     eigendecompose,
     make_disk_cell,
     resolvent_density,
 )
 from metastrain.errors import QuadratureFailure, ResonanceError
-from conftest import decompose, normal_derivative_fd
+from metastrain.validate import off_surface_normal_derivative
 
 PROBE = 0.8  # real contrast comfortably off the spectrum
 
@@ -189,8 +190,8 @@ def test_alpha_field_jump_condition(disk256_dec, disk256, disk256_ops):
     lam = (mu_m + mu_c) / (2 * (mu_m - mu_c))
     psi = resolvent_density(adjoint, lam, disk256.normals[:, 1], decomposition=disk256_dec)
     node = 40
-    d_plus = normal_derivative_fd(disk256, psi, node, +1)
-    d_minus = normal_derivative_fd(disk256, psi, node, -1)
+    d_plus = off_surface_normal_derivative(disk256, psi, node, +1)
+    d_minus = off_surface_normal_derivative(disk256, psi, node, -1)
     lhs = d_plus / mu_m - d_minus / mu_c
     rhs = (1 / mu_c - 1 / mu_m) * disk256.normals[node, 1]
     assert lhs == pytest.approx(rhs, abs=1e-6)
