@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,12 +117,28 @@ def _require(section: dict, name: str, keys: dict):
                 raise ConfigError(f"{name}.{key} must not be null")
         elif not isinstance(value, types):
             raise ConfigError(f"{name}.{key} must be of type {types}, got {value!r}")
+        elif types is _NUM and not _finite_number(value):
+            raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
         out[key] = value
     return out
 
 
 _REQUIRED = object()
 _NUM = (int, float)
+
+
+def _finite_number(value) -> bool:
+    if not isinstance(value, _NUM):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
+def _check_periods(periods, source: str):
+    if not periods or not all(_finite_number(p) and p > 0 for p in periods):
+        raise ConfigError(f"{source} must be a non-empty list of positive finite numbers")
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -156,8 +173,8 @@ def parse_config(raw: dict) -> RunConfig:
         })
         for c in g["fourier_coefficients"]:
             if not (isinstance(c, list) and len(c) == 2
-                    and all(isinstance(x, _NUM) for x in c)):
-                raise ConfigError("fourier_coefficients must be [re, im] pairs")
+                    and all(_finite_number(x) for x in c)):
+                raise ConfigError("fourier_coefficients must be finite [re, im] pairs")
     else:
         raise ConfigError(f"geometry.shape must be disk, ellipse or fourier, got {shape!r}")
 
@@ -180,8 +197,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("sweep wavelength window must satisfy 0 < min < max")
     if s["samples"] < 16:
         raise ConfigError("sweep.samples must be at least 16")
-    if not s["periods"] or not all(isinstance(p, _NUM) and p > 0 for p in s["periods"]):
-        raise ConfigError("sweep.periods must be a non-empty list of positive numbers")
+    _check_periods(s["periods"], "sweep.periods")
 
     c = _require(merged["capsule"], "capsule", {
         "radius_m": (_NUM, _REQUIRED), "particle_count": (int, _REQUIRED),
@@ -296,6 +312,9 @@ def cmd_scatter(config: RunConfig, out_dir: Path, beta_zero: bool = False) -> in
     return 0
 
 
+_CALIBRATION_COLUMNS = ("period", "peak_wavelength_m", "peak_magnitude", "mode_index")
+
+
 def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTable:
     header = {}
     rows = []
@@ -312,19 +331,27 @@ def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTab
     except OSError as exc:
         raise CalibrationError(f"cannot read calibration file {path}: {exc}") from exc
     reader = csv.DictReader(data_lines)
-    for record in reader:
-        lam = float(record["peak_wavelength_m"])
-        mode = int(record["mode_index"])
-        rows.append(CalibrationRow(
-            period=float(record["period"]),
-            peak_wavelength=None if np.isnan(lam) else lam,
-            peak_magnitude=float(record["peak_magnitude"]),
-            mode_index=None if mode < 0 else mode,
-        ))
+    missing = [name for name in _CALIBRATION_COLUMNS if name not in (reader.fieldnames or ())]
+    if missing:
+        raise CalibrationError(f"calibration file {path} lacks columns {missing}")
+    try:
+        for record in reader:
+            lam = float(record["peak_wavelength_m"])
+            mode = int(record["mode_index"])
+            rows.append(CalibrationRow(
+                period=float(record["period"]),
+                peak_wavelength=None if np.isnan(lam) else lam,
+                peak_magnitude=float(record["peak_magnitude"]),
+                mode_index=None if mode < 0 else mode,
+            ))
+        radius = float(header.get("radius", "nan"))
+        node_count = int(header.get("node_count", "0"))
+    except (TypeError, ValueError) as exc:
+        # TypeError: a short row leaves its missing cells as None
+        raise CalibrationError(f"calibration file {path} has a non-numeric entry: {exc}") from exc
     if not rows:
         raise CalibrationError(f"calibration file {path} has no rows")
-    return CalibrationTable(rows=tuple(rows), radius=float(header.get("radius", "nan")),
-                            node_count=int(header.get("node_count", "0")),
+    return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count,
                             wavelength_min=min(r.peak_wavelength or np.inf for r in rows),
                             wavelength_max=max(r.peak_wavelength or -np.inf for r in rows),
                             samples=0, material=material)
@@ -422,6 +449,7 @@ def main(argv=None) -> int:
                     periods = [float(p) for p in args.periods.split(",")]
                 except ValueError as exc:
                     raise ConfigError(f"bad --periods list: {args.periods!r}") from exc
+                _check_periods(periods, "--periods")
             return cmd_sweep(config, out_dir, periods=periods)
         if args.command == "scatter":
             return cmd_scatter(config, out_dir, beta_zero=args.beta_zero)

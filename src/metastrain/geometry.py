@@ -45,12 +45,26 @@ class TrigCurve:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def evaluate(self, t, order: int = 0) -> np.ndarray:
-        """Curve point (order 0) or t-derivative of given order, as xi1 + i*xi2."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def _series(self, order: int):
         k = _frequencies(self.coefficients.size)
-        series = ((1j * k) ** order) * self.coefficients
+        return k, ((1j * k) ** order) * self.coefficients
+
+    def evaluate(self, t, order: int = 0) -> np.ndarray:
+        """Curve point (order 0) or t-derivative of given order at any t, as xi1 + i*xi2."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        k, series = self._series(order)
         return np.exp(1j * t[:, None] * k[None, :]) @ series
+
+    def sample(self, count: int, order: int = 0) -> np.ndarray:
+        """``evaluate(2*pi*j/count, order)`` for j = 0, ..., count-1, by one inverse FFT.
+
+        exp(i*k*t_j) depends only on k mod count, so folding the coefficients
+        into those bins aliases them exactly, for any count.
+        """
+        k, series = self._series(order)
+        bins = np.zeros(count, dtype=complex)
+        np.add.at(bins, k % count, series)
+        return np.fft.ifft(bins, norm="forward")
 
     def reversed(self) -> "TrigCurve":
         """Same geometric curve traversed in the opposite direction."""
@@ -131,9 +145,8 @@ def _segments_cross(points: np.ndarray) -> bool:
 def _validated_curve(curve: TrigCurve, period: float) -> TrigCurve:
     """Reject inadmissible curves; normalise orientation to counterclockwise."""
     fine = max(8 * curve.coefficients.size, 256)
-    tf = np.linspace(0.0, 2.0 * np.pi, fine, endpoint=False)
-    z = curve.evaluate(tf)
-    dz = curve.evaluate(tf, order=1)
+    z = curve.sample(fine)
+    dz = curve.sample(fine, order=1)
     speed = np.abs(dz)
     if speed.min() < 1e-12 * max(speed.max(), 1e-300):
         raise GeometryError("degenerate parametrization: |z'(t)| vanishes")
@@ -155,9 +168,9 @@ def _validated_curve(curve: TrigCurve, period: float) -> TrigCurve:
 def _discretize(curve: TrigCurve, period: float, node_count: int) -> CellGeometry:
     curve = _validated_curve(curve, period)
     t = 2.0 * np.pi * np.arange(node_count) / node_count
-    z = curve.evaluate(t)
-    dz = curve.evaluate(t, order=1)
-    d2z = curve.evaluate(t, order=2)
+    z = curve.sample(node_count)
+    dz = curve.sample(node_count, order=1)
+    d2z = curve.sample(node_count, order=2)
     speed = np.abs(dz)
     tangent = dz / speed
     normal = -1j * tangent
@@ -219,9 +232,8 @@ def perturb_normal(cell: CellGeometry, eta: float) -> CellGeometry:
     """
     curve = cell.parametrization
     fine = max(4 * cell.node_count, 4 * curve.coefficients.size, 64)
-    tf = 2.0 * np.pi * np.arange(fine) / fine
-    z = curve.evaluate(tf)
-    dz = curve.evaluate(tf, order=1)
+    z = curve.sample(fine)
+    dz = curve.sample(fine, order=1)
     normal = -1j * dz / np.abs(dz)
     samples = z + eta * normal
     coeffs = np.fft.fft(samples) / fine

@@ -152,9 +152,8 @@ def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):
     if factor <= 1:
         return cell.nodes_complex, cell.weights, np.asarray(density)
     m = factor * cell.node_count
-    tf = 2.0 * np.pi * np.arange(m) / m
-    z = cell.parametrization.evaluate(tf)
-    dz = cell.parametrization.evaluate(tf, order=1)
+    z = cell.parametrization.sample(m)
+    dz = cell.parametrization.sample(m, order=1)
     weights = np.abs(dz) * (2.0 * np.pi / m)
     density = np.asarray(density)
     # zero-pad the spectrum; the Nyquist bin of the (even) node count is split

@@ -81,6 +81,31 @@ def test_sweep_and_calibration(tmp_path):
     assert lams == sorted(lams, reverse=True)
 
 
+@pytest.mark.parametrize("extra", [
+    {"material": {"eps_m_rel": float("nan")}},
+    {"sweep": {"wavelength_max_m": float("inf")}},
+    {"sweep": {"periods": [1.0, float("inf")]}},
+    {"geometry": {"shape": "fourier",
+                  "fourier_coefficients": [[0.0, 0.0], [0.3, 0.0], [float("nan"), 0.0]]}},
+    {"capsule": {"radius_m": 10**400}},
+], ids=["nan_material", "inf_wavelength", "inf_period", "nan_fourier", "int_beyond_float"])
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, extra):
+    # json writes and reads the NaN / Infinity literals
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("periods", ["1,nan", "1,inf", "1.0,-1.5", "0"])
+def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "sweep",
+                 f"--periods={periods}"]) == 2
+    assert "--periods" in capsys.readouterr().err
+
+
 def test_sweep_empty_window_rejected(tmp_path):
     cfg = write_config(tmp_path, {"sweep": {"wavelength_min_m": 2e-6,
                                             "wavelength_max_m": 1e-6}})
@@ -156,6 +181,20 @@ def test_invert_missing_calibration(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "nowhere"), "invert",
                  "--peak-wavelength-nm", "900"]) == 3
+
+
+@pytest.mark.parametrize("table", [
+    "period,peak_magnitude,mode_index\n1.0,2.5,0\n",
+    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,abc,2.5,0\n",
+    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07\n",
+], ids=["missing_column", "non_numeric_cell", "short_row"])
+def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "calibration.csv"
+    path.write_text("# radius = 0.45\n" + table)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "invert",
+                 "--peak-wavelength-nm", "900", "--calibration", str(path)]) == 3
+    assert "calibration file" in capsys.readouterr().err
 
 
 def test_invert_csv_output(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from metastrain import (
+    TrigCurve,
     make_disk_cell,
     make_ellipse_cell,
     make_smooth_cell,
@@ -62,6 +63,32 @@ def test_ellipse_perimeter_against_arclength_quadrature():
     exact, err = quad(speed, 0.0, 2 * np.pi, limit=200)
     assert err < 1e-7
     assert cell.perimeter == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [64, 16, 13, 5])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_sample_matches_dense_evaluate(order, count):
+    # complex coefficients with the Nyquist slot filled; counts below 16 fold them
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    curve = TrigCurve(coeffs)
+    k = np.fft.fftfreq(16, 1.0 / 16)
+    t = 2 * np.pi * np.arange(count) / count
+    scale = np.abs(k**order * coeffs).sum()
+    assert np.abs(curve.sample(count, order) - curve.evaluate(t, order)).max() < 1e-13 * scale
+
+
+def test_perturb_normal_matches_parallel_curve():
+    # the curve displaced by eta along its normal has speed |z'|(1 + eta*kappa)
+    # and curvature kappa/(1 + eta*kappa) at the same parameter
+    coeffs = np.zeros(8)
+    coeffs[[1, 2, 3, 6, 7]] = [0.32, 0.012, -0.005, 0.008, 0.015]
+    cell = make_smooth_cell(coeffs, 1.3, 128)
+    kappa = cell.curvatures
+    for eta in (1e-2, -1e-2, 1e-3):
+        moved = perturb_normal(cell, eta)
+        assert np.abs(moved.weights - cell.weights * (1 + eta * kappa)).max() < 1e-13
+        assert np.abs(moved.curvatures - kappa / (1 + eta * kappa)).max() < 1e-9
 
 
 def test_curve_exiting_strip_rejected():
