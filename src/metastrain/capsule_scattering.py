@@ -15,6 +15,23 @@ closed-form solution
 
 using the Wronskian J_n(z) H_n'(z) - J_n'(z) H_n(z) = W, and c_n = i^n
 exp(-i n theta_inc) from the Jacobi-Anger expansion of the incident wave.
+
+J_n, H_n and their derivatives come from one Bessel ladder on the orders
+n = 0..N+1: ``jv`` and ``hankel2`` are evaluated once on every argument, the
+derivatives are the difference (F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1 (the
+formula scipy's ``jvp``/``h2vp`` use, so the values agree bit for bit), and
+negative orders follow by reflection, F_{-n} = (-1)^n F_n.
+
+The mode ratio s_n = beta*k * J_n'^2 / (W - beta*k * J_n' H_n') is even in n
+and b_n = c_n s_n with |c_n| = 1, so the widths fold onto n = 0..N with weight
+1 for n = 0 and 2 for n > 0:
+
+    sigma_ext = -(4/k) Re sum' s_n,        sigma_sca = (4/k) sum' |s_n|^2.
+
+The incidence angle enters only through the phases c_n, which cancel in both
+sums: for the circular capsule the widths do not depend on the direction of
+incidence.  ``extinction_spectrum`` evaluates the folded sums for all
+wavelengths at once on a (wavelength x order) grid.
 """
 
 from __future__ import annotations
@@ -22,11 +39,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import h2vp, hankel2, jv, jvp
+from scipy.special import hankel2, jv
 
 from .dispersion import MaterialParams, contrast_values, omega_from_wavelength
 from .errors import QuadratureFailure
 from .spectral import SpectralDecomposition, alpha2_plus_batch
+
+
+def _unit_direction(direction) -> tuple[float, float]:
+    d = np.asarray(direction, dtype=float)
+    if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
+        raise ValueError("incidence direction must be a unit vector")
+    return float(d[0]), float(d[1])
+
+
+def _check_size_parameter(z):
+    if not np.all((z > 0.0) & np.isfinite(z)):
+        raise ValueError("k * r must be positive and finite")
+
+
+def _derivative(ladder: np.ndarray) -> np.ndarray:
+    """F_n' = (F_{n-1} - F_{n+1}) / 2 on orders 0..top-1, with F_{-1} = -F_1."""
+    prime = np.empty_like(ladder[:, :-1])
+    prime[:, 0] = -ladder[:, 1]
+    prime[:, 1:] = (ladder[:, :-2] - ladder[:, 2:]) / 2.0
+    return prime
+
+
+def _bessel_ladder(z: np.ndarray, n_modes: np.ndarray):
+    """J_n, J_n', H_n, H_n' (H = H^(2)) at orders n = 0..max(n_modes), one row per z.
+
+    ``jv`` and ``hankel2`` are each called once, on the orders n <= n_modes + 1
+    of every row.  All four arrays are zero above a row's own ``n_modes``.
+    """
+    orders = np.arange(int(n_modes.max(initial=0)) + 2)
+    live = orders <= n_modes[:, None] + 1
+    nn, zz = np.broadcast_arrays(orders, z[:, None])
+    J = np.zeros(live.shape)
+    H = np.zeros(live.shape, dtype=complex)
+    J[live] = jv(nn[live], zz[live])
+    H[live] = hankel2(nn[live], zz[live])
+    ladders = [J[:, :-1], _derivative(J), H[:, :-1], _derivative(H)]
+    beyond = orders[:-1] > n_modes[:, None]
+    for F in ladders:
+        F[beyond] = 0.0
+    return ladders
+
+
+def _mode_systems(beta_k, wronskian, Jp, Hp):
+    """Denominators W - beta*k J_n' H_n' of the mode systems, and where they are singular."""
+    coupling = beta_k * Jp * Hp
+    denom = wronskian - coupling
+    return denom, np.abs(denom) < 1e-14 * (np.abs(wronskian) + np.abs(coupling))
 
 
 @dataclass(frozen=True)
@@ -37,12 +101,9 @@ class IncidentWave:
     wavenumber: float
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
-            raise ValueError("incidence direction must be a unit vector")
         if not self.wavenumber > 0.0:
             raise ValueError("wavenumber must be positive")
-        object.__setattr__(self, "direction", (float(d[0]), float(d[1])))
+        object.__setattr__(self, "direction", _unit_direction(self.direction))
 
     @property
     def angle(self) -> float:
@@ -76,8 +137,7 @@ def solve_modal(radius: float, wave: IncidentWave, beta: complex,
     """
     k = wave.wavenumber
     z = k * radius
-    if not z > 0.0:
-        raise ValueError("k * r must be positive")
+    _check_size_parameter(z)
     if n_modes is None:
         n_modes = int(np.ceil(z)) + 16
     elif n_modes < z + 8:
@@ -85,19 +145,17 @@ def solve_modal(radius: float, wave: IncidentWave, beta: complex,
 
     n = np.arange(-n_modes, n_modes + 1)
     c = np.exp(1j * n * (np.pi / 2.0 - wave.angle))
-    J = jv(n, z)
-    Jp = jvp(n, z)
-    H = hankel2(n, z)
-    Hp = h2vp(n, z)
+    parity = 1.0 - 2.0 * (n % 2)
+    J, Jp, H, Hp = (parity * F[0, np.abs(n)]
+                    for F in _bessel_ladder(np.array([z]), np.array([n_modes])))
 
-    wronskian = -2j / (np.pi * z)
-    denom = wronskian - beta * k * Jp * Hp
-    bad = np.abs(denom) < 1e-14 * (np.abs(wronskian) + np.abs(beta * k * Jp * Hp))
+    beta_k = beta * k
+    denom, bad = _mode_systems(beta_k, -2j / (np.pi * z), Jp, Hp)
     if np.any(bad):
         raise QuadratureFailure(
             f"singular mode systems at orders {n[bad].tolist()} for beta = {beta}"
         )
-    b = c * (beta * k) * Jp**2 / denom
+    b = c * beta_k * Jp**2 / denom
 
     # interior coefficients from whichever condition has the larger pivot
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,8 +217,13 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     """Extinction and scattering versus wavelength for the effective capsule.
 
     The jump coefficient is recomputed per wavelength as 2*delta_phys*alpha2_plus
-    unless ``beta_override`` pins it (used for transparency checks).
+    unless ``beta_override`` pins it (used for transparency checks).  Each
+    wavelength keeps the truncation N = ceil(k r) + 16 of :func:`solve_modal`,
+    and the folded mode sums of the module docstring are taken for all
+    wavelengths at once.  ``direction`` must be a unit vector; the widths do not
+    depend on it.
     """
+    _unit_direction(direction)
     lam_grid = np.asarray(wavelengths, dtype=float)
     omega = omega_from_wavelength(lam_grid, material)
     if beta_override is None:
@@ -168,11 +231,24 @@ def extinction_spectrum(radius: float, material: MaterialParams,
         betas = 2.0 * delta_phys * alpha2_plus_batch(decomposition, contrasts)
     else:
         betas = np.full(lam_grid.shape, complex(beta_override))
-    ext = np.empty(lam_grid.size)
-    sca = np.empty(lam_grid.size)
-    for i, (lam_m, beta) in enumerate(zip(lam_grid, betas)):
-        k = 2.0 * np.pi / lam_m
-        solution = solve_modal(radius, IncidentWave(direction=direction, wavenumber=k), beta)
-        ext[i], sca[i] = cross_sections(solution)
+    k = 2.0 * np.pi / lam_grid
+    z = k * radius
+    _check_size_parameter(z)
+
+    _, Jp, _, Hp = _bessel_ladder(z, np.ceil(z).astype(int) + 16)
+    beta_k = (betas * k)[:, None]
+    denom, bad = _mode_systems(beta_k, (-2j / (np.pi * z))[:, None], Jp, Hp)
+    if np.any(bad):
+        i = int(np.argmax(bad.any(axis=1)))
+        m = np.flatnonzero(bad[i])
+        orders = sorted({int(sign * n) for n in m for sign in (-1, 1)})
+        raise QuadratureFailure(
+            f"singular mode systems at orders {orders} for beta = {betas[i]} "
+            f"at wavelength {lam_grid[i]} m"
+        )
+    terms = beta_k * Jp**2 / denom
+    weights = np.where(np.arange(terms.shape[1]) == 0, 1.0, 2.0)
+    ext = -4.0 / k * np.real(np.sum(terms * weights, axis=1))
+    sca = 4.0 / k * np.sum(np.abs(terms) ** 2 * weights, axis=1)
     return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca,
                            radius=radius, delta_phys=delta_phys, material=material)

@@ -76,7 +76,15 @@ class BoundaryLayerLimits:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(vectors), axis=0)
+    """Make each column's reference entry positive.
+
+    The reference is the lowest-index entry whose magnitude is within 1e-8
+    relative of the column maximum: on mirror-symmetric cells the largest |v|
+    is tied between mirrored nodes up to round-off, so a plain argmax would let
+    round-off choose the sign.
+    """
+    mag = np.abs(vectors)
+    idx = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs

@@ -9,7 +9,9 @@ from metastrain import (
     field,
     solve_modal,
 )
+from metastrain import capsule_scattering
 from metastrain.dispersion import contrast_values, omega_from_wavelength
+from metastrain.errors import QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
 
 K = 2 * np.pi / 7e-7
@@ -144,3 +146,71 @@ def test_extinction_peak_colocated_with_alpha_peak(disk128_dec, water_gold):
     curve = extinction_spectrum(9.9e-7, water_gold, disk128_dec, 5e-9, lams)
     assert abs(int(np.argmax(curve.extinction)) - int(np.argmax(alpha_mag))) <= 1
     assert np.all(curve.extinction >= curve.scattering)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7], ids=["x_axis", "rotated"])
+def test_extinction_spectrum_matches_per_wavelength_loop(disk128_dec, water_gold, angle):
+    # k r runs from 4.4 to 11.6, so the truncation N = ceil(k r) + 16 varies over the grid
+    radius, delta = 1.2e-6, 5e-9
+    direction = (np.cos(angle), np.sin(angle))
+    lams = np.linspace(6.5e-7, 1.7e-6, 64)
+    curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams,
+                                direction=direction)
+    omegas = omega_from_wavelength(lams, water_gold)
+    betas = 2.0 * delta * alpha2_plus_batch(disk128_dec, contrast_values(omegas, water_gold))
+    loop = np.array([
+        cross_sections(solve_modal(radius, IncidentWave(direction, 2 * np.pi / lam), beta))
+        for lam, beta in zip(lams, betas)
+    ])
+    np.testing.assert_allclose(curve.extinction, loop[:, 0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(curve.scattering, loop[:, 1], rtol=1e-13, atol=0.0)
+
+
+def test_extinction_spectrum_reports_singular_mode(disk128_dec, water_gold):
+    # beta chosen so that the order-3 system is singular at the sixth wavelength only
+    lams = np.linspace(6.5e-7, 1.7e-6, 16)
+    k = 2 * np.pi / lams[5]
+    z = k * R
+    beta = (-2j / (np.pi * z)) / (k * jvp(3, z) * h2vp(3, z))
+    with pytest.raises(QuadratureFailure,
+                       match=rf"orders \[-3, 3\] .* at wavelength {lams[5]} m"):
+        extinction_spectrum(R, water_gold, disk128_dec, 5e-9, lams, beta_override=beta)
+
+
+def test_extinction_spectrum_rejects_non_unit_direction(disk128_dec, water_gold):
+    lams = np.linspace(6.5e-7, 1.7e-6, 8)
+    with pytest.raises(ValueError, match="unit vector"):
+        extinction_spectrum(R, water_gold, disk128_dec, 5e-9, lams, direction=(1.0, 0.5))
+
+
+def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(
+        disk128_dec, water_gold, monkeypatch):
+    calls = {"jv": 0, "hankel2": 0}
+
+    def counted(name):
+        function = getattr(capsule_scattering, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(capsule_scattering, name, counted(name))
+    counts = []
+    for size in (8, 800):
+        calls.update(jv=0, hankel2=0)
+        extinction_spectrum(R, water_gold, disk128_dec, 5e-9,
+                            np.linspace(6.5e-7, 1.7e-6, size))
+        counts.append(dict(calls))
+    assert counts == [{"jv": 1, "hankel2": 1}] * 2
+
+
+def test_bessel_ladder_matches_scipy_bit_for_bit():
+    z = np.array([0.3, 4.4, 11.6])
+    n_modes = np.array([17, 21, 28])
+    ladders = capsule_scattering._bessel_ladder(z, n_modes)
+    for F, reference in zip(ladders, (jv, jvp, hankel2, h2vp)):
+        for row, (zi, top) in enumerate(zip(z, n_modes)):
+            assert np.array_equal(F[row, :top + 1], reference(np.arange(top + 1), zi))
+            assert np.all(F[row, top + 1:] == 0.0)

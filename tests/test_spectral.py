@@ -79,6 +79,34 @@ def test_gram_failure_reported(disk256_ops):
         eigendecompose(broken, adjoint)
 
 
+def _reference_entries(densities):
+    # lowest-index entry within 1e-8 relative of the column's largest |v|
+    mag = np.abs(densities)
+    rows = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
+    return densities[rows, np.arange(densities.shape[1])]
+
+
+def test_eigenvector_reference_entries_positive(disk256_dec):
+    assert np.all(_reference_entries(disk256_dec.eigendensities[:, 1:]) > 0.0)
+
+
+def test_eigenvector_signs_survive_round_off(disk256_dec, disk256_ops):
+    # the disk is mirror symmetric, so the largest |v| of many modes is tied
+    # between mirrored nodes; a one-ulp rescaling of S must not flip any sign
+    import dataclasses
+
+    single, adjoint = disk256_ops
+    scaled = dataclasses.replace(single, matrix=single.matrix * (1.0 + 2.0**-52))
+    v1 = disk256_dec.eigendensities[:, 1:]
+    v2 = eigendecompose(scaled, adjoint).eigendensities[:, 1:]
+    assert np.all(_reference_entries(v2) > 0.0)
+    # modes in the round-off cluster (|lambda| ~ 1e-17) are not determined by
+    # the matrices; compare the ones whose magnitudes the rescaling leaves alone
+    determined = np.abs(np.abs(v1) - np.abs(v2)).max(axis=0) <= 1e-10 * np.abs(v1).max(axis=0)
+    assert determined.sum() >= 30
+    assert np.all(np.sum(v1 * v2, axis=0)[determined] > 0.0)
+
+
 def test_alpha_infinity_sign_relations(disk256_dec):
     lims = alpha_infinity(disk256_dec, PROBE)
     assert lims.alpha2_plus == -lims.alpha2_minus
