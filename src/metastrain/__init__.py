@@ -34,7 +34,6 @@ from .geometry import (
 )
 from .layer_ops import (
     BoundaryOperator,
-    assemble_double_layer,
     assemble_np,
     assemble_np_adjoint,
     assemble_single_layer,
@@ -94,7 +93,6 @@ __all__ = [
     "TrigCurve",
     "alpha_field",
     "alpha_infinity",
-    "assemble_double_layer",
     "assemble_np",
     "assemble_np_adjoint",
     "assemble_single_layer",

@@ -42,20 +42,22 @@ import numpy as np
 from scipy.special import hankel2, jv
 
 from .dispersion import MaterialParams, contrast_values, omega_from_wavelength
-from .errors import QuadratureFailure
+from .errors import OutOfRangeError, QuadratureFailure
 from .spectral import SpectralDecomposition, alpha2_plus_batch
 
 
-def _unit_direction(direction) -> tuple[float, float]:
-    d = np.asarray(direction, dtype=float)
-    if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
-        raise ValueError("incidence direction must be a unit vector")
-    return float(d[0]), float(d[1])
-
-
-def _check_size_parameter(z):
-    if not np.all((z > 0.0) & np.isfinite(z)):
-        raise ValueError("k * r must be positive and finite")
+def _check_size_parameter(k, radius):
+    """k r, rejected unless positive and small enough that ceil(k r) + 16 fits in int64."""
+    with np.errstate(over="ignore"):
+        z = k * radius
+    if not np.all(z > 0.0):
+        raise ValueError("k * r must be positive")
+    # also catches k r = inf; floats below 2**63 convert to int64 exactly
+    if not np.all(np.ceil(z) + 16.0 < 2.0**63):
+        raise OutOfRangeError(
+            f"size parameter k * r = {np.max(z):.3g} is too large for the mode truncation"
+        )
+    return z
 
 
 def _derivative(ladder: np.ndarray) -> np.ndarray:
@@ -103,7 +105,10 @@ class IncidentWave:
     def __post_init__(self):
         if not self.wavenumber > 0.0:
             raise ValueError("wavenumber must be positive")
-        object.__setattr__(self, "direction", _unit_direction(self.direction))
+        d = np.asarray(self.direction, dtype=float)
+        if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
+            raise ValueError("incidence direction must be a unit vector")
+        object.__setattr__(self, "direction", (float(d[0]), float(d[1])))
 
     @property
     def angle(self) -> float:
@@ -136,8 +141,7 @@ def solve_modal(radius: float, wave: IncidentWave, beta: complex,
     given explicitly so the truncated coefficients are negligible.
     """
     k = wave.wavenumber
-    z = k * radius
-    _check_size_parameter(z)
+    z = _check_size_parameter(k, radius)
     if n_modes is None:
         n_modes = int(np.ceil(z)) + 16
     elif n_modes < z + 8:
@@ -212,28 +216,24 @@ class ExtinctionCurve:
 
 def extinction_spectrum(radius: float, material: MaterialParams,
                         decomposition: SpectralDecomposition, delta_phys: float,
-                        wavelengths, direction=(1.0, 0.0),
-                        beta_override: complex | None = None) -> ExtinctionCurve:
+                        wavelengths, beta_override: complex | None = None) -> ExtinctionCurve:
     """Extinction and scattering versus wavelength for the effective capsule.
 
     The jump coefficient is recomputed per wavelength as 2*delta_phys*alpha2_plus
     unless ``beta_override`` pins it (used for transparency checks).  Each
     wavelength keeps the truncation N = ceil(k r) + 16 of :func:`solve_modal`,
     and the folded mode sums of the module docstring are taken for all
-    wavelengths at once.  ``direction`` must be a unit vector; the widths do not
-    depend on it.
+    wavelengths at once.  The widths do not depend on the incidence direction.
     """
-    _unit_direction(direction)
     lam_grid = np.asarray(wavelengths, dtype=float)
+    k = 2.0 * np.pi / lam_grid
+    z = _check_size_parameter(k, radius)
     omega = omega_from_wavelength(lam_grid, material)
     if beta_override is None:
         contrasts = contrast_values(omega, material)
         betas = 2.0 * delta_phys * alpha2_plus_batch(decomposition, contrasts)
     else:
         betas = np.full(lam_grid.shape, complex(beta_override))
-    k = 2.0 * np.pi / lam_grid
-    z = k * radius
-    _check_size_parameter(z)
 
     _, Jp, _, Hp = _bessel_ladder(z, np.ceil(z).astype(int) + 16)
     beta_k = (betas * k)[:, None]

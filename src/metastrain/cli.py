@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +68,18 @@ DEFAULT_CONFIG = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; ``resolved`` is the canonical dict for headers."""
+    """Validated run configuration, one field per config section."""
 
     geometry: dict
     material: dict
     sweep: dict
     capsule: dict
     output_dir: str
-    resolved: dict
+
+    @property
+    def resolved(self) -> dict:
+        """The canonical config dict embedded in every CSV header."""
+        return asdict(self)
 
     def material_params(self) -> MaterialParams:
         m = self.material
@@ -206,10 +210,8 @@ def parse_config(raw: dict) -> RunConfig:
     if c["radius_m"] <= 0 or c["particle_scale_m"] <= 0 or c["particle_count"] < 3:
         raise ConfigError("capsule section requires positive sizes and at least 3 particles")
 
-    resolved = {"geometry": g, "material": m, "sweep": s, "capsule": c,
-                "output_dir": merged["output_dir"]}
     return RunConfig(geometry=g, material=m, sweep=s, capsule=c,
-                     output_dir=merged["output_dir"], resolved=resolved)
+                     output_dir=merged["output_dir"])
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -1,8 +1,8 @@
 """Nystroem discretisation of the periodic layer potentials.
 
 The single layer S, the Neumann-Poincare operator K* (normal derivative of S
-in the target point), its arclength adjoint K and the double layer D are
-assembled as dense matrices acting on nodal densities.
+in the target point) and its arclength adjoint K are assembled as dense
+matrices acting on nodal densities.
 
 Quadrature follows the classical kernel-splitting scheme for analytic curves:
 the Green's function is written as
@@ -12,8 +12,8 @@ the Green's function is written as
 the canonical log factor is integrated with the spectrally accurate
 trigonometric product rule on the uniform parameter grid, and the smooth part
 (which includes the lattice remainder R) with the plain trapezoidal rule.
-The K* and D kernels are smooth on an analytic curve; their coincidence limit
-is the classical curvature term kappa/(4pi) plus the remainder gradient, which
+The K* kernel is smooth on an analytic curve; its coincidence limit is the
+classical curvature term kappa/(4pi) plus the remainder gradient, which
 vanishes at zero separation.
 """
 
@@ -31,27 +31,18 @@ from .periodic_green import (
     value_from_delta,
 )
 
-VALID_TAGS = ("single_layer", "np_adjoint", "np", "double_layer")
-
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """Dense boundary operator on nodal densities, with its quadrature weights."""
+    """Dense boundary operator on the nodal densities of a cell (read-only matrix)."""
 
     matrix: np.ndarray
-    weights: np.ndarray
-    tag: str
     cell: CellGeometry
 
     def __post_init__(self):
-        if self.tag not in VALID_TAGS:
-            raise ValueError(f"unknown operator tag {self.tag!r}")
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, density: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(density)
 
 
 def log_quadrature_matrix(n: int) -> np.ndarray:
@@ -94,7 +85,7 @@ def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     smooth = np.log(ratio) / (4.0 * np.pi) + remainder_from_delta(delta, L)
 
     matrix = (0.5 * log_quadrature_matrix(n) + (2.0 * np.pi / n) * smooth) * s[None, :]
-    return BoundaryOperator(matrix=matrix, weights=cell.weights, tag="single_layer", cell=cell)
+    return BoundaryOperator(matrix=matrix, cell=cell)
 
 
 def _np_adjoint_kernel(cell: CellGeometry) -> np.ndarray:
@@ -118,33 +109,14 @@ def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
     """Matrix of K*, the periodic Neumann-Poincare operator."""
     n = cell.node_count
     matrix = (2.0 * np.pi / n) * _np_adjoint_kernel(cell) * cell.speeds[None, :]
-    return BoundaryOperator(matrix=matrix, weights=cell.weights, tag="np_adjoint", cell=cell)
+    return BoundaryOperator(matrix=matrix, cell=cell)
 
 
 def assemble_np(np_adjoint: BoundaryOperator) -> BoundaryOperator:
     """K as the weighted transpose of K*, exact in the discrete arclength pairing."""
-    w = np_adjoint.weights
+    w = np_adjoint.cell.weights
     matrix = np_adjoint.matrix.T * (w[None, :] / w[:, None])
-    return BoundaryOperator(matrix=matrix, weights=w, tag="np", cell=np_adjoint.cell)
-
-
-def assemble_double_layer(cell: CellGeometry) -> BoundaryOperator:
-    """On-surface double layer in the principal-value sense (independent quadrature)."""
-    n = cell.node_count
-    L = cell.period_ratio
-    delta = _pairwise_delta(cell)
-    nu = cell.normals_complex
-
-    dist2 = np.abs(delta) ** 2
-    np.fill_diagonal(dist2, 1.0)
-    free = np.real(np.conj(nu)[None, :] * (-delta)) / (2.0 * np.pi * dist2)
-    np.fill_diagonal(free, cell.curvatures / (4.0 * np.pi))
-
-    rem_grad = _cot_minus_inverse(np.pi * delta / L) / (2.0 * L)
-    rem = -np.real(nu[None, :] * rem_grad)
-
-    matrix = (2.0 * np.pi / n) * (free + rem) * cell.speeds[None, :]
-    return BoundaryOperator(matrix=matrix, weights=cell.weights, tag="double_layer", cell=cell)
+    return BoundaryOperator(matrix=matrix, cell=np_adjoint.cell)
 
 
 def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):

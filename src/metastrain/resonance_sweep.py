@@ -32,9 +32,8 @@ class ResonanceCurve:
 
     wavelengths: np.ndarray
     magnitudes: np.ndarray
-    period_ratio: float
     material: MaterialParams
-    spectrum: SpectralDecomposition
+    eigenvalues: np.ndarray
     peaks: tuple[Peak, ...] = ()
 
 
@@ -52,9 +51,8 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
     curve = ResonanceCurve(
         wavelengths=lam_grid,
         magnitudes=magnitudes,
-        period_ratio=decomposition.cell.period_ratio,
         material=material,
-        spectrum=decomposition,
+        eigenvalues=decomposition.eigenvalues,
     )
     return dataclasses.replace(curve, peaks=tuple(find_peaks(curve)))
 
@@ -62,7 +60,7 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
 def _nearest_mode(curve: ResonanceCurve, peak_wavelength: float) -> int | None:
     omega_peak = omega_from_wavelength(peak_wavelength, curve.material)
     best, best_gap = None, np.inf
-    for j, lam_j in enumerate(curve.spectrum.eigenvalues):
+    for j, lam_j in enumerate(curve.eigenvalues):
         if j == 0:
             continue  # equilibrium mode carries no normal moment
         try:
@@ -153,7 +151,8 @@ def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: floa
     """Per period: ``make_cell(period)``, spectrum, sweep and dominant peak.
 
     Yields the calibration row and the resonance curve of each period in
-    order, so a caller that keeps only the rows holds one spectrum at a time.
+    order.  A curve keeps only the eigenvalues of its spectrum, so one
+    decomposition is alive at a time even when the caller keeps every curve.
     """
     for period in periods:
         curve = sweep(decompose(make_cell(period)), material, wavelength_min,

@@ -35,6 +35,7 @@ DEFAULT_SIGN = "corrected"
 
 # eigenvalue gap below which first-order perturbation of a single mode is unsafe
 SIMPLE_GAP = 1e-7
+MIN_OVERLAP = 0.9  # Gram overlap below which a perturbed mode is not the base mode
 
 
 def _tangential_derivative(cell: CellGeometry, values: np.ndarray) -> np.ndarray:
@@ -120,8 +121,7 @@ def _tracked_eigenvalue(base: SpectralDecomposition, perturbed: SpectralDecompos
     return float(perturbed.eigenvalues[1 + k]), float(overlaps[k])
 
 
-def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder,
-                              min_overlap: float = 0.9) -> ShapeDerivativeReport:
+def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder) -> ShapeDerivativeReport:
     """Compare the candidate sign conventions against central finite differences.
 
     For each eta the eigenvalue is recomputed on the curves displaced by +eta
@@ -142,7 +142,7 @@ def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder,
         lam_plus, o_plus = _tracked_eigenvalue(base, decompose(perturb_normal(cell, eta)), j)
         lam_minus, o_minus = _tracked_eigenvalue(base, decompose(perturb_normal(cell, -eta)), j)
         worst_overlap = min(worst_overlap, o_plus, o_minus)
-        if worst_overlap < min_overlap:
+        if worst_overlap < MIN_OVERLAP:
             raise ModeTrackingError(
                 f"mode {j} overlap dropped to {worst_overlap:.3f} at eta = {eta:g}"
             )

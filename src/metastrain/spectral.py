@@ -98,7 +98,7 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     definite there, which indicates a broken discretisation.
     """
     if single_layer.cell is not np_adjoint.cell and not np.array_equal(
-        single_layer.weights, np_adjoint.weights
+        single_layer.cell.weights, np_adjoint.cell.weights
     ):
         raise ValueError("operators were assembled from different cells")
     cell = single_layer.cell
@@ -169,51 +169,50 @@ def _check_off_spectrum(decomposition: SpectralDecomposition, lam: complex):
         )
 
 
-def alpha_infinity(decomposition: SpectralDecomposition, lam: complex,
-                   period_ratio: float | None = None) -> BoundaryLayerLimits:
+def _mode_sums(decomposition: SpectralDecomposition, lams, moments: np.ndarray
+               ) -> np.ndarray:
+    """-(1/2L) sum_j m_j <phi_j, nu2> / ((lam - lam_j)(1/2 - lam_j)) for each lam.
+
+    With m = moments_nu2 this is alpha2_plus, with m = moments_nu1 alpha1_plus.
+    The sum runs over the zero-mean modes only; the equilibrium mode carries
+    no normal moment.
+    """
+    lam = np.asarray(lams, dtype=complex)[:, None]
+    lj = decomposition.eigenvalues[None, 1:]
+    terms = moments[None, 1:] * decomposition.moments_nu2[None, 1:] / ((lam - lj) * (0.5 - lj))
+    return -terms.sum(axis=1) / (2.0 * decomposition.cell.period_ratio)
+
+
+def alpha_infinity(decomposition: SpectralDecomposition, lam: complex) -> BoundaryLayerLimits:
     """Far-field limits of the corrector fields at contrast lam.
 
-    The mode sum runs over the zero-mean modes only; the equilibrium mode
-    carries no normal moment.  Real lam equal to an eigenvalue is a pole and
-    is rejected.
+    Real lam equal to an eigenvalue is a pole and is rejected.
     """
     lam = complex(lam)
     _check_off_spectrum(decomposition, lam)
-    L = decomposition.cell.period_ratio if period_ratio is None else period_ratio
-    lj = decomposition.eigenvalues[1:]
-    denom = (lam - lj) * (0.5 - lj)
-    m1 = decomposition.moments_nu1[1:]
-    m2 = decomposition.moments_nu2[1:]
-    a2 = -np.sum(m2 * m2 / denom) / (2.0 * L)
-    a1 = -np.sum(m1 * m2 / denom) / (2.0 * L)
+    a2 = _mode_sums(decomposition, [lam], decomposition.moments_nu2)[0]
+    a1 = _mode_sums(decomposition, [lam], decomposition.moments_nu1)[0]
     return BoundaryLayerLimits(alpha1_plus=a1, alpha1_minus=-a1,
                                alpha2_plus=a2, alpha2_minus=-a2)
 
 
-def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray,
-                      period_ratio: float | None = None) -> np.ndarray:
+def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray) -> np.ndarray:
     """Vectorised alpha2_plus over an array of (complex) contrasts."""
-    L = decomposition.cell.period_ratio if period_ratio is None else period_ratio
-    lam = np.asarray(lams, dtype=complex)[:, None]
-    lj = decomposition.eigenvalues[None, 1:]
-    m2 = decomposition.moments_nu2[None, 1:]
-    terms = m2 * m2 / ((lam - lj) * (0.5 - lj))
-    return -terms.sum(axis=1) / (2.0 * L)
+    return _mode_sums(decomposition, lams, decomposition.moments_nu2)
 
 
-def resolvent_density(np_adjoint: BoundaryOperator, lam: complex, rhs: np.ndarray,
-                      decomposition: SpectralDecomposition | None = None) -> np.ndarray:
-    """Solve (lam I - K*) psi = rhs by a direct dense solve.
+def resolvent_density(decomposition: SpectralDecomposition, lam: complex,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve (lam I - K*) psi = rhs by a direct dense solve with the decomposition's K*.
 
     A zero-mean right-hand side yields a zero-mean density up to quadrature
-    error.  If a decomposition is supplied, real lam too close to the spectrum
-    is rejected with the offending mode index.
+    error.  Real lam too close to the spectrum is rejected with the offending
+    mode index.
     """
     lam = complex(lam)
-    if decomposition is not None:
-        _check_off_spectrum(decomposition, lam)
-    n = np_adjoint.matrix.shape[0]
-    system = lam * np.eye(n) - np_adjoint.matrix
+    _check_off_spectrum(decomposition, lam)
+    adjoint = decomposition.np_adjoint
+    system = lam * np.eye(adjoint.shape[0]) - adjoint
     rhs = np.asarray(rhs, dtype=complex if lam.imag != 0.0 else float)
     try:
         return scipy.linalg.solve(system, rhs)
@@ -221,8 +220,7 @@ def resolvent_density(np_adjoint: BoundaryOperator, lam: complex, rhs: np.ndarra
         raise ResonanceError(f"resolvent system singular at contrast {lam}") from exc
 
 
-def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: int,
-                xi, upsample: int = 4) -> complex:
+def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: int, xi) -> complex:
     """Corrector field alpha^(component) at an off-surface point xi.
 
     Solves the resolvent system for the density and evaluates the off-surface
@@ -231,7 +229,5 @@ def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: i
     if component not in (1, 2):
         raise ValueError("component must be 1 or 2")
     cell = decomposition.cell
-    adjoint = BoundaryOperator(matrix=decomposition.np_adjoint, weights=cell.weights,
-                               tag="np_adjoint", cell=cell)
-    psi = resolvent_density(adjoint, lam, cell.normals[:, component - 1], decomposition)
-    return evaluate_single_layer_off_surface(cell, psi, xi, upsample=upsample)
+    psi = resolvent_density(decomposition, lam, cell.normals[:, component - 1])
+    return evaluate_single_layer_off_surface(cell, psi, xi)

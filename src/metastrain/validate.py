@@ -26,6 +26,8 @@ from .spectral import alpha_field, alpha_infinity, decompose, eigendecompose
 
 PROBE_CONTRAST = 0.8
 FAR_FIELD_HEIGHT = 8.0
+PROBE_NODES = (17, 40)  # boundary nodes (mod n) of the finite-difference trace check
+FD_DISTANCES = np.array([0.006, 0.009, 0.012, 0.016, 0.020])  # along the normal
 
 
 @dataclass(frozen=True)
@@ -54,23 +56,21 @@ def neville_to_zero(xs, ys):
 
 
 def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node: int,
-                                  side: int, distances=None, upsample: int = 32):
+                                  side: int):
     """Limit of the normal derivative of S[density] from one side of the boundary.
 
     Fourth-order finite differences along the normal at a ladder of distances,
     extrapolated to the boundary.  ``side`` is +1 for the exterior limit and
     -1 for the interior one.  A complex density gives a complex limit.
     """
-    if distances is None:
-        distances = np.array([0.006, 0.009, 0.012, 0.016, 0.020])
     # keep the effective node spacing well below the innermost stencil point
-    innermost = float(np.min(distances)) / 2.0
+    innermost = float(np.min(FD_DISTANCES)) / 2.0
     needed = int(np.ceil(3.0 * cell.perimeter / (innermost * cell.node_count)))
-    upsample = max(upsample, needed)
+    upsample = max(32, needed)
     x0 = cell.nodes[node]
     nu = cell.normals[node]
     values = []
-    for d in distances:
+    for d in FD_DISTANCES:
         h = d / 4.0
         stencil = [
             evaluate_single_layer_off_surface(cell, density, x0 + side * (d + s * h) * nu,
@@ -79,7 +79,7 @@ def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node:
         ]
         values.append(side * (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3])
                       / (12.0 * h))
-    return neville_to_zero(distances, values)
+    return neville_to_zero(FD_DISTANCES, values)
 
 
 def _broken_copy(cell: CellGeometry) -> CellGeometry:
@@ -88,8 +88,7 @@ def _broken_copy(cell: CellGeometry) -> CellGeometry:
     return dataclasses.replace(cell, weights=bad)
 
 
-def run_validation(cell: CellGeometry, break_quadrature: bool = False,
-                   probe_nodes=(17, 40)) -> list[CheckResult]:
+def run_validation(cell: CellGeometry, break_quadrature: bool = False) -> list[CheckResult]:
     if break_quadrature:
         cell = _broken_copy(cell)
     results: list[CheckResult] = []
@@ -157,7 +156,7 @@ def run_validation(cell: CellGeometry, break_quadrature: bool = False,
     phi = cell.normals[:, 1]
     plus = (0.5 * np.eye(n) + adjoint.matrix) @ phi
     minus = (-0.5 * np.eye(n) + adjoint.matrix) @ phi
-    for node in (p % n for p in probe_nodes):
+    for node in (p % n for p in PROBE_NODES):
         fd_plus = off_surface_normal_derivative(cell, phi, node, +1)
         fd_minus = off_surface_normal_derivative(cell, phi, node, -1)
         trace_resid = max(trace_resid, abs(fd_plus - plus[node]),

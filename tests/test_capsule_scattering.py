@@ -11,7 +11,7 @@ from metastrain import (
 )
 from metastrain import capsule_scattering
 from metastrain.dispersion import contrast_values, omega_from_wavelength
-from metastrain.errors import QuadratureFailure
+from metastrain.errors import OutOfRangeError, QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
 
 K = 2 * np.pi / 7e-7
@@ -150,12 +150,12 @@ def test_extinction_peak_colocated_with_alpha_peak(disk128_dec, water_gold):
 
 @pytest.mark.parametrize("angle", [0.0, 0.7], ids=["x_axis", "rotated"])
 def test_extinction_spectrum_matches_per_wavelength_loop(disk128_dec, water_gold, angle):
-    # k r runs from 4.4 to 11.6, so the truncation N = ceil(k r) + 16 varies over the grid
+    # k r runs from 4.4 to 11.6, so the truncation N = ceil(k r) + 16 varies over the grid;
+    # only the oracle's incident wave is rotated: the widths do not depend on direction
     radius, delta = 1.2e-6, 5e-9
     direction = (np.cos(angle), np.sin(angle))
     lams = np.linspace(6.5e-7, 1.7e-6, 64)
-    curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams,
-                                direction=direction)
+    curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams)
     omegas = omega_from_wavelength(lams, water_gold)
     betas = 2.0 * delta * alpha2_plus_batch(disk128_dec, contrast_values(omegas, water_gold))
     loop = np.array([
@@ -177,10 +177,16 @@ def test_extinction_spectrum_reports_singular_mode(disk128_dec, water_gold):
         extinction_spectrum(R, water_gold, disk128_dec, 5e-9, lams, beta_override=beta)
 
 
-def test_extinction_spectrum_rejects_non_unit_direction(disk128_dec, water_gold):
-    lams = np.linspace(6.5e-7, 1.7e-6, 8)
-    with pytest.raises(ValueError, match="unit vector"):
-        extinction_spectrum(R, water_gold, disk128_dec, 5e-9, lams, direction=(1.0, 0.5))
+@pytest.mark.parametrize("lams", [
+    np.linspace(6.5e-7, 1.7e-6, 8),   # k r ~ 1e307: ceil(k r) + 16 overflows int64
+    np.linspace(1e-9, 2e-9, 8),       # k r = inf
+], ids=["int64_overflow", "infinite"])
+def test_oversized_size_parameter_rejected(disk128_dec, water_gold, lams):
+    radius = 1e300
+    with pytest.raises(OutOfRangeError, match="too large"):
+        extinction_spectrum(radius, water_gold, disk128_dec, 5e-9, lams)
+    with pytest.raises(OutOfRangeError, match="too large"):
+        solve_modal(radius, IncidentWave((1.0, 0.0), 2 * np.pi / lams[0]), BETA)
 
 
 def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(

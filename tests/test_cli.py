@@ -137,6 +137,21 @@ def test_scatter_and_beta_zero(tmp_path):
     assert all(float(r["extinction"]) >= float(r["scattering"]) for r in rows)
 
 
+@pytest.mark.parametrize("window", [{}, {"wavelength_min_m": 1e-9, "wavelength_max_m": 2e-9}],
+                         ids=["int64_overflow", "infinite"])
+def test_scatter_oversized_capsule_is_a_domain_error(tmp_path, capsys, window):
+    # k r ~ 1e307 used to wrap the mode truncation and write all-zero widths;
+    # k r = inf used to end in a ValueError traceback
+    cfg = write_config(tmp_path, {"capsule": {"radius_m": 1e300},
+                                  "sweep": {"samples": 16, **window},
+                                  "geometry": {"node_count": 32}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "scatter"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and err.count("\n") == 1
+    assert not (out / "extinction.csv").exists()
+
+
 def test_scatter_extinction_peak_matches_sweep_peak(tmp_path):
     cfg = write_config(tmp_path, {"sweep": {"samples": 200, "periods": [1.0]}})
     out = tmp_path / "out"

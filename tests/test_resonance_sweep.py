@@ -1,9 +1,11 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from metastrain import dominant_peak, find_peaks, peak_vs_period, sweep
+from metastrain import decompose, dominant_peak, find_peaks, make_disk_cell, peak_vs_period, sweep
 from metastrain.dispersion import omega_from_wavelength, resonance_frequency
 
 WINDOW = (6.5e-7, 1.7e-6)
@@ -25,6 +27,17 @@ def test_sweep_has_single_dominant_peak(disk_curve):
     strong = [p for p in disk_curve.peaks if p.magnitude > 0.5 * dominant_peak(disk_curve).magnitude]
     assert len(strong) == 1
     assert dominant_peak(disk_curve).magnitude > 2 * np.median(disk_curve.magnitudes)
+
+
+def test_curve_does_not_keep_its_decomposition(water_gold):
+    # a calibration keeps one curve per period; each must let its spectrum go
+    dec = decompose(make_disk_cell(0.45, 1.0, 64))
+    ref = weakref.ref(dec)
+    curve = sweep(dec, water_gold, *WINDOW, samples=50)
+    del dec
+    gc.collect()
+    assert ref() is None
+    assert curve.eigenvalues.size == 64
 
 
 def test_sweep_flat_far_off_resonance(disk128_dec, water_gold):
@@ -79,7 +92,7 @@ def test_find_peaks_symmetric_stencil(disk_curve):
 def test_peak_pole_correspondence(disk_curve, water_gold):
     peak = dominant_peak(disk_curve)
     assert peak.mode_index is not None
-    lam_j = disk_curve.spectrum.eigenvalues[peak.mode_index]
+    lam_j = disk_curve.eigenvalues[peak.mode_index]
     omega_peak = omega_from_wavelength(peak.wavelength, water_gold)
     omega_pred = resonance_frequency(lam_j, water_gold)
     assert abs(omega_peak - omega_pred) < 0.5 / water_gold.collision_time
@@ -113,8 +126,6 @@ def test_peak_vs_period_single_row_matches_direct(disk128_dec, water_gold, disk_
 def test_peak_vs_period_closed_form_crosscheck(water_gold):
     # dominant peak within two grid steps of the closed-form resonance for the
     # heaviest-moment mode
-    from metastrain import decompose, make_disk_cell
-
     table = peak_vs_period(0.45, [1.0, 1.5], water_gold, *WINDOW, samples=400, node_count=96)
     step = (WINDOW[1] - WINDOW[0]) / 399
     for row in table.rows:
