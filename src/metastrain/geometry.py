@@ -121,25 +121,23 @@ def _check_node_count(node_count: int):
 
 
 def _segments_cross(points: np.ndarray) -> bool:
-    """Proper-crossing test between all non-adjacent segments of a closed polyline."""
-    z = points
-    a, b = z, np.roll(z, -1)
-    m = z.size
+    """Proper-crossing test between all non-adjacent segments of a closed polyline.
 
-    def cross(o, p, q):
-        return np.imag(np.conj(p - o) * (q - o))
-
-    a1, a2 = a[:, None], b[:, None]
-    b1, b2 = a[None, :], b[None, :]
-    d1 = cross(a1, a2, b1)
-    d2 = cross(a1, a2, b2)
-    d3 = cross(b1, b2, a1)
-    d4 = cross(b1, b2, a2)
-    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
+    side[i, j] is the cross product e_i x (a_j - a_i) of segment i = a_i -> a_{i+1}
+    with node j, as an outer product; segment j straddles the line of segment i
+    when side[i, j] and side[i, j+1] have strictly opposite signs, and two
+    segments cross when each straddles the other.
+    """
+    x, y = points.real, points.imag
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    side = np.outer(ex, y) - np.outer(ey, x) - (ex * y - ey * x)[:, None]
+    straddle = side * np.roll(side, -1, axis=1) < 0.0
+    crossing = straddle & straddle.T
+    m = points.size
     idx = np.arange(m)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    adjacent = (gap <= 1) | (gap >= m - 1)
-    return bool((crossing & ~adjacent).any())
+    for step in (-1, 0, 1):  # a segment and its neighbours share a node
+        crossing[idx, (idx + step) % m] = False
+    return bool(crossing.any())
 
 
 def _validated_curve(curve: TrigCurve, period: float) -> TrigCurve:

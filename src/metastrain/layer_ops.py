@@ -11,10 +11,22 @@ the Green's function is written as
 
 the canonical log factor is integrated with the spectrally accurate
 trigonometric product rule on the uniform parameter grid, and the smooth part
-(which includes the lattice remainder R) with the plain trapezoidal rule.
-The K* kernel is smooth on an analytic curve; its coincidence limit is the
-classical curvature term kappa/(4pi) plus the remainder gradient, which
-vanishes at zero separation.
+with the plain trapezoidal rule.  The K* kernel is smooth on an analytic
+curve; its coincidence limit is the classical curvature term kappa/(4pi).
+
+Both kernels are evaluated in real arithmetic from u + iv = pi*(x_i - x_j)/L,
+once per unordered node pair.  The free-space split cancels exactly:
+
+* S, off the diagonal: ln|delta|^2 of the free-space factor cancels the one
+  in the lattice remainder R, so the smooth part is
+  ln((sin^2 u + sinh^2 v) / (4 sin^2((t_i - t_j)/2))) / (4pi), symmetric in i, j;
+* K*, off the diagonal: the free-space gradient Re(conj(nu) delta)/(2pi|delta|^2)
+  cancels the 1/w of cot(w) - 1/w, so the entry is the lattice gradient
+  (nu1_i sin u cos u + nu2_i sinh v cosh v) / (2L (sin^2 u + sinh^2 v));
+  the (j, i) entry has nu_j and the opposite sign, both terms being odd.
+
+Beyond |v| = 30 the lattice terms have reached their far field to within
+exp(-60), and v is clipped there so that sinh^2 v cannot overflow.
 """
 
 from __future__ import annotations
@@ -25,11 +37,7 @@ import numpy as np
 
 from .errors import EvaluationDistanceError
 from .geometry import CellGeometry
-from .periodic_green import (
-    _cot_minus_inverse,
-    remainder_from_delta,
-    value_from_delta,
-)
+from .periodic_green import _FAR_FIELD_GUARD, value_from_delta
 
 
 @dataclass(frozen=True)
@@ -61,54 +69,58 @@ def log_quadrature_matrix(n: int) -> np.ndarray:
     return row[idx]
 
 
-def _pairwise_delta(cell: CellGeometry) -> np.ndarray:
-    z = cell.nodes_complex
-    return z[:, None] - z[None, :]
+def _upper_pairs(cell: CellGeometry):
+    """Node pairs i < j and u + iv = pi*(z_i - z_j)/L, v clipped at the far-field guard.
+
+    Also returns how far |v| exceeds the guard (0 inside it).
+    """
+    i, j = np.triu_indices(cell.node_count, 1)
+    scale = np.pi / cell.period_ratio
+    x, y = cell.nodes[:, 0], cell.nodes[:, 1]
+    u = (x[i] - x[j]) * scale
+    v = (y[i] - y[j]) * scale
+    excess = np.maximum(np.abs(v) - _FAR_FIELD_GUARD, 0.0)
+    return i, j, u, np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD), excess
 
 
 def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     """Matrix of the periodic single-layer potential on the cell's nodes."""
     n = cell.node_count
-    L = cell.period_ratio
-    t = cell.t
     s = cell.speeds
-    delta = _pairwise_delta(cell)
+    i, j, u, v, excess = _upper_pairs(cell)
 
-    # smooth factor between the free-space log and the canonical log
-    dt = t[:, None] - t[None, :]
-    sin2 = 4.0 * np.sin(dt / 2.0) ** 2
-    ratio = np.abs(delta) ** 2
-    np.fill_diagonal(ratio, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = ratio / sin2
-    np.fill_diagonal(ratio, s**2)
-    smooth = np.log(ratio) / (4.0 * np.pi) + remainder_from_delta(delta, L)
+    # smooth part G - (1/4pi) ln(4 sin^2((t_i - t_j)/2)); t_j - t_i = 2pi (j - i)/n,
+    # and beyond the guard G keeps growing like |v|/(2pi)
+    canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+    pair = np.log((np.sin(u) ** 2 + np.sinh(v) ** 2) / canonical[j - i]) / (4.0 * np.pi)
+    pair += excess / (2.0 * np.pi)
+    smooth = np.empty((n, n))
+    smooth[i, j] = pair
+    smooth[j, i] = pair
+    np.fill_diagonal(smooth, np.log(s**2) / (4.0 * np.pi)
+                     + np.log(np.pi / cell.period_ratio) / (2.0 * np.pi))
 
     matrix = (0.5 * log_quadrature_matrix(n) + (2.0 * np.pi / n) * smooth) * s[None, :]
     return BoundaryOperator(matrix=matrix, cell=cell)
 
 
-def _np_adjoint_kernel(cell: CellGeometry) -> np.ndarray:
-    """Kernel nu(x_i) . grad_x G(x_i - x_j), with its diagonal limit filled in."""
-    L = cell.period_ratio
-    delta = _pairwise_delta(cell)
-    nu = cell.normals_complex
-
-    dist2 = np.abs(delta) ** 2
-    np.fill_diagonal(dist2, 1.0)
-    free = np.real(np.conj(nu)[:, None] * delta) / (2.0 * np.pi * dist2)
-    np.fill_diagonal(free, cell.curvatures / (4.0 * np.pi))
-
-    rem_grad = _cot_minus_inverse(np.pi * delta / L) / (2.0 * L)
-    # nu . grad(Re f) = Re(nu_c * f') for holomorphic f with nu_c = nu1 + i*nu2
-    rem = np.real(nu[:, None] * rem_grad)
-    return free + rem
-
-
 def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
     """Matrix of K*, the periodic Neumann-Poincare operator."""
     n = cell.node_count
-    matrix = (2.0 * np.pi / n) * _np_adjoint_kernel(cell) * cell.speeds[None, :]
+    i, j, u, v, _ = _upper_pairs(cell)
+
+    # grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd in the pair
+    sin_u, sinh_v = np.sin(u), np.sinh(v)
+    den = 2.0 * cell.period_ratio * (sin_u**2 + sinh_v**2)
+    g1 = sin_u * np.cos(u) / den
+    g2 = sinh_v * np.cosh(v) / den
+    nu = cell.normals
+    kernel = np.empty((n, n))
+    kernel[i, j] = nu[i, 0] * g1 + nu[i, 1] * g2
+    kernel[j, i] = -(nu[j, 0] * g1 + nu[j, 1] * g2)
+    np.fill_diagonal(kernel, cell.curvatures / (4.0 * np.pi))
+
+    matrix = (2.0 * np.pi / n) * kernel * cell.speeds[None, :]
     return BoundaryOperator(matrix=matrix, cell=cell)
 
 

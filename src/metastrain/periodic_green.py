@@ -91,14 +91,15 @@ def remainder_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
     ratio = np.ones_like(num)
     nz = den > 0.0
     ratio[nz] = num[nz] / den[nz]
-    out[near] = np.log(ratio) / (4.0 * np.pi)
+    # den = (pi/L)^2 |delta|^2: the constant turns ln(num/den)/(4pi) into G - ln|delta|/(2pi)
+    out[near] = np.log(ratio) / (4.0 * np.pi) + np.log(np.pi / L) / (2.0 * np.pi)
     with np.errstate(divide="ignore"):
         out[far] = (
             np.abs(delta.imag[far]) / (2.0 * L)
             - _LN2_OVER_2PI
             - np.log(np.abs(delta[far])) / (2.0 * np.pi)
         )
-    return out + np.log(np.pi / L) / (2.0 * np.pi)
+    return out
 
 
 def remainder_gradient_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:

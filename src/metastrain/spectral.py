@@ -3,8 +3,14 @@
 K* is compact and self-adjoint on zero-mean densities in the inner product
 <u, v> = -<u, S v> (the negative single-layer pairing), so the discrete
 eigenproblem is solved as a symmetric-definite generalized problem on the
-zero-mean sector, with the Gram matrix G = -W S.  The equilibrium mode
-(eigenvalue 1/2, non-zero mean) is computed separately from the full matrix.
+zero-mean sector, with the Gram matrix G = -W S.  The sector is spanned by the
+trailing columns of one Householder reflector H with H w parallel to e_0, so
+its blocks of H G H and H B H come from rank-2 updates and the densities map
+back with one rank-1 update.
+
+The equilibrium mode (eigenvalue 1/2, non-zero mean) is found by shifted
+inverse iteration on the full matrix: one LU of K* - (1/2 + 1e-10) I, a few
+solves and the Rayleigh quotient, with a residual check.
 
 The eigenpairs feed two downstream quantities:
 
@@ -90,12 +96,49 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+# inverse iteration for the equilibrium mode: the shift keeps the LU regular
+# when lambda_0 = 1/2 holds to round-off, and each solve damps every other
+# mode by shift / (its distance to 1/2)
+_EQUILIBRIUM_SHIFT = 1e-10
+_EQUILIBRIUM_SOLVES = 3
+_EQUILIBRIUM_RESIDUAL = 1e-10
+
+
+def _equilibrium_mode(K: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Eigenpair of K* nearest 1/2, with the density scaled to unit mass."""
+    n = w.size
+    lu = scipy.linalg.lu_factor(K - (0.5 + _EQUILIBRIUM_SHIFT) * np.eye(n))
+    psi = np.ones(n)
+    for _ in range(_EQUILIBRIUM_SOLVES):
+        psi = scipy.linalg.lu_solve(lu, psi)
+        psi /= np.linalg.norm(psi)
+    k_psi = K @ psi
+    lam0 = float(psi @ k_psi)
+    residual = float(np.linalg.norm(k_psi - lam0 * psi))
+    if not residual <= _EQUILIBRIUM_RESIDUAL:
+        raise QuadratureFailure(
+            f"equilibrium mode did not converge: |K* psi - lambda psi| = {residual:.3g}"
+        )
+    mass = w @ psi
+    if abs(mass) < 1e-13 * np.abs(psi).max():
+        raise QuadratureFailure("equilibrium density has numerically zero mass")
+    return lam0, psi / mass
+
+
+def _reflected_block(A: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
+    """Trailing (n-1)x(n-1) block of H A H for symmetric A and H = I - beta h h^T."""
+    p = beta * (A @ h)
+    q = p - (0.5 * beta * (h @ p)) * h
+    return A[1:, 1:] - np.outer(h[1:], q[1:]) - np.outer(q[1:], h[1:])
+
+
 def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
                    ) -> SpectralDecomposition:
     """Diagonalise K* in the -S inner product on the zero-mean sector.
 
     Raises :class:`QuadratureFailure` if the Gram matrix is not positive
-    definite there, which indicates a broken discretisation.
+    definite there or the equilibrium mode cannot be resolved, either of
+    which indicates a broken discretisation.
     """
     if single_layer.cell is not np_adjoint.cell and not np.array_equal(
         single_layer.cell.weights, np_adjoint.cell.weights
@@ -103,7 +146,6 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
         raise ValueError("operators were assembled from different cells")
     cell = single_layer.cell
     w = cell.weights
-    n = w.size
     S = single_layer.matrix
     K = np_adjoint.matrix
 
@@ -112,30 +154,29 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     B = gram @ K
     B = 0.5 * (B + B.T)
 
-    basis = scipy.linalg.null_space(w[None, :])
-    gram_z = basis.T @ gram @ basis
-    b_z = basis.T @ B @ basis
+    # Householder reflector H = I - beta h h^T with H w = -|w| e_0 (the weights
+    # are positive): its columns 1..n-1 are an orthonormal basis of w^T x = 0
+    norm_w = np.linalg.norm(w)
+    h = w.copy()
+    h[0] += norm_w
+    beta = 1.0 / (norm_w * h[0])
     try:
-        vals, vecs = scipy.linalg.eigh(b_z, gram_z)
+        vals, vecs = scipy.linalg.eigh(_reflected_block(B, h, beta),
+                                       _reflected_block(gram, h, beta))
     except scipy.linalg.LinAlgError as exc:
         raise QuadratureFailure(
             "Gram matrix -W S is not positive definite on the zero-mean sector"
         ) from exc
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    densities = _fix_signs(basis @ vecs[:, order])
+    vecs = vecs[:, order]
+    densities = np.zeros((w.size, vecs.shape[1]))
+    densities[1:] = vecs
+    densities -= np.outer(beta * h, h[1:] @ vecs)
+    densities = _fix_signs(densities)
 
-    # equilibrium mode: eigenvalue nearest 1/2 of the full (non-symmetric) matrix
-    full_vals, full_vecs = scipy.linalg.eig(K)
-    top = int(np.argmax(full_vals.real))
-    lam0 = full_vals[top]
-    psi0 = np.real(full_vecs[:, top])
-    mass = w @ psi0
-    if abs(mass) < 1e-13 * np.abs(psi0).max():
-        raise QuadratureFailure("equilibrium density has numerically zero mass")
-    psi0 = psi0 / mass
-
-    eigenvalues = np.concatenate([[lam0.real], vals])
+    lam0, psi0 = _equilibrium_mode(K, w)
+    eigenvalues = np.concatenate([[lam0], vals])
     eigendensities = np.column_stack([psi0, densities])
     nu1 = gram @ cell.normals[:, 0]
     nu2 = gram @ cell.normals[:, 1]

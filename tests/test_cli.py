@@ -233,6 +233,8 @@ def test_validate_command_passes(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in printed
     assert "selected sign convention: corrected" in printed
+    assert "alpha1_mirror_symmetry" in printed
+    assert printed.splitlines()[-1] == "17/17 checks passed"
 
 
 def test_validate_negative_control(tmp_path, capsys):
@@ -241,6 +243,21 @@ def test_validate_negative_control(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == 4
     assert any(line.startswith("FAIL") and "calderon" in line for line in printed.splitlines())
+
+
+def test_validate_asymmetric_fourier_curve_passes(tmp_path, capsys):
+    # one complex coefficient breaks the up-down symmetry: the first corrector
+    # has a non-zero far-field limit, checked against the off-surface field
+    coeffs = [[0.0, 0.0], [0.3, 0.0], [0.03, 0.01]] + [[0.0, 0.0]] * 5
+    cfg = write_config(tmp_path, {"geometry": {"shape": "fourier", "fourier_coefficients": coeffs,
+                                               "period": 1.2, "node_count": 128}})
+    code = main(["--config", str(cfg), "validate"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    names = [line.split()[1] for line in lines[:-1]]
+    assert "alpha1_mirror_symmetry" not in names
+    assert "alpha1_far_field_limits" in names
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
 
 
 def test_ellipse_and_fourier_geometry(tmp_path):

@@ -10,6 +10,7 @@ from metastrain import (
     perturb_normal,
 )
 from metastrain.errors import GeometryError
+from metastrain.geometry import _segments_cross
 
 
 def test_disk_exact_quantities():
@@ -104,6 +105,40 @@ def test_self_intersecting_curve_rejected():
     coeffs = np.fft.fft(z) / z.size
     with pytest.raises(GeometryError):
         make_smooth_cell(coeffs, 4.0, 64)
+
+
+def complex_segments_cross(points):
+    """Proper-crossing test in complex form on four m x m arrays (oracle)."""
+    a, b = points, np.roll(points, -1)
+    m = points.size
+
+    def cross(o, p, q):
+        return np.imag(np.conj(p - o) * (q - o))
+
+    a1, a2 = a[:, None], b[:, None]
+    b1, b2 = a[None, :], b[None, :]
+    crossing = ((cross(a1, a2, b1) * cross(a1, a2, b2) < 0)
+                & (cross(b1, b2, a1) * cross(b1, b2, a2) < 0))
+    gap = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    return bool((crossing & ~((gap <= 1) | (gap >= m - 1))).any())
+
+
+def test_segments_cross_matches_complex_form():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(60):
+        k = int(rng.integers(3, 10))
+        coeffs = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 0.7 ** np.arange(k)
+        coeffs[1] += rng.uniform(0.0, 3.0)
+        points = TrigCurve(coeffs).sample(int(rng.choice([64, 200, 512])))
+        verdict = _segments_cross(points)
+        assert verdict == complex_segments_cross(points)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)  # both outcomes are exercised
+    t = 2 * np.pi * np.arange(256) / 256
+    figure_eight = np.sin(t) + 0.5j * np.sin(2 * t)
+    assert _segments_cross(figure_eight) and complex_segments_cross(figure_eight)
+    assert not _segments_cross(0.3 * np.exp(1j * t))
 
 
 def test_orientation_normalised():

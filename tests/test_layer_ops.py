@@ -8,11 +8,51 @@ from metastrain import (
     evaluate_single_layer_off_surface,
     make_disk_cell,
     make_ellipse_cell,
+    make_smooth_cell,
 )
 from metastrain.errors import EvaluationDistanceError
-from metastrain.layer_ops import _pairwise_delta
-from metastrain.periodic_green import _cot_minus_inverse
+from metastrain.layer_ops import log_quadrature_matrix
+from metastrain.periodic_green import _cot_minus_inverse, remainder_from_delta
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
+
+
+def _pairwise_delta(cell):
+    z = cell.nodes_complex
+    return z[:, None] - z[None, :]
+
+
+def complex_single_layer(cell):
+    """S from the free-space split: ln(|delta|^2 / 4 sin^2(dt/2)) plus the remainder R.
+
+    Complex arithmetic on the full n x n grid; the oracle for the real
+    upper-triangle assembly.
+    """
+    n = cell.node_count
+    s = cell.speeds
+    delta = _pairwise_delta(cell)
+    dt = cell.t[:, None] - cell.t[None, :]
+    sin2 = 4.0 * np.sin(dt / 2.0) ** 2
+    ratio = np.abs(delta) ** 2
+    np.fill_diagonal(ratio, 1.0)
+    np.fill_diagonal(sin2, 1.0)
+    ratio = ratio / sin2
+    np.fill_diagonal(ratio, s**2)
+    smooth = np.log(ratio) / (4.0 * np.pi) + remainder_from_delta(delta, cell.period_ratio)
+    return (0.5 * log_quadrature_matrix(n) + (2.0 * np.pi / n) * smooth) * s[None, :]
+
+
+def complex_np_adjoint(cell):
+    """K* as the free-space gradient plus cot(w) - 1/w, in complex arithmetic (oracle)."""
+    n = cell.node_count
+    L = cell.period_ratio
+    delta = _pairwise_delta(cell)
+    nu = cell.normals_complex
+    dist2 = np.abs(delta) ** 2
+    np.fill_diagonal(dist2, 1.0)
+    free = np.real(np.conj(nu)[:, None] * delta) / (2.0 * np.pi * dist2)
+    np.fill_diagonal(free, cell.curvatures / (4.0 * np.pi))
+    rem = np.real(nu[:, None] * _cot_minus_inverse(np.pi * delta / L)) / (2.0 * L)
+    return (2.0 * np.pi / n) * (free + rem) * cell.speeds[None, :]
 
 
 def assemble_double_layer(cell):
@@ -41,11 +81,40 @@ def weighted_norm(matrix, weights):
     return np.linalg.norm((sw[:, None] * matrix) / sw[None, :], 2)
 
 
+# asymmetric Fourier curve of the validate checks (one complex coefficient)
+FOURIER_COEFFS = [0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def _row_relative_gap(matrix, oracle):
+    return (np.abs(matrix - oracle).max(axis=1) / np.abs(oracle).max(axis=1)).max()
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: make_disk_cell(0.45, 1.0, 256),
+    lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128),
+    lambda: make_smooth_cell(FOURIER_COEFFS, 1.2, 128),
+    # |v| = pi |dxi2| / L reaches 377: beyond the far-field guard (30) and the
+    # overflow of sinh^2 (~355), below that of the complex cot (~710)
+    lambda: make_ellipse_cell(0.3, 60.0, 1.0, 256),
+], ids=["disk", "ellipse", "fourier", "tall_ellipse"])
+def test_real_lattice_kernels_match_complex_split(make_cell):
+    cell = make_cell()
+    single = assemble_single_layer(cell).matrix
+    adjoint = assemble_np_adjoint(cell).matrix
+    assert np.all(np.isfinite(single)) and np.all(np.isfinite(adjoint))
+    assert _row_relative_gap(single, complex_single_layer(cell)) < 1e-13
+    assert _row_relative_gap(adjoint, complex_np_adjoint(cell)) < 1e-13
+
+
+def test_tall_ellipse_reaches_the_far_field_branch():
+    cell = make_ellipse_cell(0.3, 60.0, 1.0, 256)
+    v = np.pi * np.ptp(cell.nodes[:, 1]) / cell.period_ratio
+    assert 355.0 < v < 710.0
+
+
 def test_log_quadrature_symbol_exact():
     # the canonical rule integrates (1/2pi) ln(4 sin^2((t-s)/2)) against
     # trigonometric polynomials exactly: eigenvalues -1/m, constants to zero
-    from metastrain.layer_ops import log_quadrature_matrix
-
     n = 64
     rule = log_quadrature_matrix(n)
     t = 2 * np.pi * np.arange(n) / n

@@ -119,6 +119,19 @@ def test_remainder_value_and_smoothness():
     assert k.remainder([1e-9, 0.0], ORIGIN) == pytest.approx(expected0, abs=1e-9)
 
 
+@pytest.mark.parametrize("L", [0.1, 1.0, 1.4])
+def test_remainder_continuous_across_far_field_guard(L):
+    # |pi xi2 / L| = 30 switches to the far-field form; R = G - (1/2pi) ln|xi|
+    # must not jump there, for any period
+    k = PeriodicKernel(L)
+    xi2 = 30.0 * L / np.pi
+    below = k.remainder([0.1 * L, xi2 * (1 - 1e-12)], ORIGIN)
+    above = k.remainder([0.1 * L, xi2 * (1 + 1e-12)], ORIGIN)
+    assert above == pytest.approx(below, abs=1e-9)
+    free = np.log(np.hypot(0.1 * L, xi2)) / (2 * np.pi)
+    assert above == pytest.approx(k.green([0.1 * L, xi2], ORIGIN) - free, abs=1e-9)
+
+
 def test_remainder_gradient_matches_fd():
     from metastrain.periodic_green import (
         remainder_from_delta,

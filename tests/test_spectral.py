@@ -1,13 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from metastrain import (
     alpha_field,
     alpha_infinity,
     assemble_np_adjoint,
+    assemble_single_layer,
     decompose,
     eigendecompose,
     make_disk_cell,
+    make_ellipse_cell,
+    make_smooth_cell,
     resolvent_density,
 )
 from metastrain.errors import QuadratureFailure, ResonanceError
@@ -45,6 +51,70 @@ def test_equilibrium_density(disk256_dec, disk256):
     assert pot.max() - pot.min() < 1e-10
 
 
+def dense_equilibrium_mode(adjoint, weights):
+    """Oracle: the eigenpair of largest real part from a dense eig of K*, at unit mass."""
+    vals, vecs = scipy.linalg.eig(adjoint)
+    top = int(np.argmax(vals.real))
+    psi = np.real(vecs[:, top])
+    return vals[top].real, psi / (weights @ psi)
+
+
+@pytest.mark.parametrize("cell", [
+    make_disk_cell(0.45, 1.0, 256),
+    make_ellipse_cell(0.35, 0.22, 1.0, 128),
+    make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128),
+], ids=["disk", "ellipse", "fourier"])
+def test_equilibrium_mode_matches_dense_eig(cell):
+    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
+    dec = eigendecompose(single, adjoint)
+    lam0, psi0 = dense_equilibrium_mode(adjoint.matrix, cell.weights)
+    assert abs(dec.eigenvalues[0] - lam0) < 1e-14
+    assert np.abs(dec.equilibrium_density - psi0).max() < 1e-12 * np.abs(psi0).max()
+
+
+def test_eigendecompose_makes_no_dense_eig(monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((scipy.linalg, "eig"), (scipy.linalg, "null_space"),
+                         (np.linalg, "eig")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cell = make_disk_cell(0.45, 1.0, 64)
+    eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
+    assert calls == []
+
+
+def _synthetic_adjoint(cell, kind):
+    n = cell.node_count
+    if kind == "complex_pair":
+        # eigenvalues 1/2 +- 0.1i only: inverse iteration from a real start
+        # vector cannot converge to a real eigenvector
+        rot = np.kron(np.eye(n // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        return 0.5 * np.eye(n) + 0.1 * rot
+    # rank one with eigenvalue 1/2 on a zero-mean density; the left vector
+    # overlaps the constant start vector of the inverse iteration
+    v = np.cos(cell.t)
+    v -= (cell.weights @ v) / cell.weights.sum()
+    left = v + 1.0
+    return 0.5 * np.outer(v, left) / (left @ v)
+
+
+@pytest.mark.parametrize("kind, message", [("complex_pair", "did not converge"),
+                                           ("zero_mass", "zero mass")],
+                         ids=["complex_pair", "zero_mass"])
+def test_unresolved_equilibrium_mode_reported(kind, message):
+    cell = make_disk_cell(0.45, 1.0, 32)
+    single = assemble_single_layer(cell)
+    broken = dataclasses.replace(assemble_np_adjoint(cell), matrix=_synthetic_adjoint(cell, kind))
+    with pytest.raises(QuadratureFailure, match=message):
+        eigendecompose(single, broken)
+
+
 def test_moments_of_equilibrium_vanish(disk256_dec):
     assert abs(disk256_dec.moments_nu1[0]) < 1e-8
     assert abs(disk256_dec.moments_nu2[0]) < 1e-8
@@ -71,8 +141,6 @@ def test_moment_identity(disk256_dec, disk256):
 
 def test_gram_failure_reported(disk256_ops):
     single, adjoint = disk256_ops
-    import dataclasses
-
     # flipping the sign of S makes the Gram negative definite
     broken = dataclasses.replace(single, matrix=-single.matrix)
     with pytest.raises(QuadratureFailure):
@@ -93,8 +161,6 @@ def test_eigenvector_reference_entries_positive(disk256_dec):
 def test_eigenvector_signs_survive_round_off(disk256_dec, disk256_ops):
     # the disk is mirror symmetric, so the largest |v| of many modes is tied
     # between mirrored nodes; a one-ulp rescaling of S must not flip any sign
-    import dataclasses
-
     single, adjoint = disk256_ops
     scaled = dataclasses.replace(single, matrix=single.matrix * (1.0 + 2.0**-52))
     v1 = disk256_dec.eigendensities[:, 1:]
