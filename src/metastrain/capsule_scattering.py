@@ -17,10 +17,22 @@ using the Wronskian J_n(z) H_n'(z) - J_n'(z) H_n(z) = W, and c_n = i^n
 exp(-i n theta_inc) from the Jacobi-Anger expansion of the incident wave.
 
 J_n, H_n and their derivatives come from one Bessel ladder on the orders
-n = 0..N+1: ``jv`` and ``hankel2`` are evaluated once on every argument, the
-derivatives are the difference (F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1 (the
-formula scipy's ``jvp``/``h2vp`` use, so the values agree bit for bit), and
-negative orders follow by reflection, F_{-n} = (-1)^n F_n.
+n = 0..N+1.  ``jv`` is evaluated once on every argument.  H = J - iY, and Y
+comes from one ``y0`` and one ``y1`` call by the forward recurrence
+
+    Y_{n+1} = (2n) Y_n / z - Y_{n-1}
+
+(Abramowitz & Stegun 9.1.27).  Y_n is the dominant solution of this
+recurrence (it grows like (n-1)! (2/z)^n once n > z, while J_n decays), so
+forward recurrence is stable for it (Gautschi, SIAM Rev. 9, 1967).  The
+expression is the one cephes ``yn`` evaluates, so Y agrees with
+``scipy.special.yn`` bit for bit.  Against 30-digit mpmath, H is within
+8e-16 relative at z = 11.6 (AMOS ``hankel2``: 9e-15); at larger z both carry
+errors of order z * eps, the conditioning of Y_n(z) in z.  The derivatives
+are the difference (F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1 (the formula
+scipy's ``jvp``/``h2vp`` use, so J' agrees with ``jvp`` bit for bit), and
+negative orders follow by reflection, F_{-n} = (-1)^n F_n.  For very small
+k r, Y_n overflows below the truncation and the capsule is rejected.
 
 The mode ratio s_n = beta*k * J_n'^2 / (W - beta*k * J_n' H_n') is even in n
 and b_n = c_n s_n with |c_n| = 1, so the widths fold onto n = 0..N with weight
@@ -39,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel2, jv
 
 from .dispersion import MaterialParams, contrast_values, omega_from_wavelength
 from .errors import OutOfRangeError, QuadratureFailure
@@ -69,18 +80,39 @@ def _derivative(ladder: np.ndarray) -> np.ndarray:
 
 
 def _bessel_ladder(z: np.ndarray, n_modes: np.ndarray):
-    """J_n, J_n', H_n, H_n' (H = H^(2)) at orders n = 0..max(n_modes), one row per z.
+    """J_n, J_n', H_n, H_n' (H = H^(2) = J - iY) at orders n = 0..max(n_modes), one row per z.
 
-    ``jv`` and ``hankel2`` are each called once, on the orders n <= n_modes + 1
-    of every row.  All four arrays are zero above a row's own ``n_modes``.
+    ``jv`` is called once, on the orders n <= n_modes + 1 of every row; Y comes
+    from one ``y0`` and one ``y1`` call by forward recurrence.  All four arrays
+    are zero above a row's own ``n_modes``.  Raises :class:`OutOfRangeError`
+    when k r is so small that Y overflows below a row's truncation.
     """
+    # imported here so that only the scattering path pays for scipy.special
+    from scipy.special import jv, y0, y1
+
     orders = np.arange(int(n_modes.max(initial=0)) + 2)
     live = orders <= n_modes[:, None] + 1
     nn, zz = np.broadcast_arrays(orders, z[:, None])
     J = np.zeros(live.shape)
-    H = np.zeros(live.shape, dtype=complex)
     J[live] = jv(nn[live], zz[live])
-    H[live] = hankel2(nn[live], zz[live])
+    # one contiguous row per order; above a row's own n_modes + 1 the recurrence
+    # may overflow, and those entries are dropped below
+    Y = np.empty((orders.size, z.size))
+    Y[0] = y0(z)
+    Y[1] = y1(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, orders.size - 1):
+            Y[n + 1] = (2 * n) * Y[n] / z - Y[n - 1]
+    Y = np.where(live, Y.T, 0.0)
+    finite = np.isfinite(Y).all(axis=1)
+    if not finite.all():
+        raise OutOfRangeError(
+            f"size parameter k * r = {z[np.argmin(finite)]:.3g} is too small: "
+            "Y_n overflows below the mode truncation"
+        )
+    H = np.empty(live.shape, dtype=complex)
+    H.real = J
+    H.imag = -Y
     ladders = [J[:, :-1], _derivative(J), H[:, :-1], _derivative(H)]
     beyond = orders[:-1] > n_modes[:, None]
     for F in ladders:
@@ -175,6 +207,8 @@ def solve_modal(radius: float, wave: IncidentWave, beta: complex,
 
 def field(solution: ModalScatteringSolution, x) -> complex:
     """Total field at a point: modal sums inside, plane wave plus scattered sum outside."""
+    from scipy.special import hankel2, jv
+
     x = np.asarray(x, dtype=float)
     k = solution.wave.wavenumber
     rho = float(np.hypot(x[0], x[1]))

@@ -60,19 +60,6 @@ def gradient_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
     return out
 
 
-def _cot_minus_inverse(w: np.ndarray) -> np.ndarray:
-    """cot(w) - 1/w, stable near w = 0 (value 0 at w = 0)."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty(w.shape, dtype=complex)
-    small = np.abs(w) < 0.1
-    ws = w[small]
-    w2 = ws * ws
-    out[small] = -ws * (1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0)))
-    wl = w[~small]
-    out[~small] = np.cos(wl) / np.sin(wl) - 1.0 / wl
-    return out
-
-
 def remainder_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
     """Smooth part R(delta) = G(delta) - (1/2pi)*ln|delta|.
 
@@ -100,15 +87,6 @@ def remainder_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
             - np.log(np.abs(delta[far])) / (2.0 * np.pi)
         )
     return out
-
-
-def remainder_gradient_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
-    """Gradient of the smooth remainder, as d1R + i*d2R (zero at delta = 0)."""
-    delta = np.asarray(delta, dtype=complex)
-    w = np.pi * delta / period_ratio
-    g = _cot_minus_inverse(w) / (2.0 * period_ratio)
-    # grad(Re f) = (Re f', -Im f') for holomorphic f
-    return g.real - 1j * g.imag
 
 
 def far_field_value(dxi2, period_ratio: float):

@@ -212,16 +212,22 @@ def _check_off_spectrum(decomposition: SpectralDecomposition, lam: complex):
 
 def _mode_sums(decomposition: SpectralDecomposition, lams, moments: np.ndarray
                ) -> np.ndarray:
-    """-(1/2L) sum_j m_j <phi_j, nu2> / ((lam - lam_j)(1/2 - lam_j)) for each lam.
+    """-(1/2L) sum_j c_j / (lam - lam_j) for each lam, c_j = m_j <phi_j, nu2> / (1/2 - lam_j).
 
     With m = moments_nu2 this is alpha2_plus, with m = moments_nu1 alpha1_plus.
     The sum runs over the zero-mean modes only; the equilibrium mode carries
-    no normal moment.
+    no normal moment.  The c_j are real, so with d = Re lam - lam_j, b = Im lam
+    and q = c / (d^2 + b^2) the sum is sum d q - i b sum q: real arithmetic and
+    two row sums per lam, no complex division.  Row sums, not a matrix product,
+    keep each lam's value independent of the others in the batch.
     """
-    lam = np.asarray(lams, dtype=complex)[:, None]
-    lj = decomposition.eigenvalues[None, 1:]
-    terms = moments[None, 1:] * decomposition.moments_nu2[None, 1:] / ((lam - lj) * (0.5 - lj))
-    return -terms.sum(axis=1) / (2.0 * decomposition.cell.period_ratio)
+    lj = decomposition.eigenvalues[1:]
+    c = moments[1:] * decomposition.moments_nu2[1:] / (0.5 - lj)
+    lam = np.asarray(lams, dtype=complex)
+    d = lam.real[:, None] - lj
+    q = c / (d * d + (lam.imag**2)[:, None])
+    sums = (d * q).sum(axis=1) - 1j * lam.imag * q.sum(axis=1)
+    return -sums / (2.0 * decomposition.cell.period_ratio)
 
 
 def alpha_infinity(decomposition: SpectralDecomposition, lam: complex) -> BoundaryLayerLimits:

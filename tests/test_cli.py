@@ -152,6 +152,18 @@ def test_scatter_oversized_capsule_is_a_domain_error(tmp_path, capsys, window):
     assert not (out / "extinction.csv").exists()
 
 
+def test_scatter_tiny_capsule_is_a_domain_error(tmp_path, capsys):
+    # k r ~ 1e-23: Y_n overflows below the mode truncation; this used to write
+    # NaN widths with a RuntimeWarning and exit 0
+    cfg = write_config(tmp_path, {"capsule": {"radius_m": 1e-30},
+                                  "sweep": {"samples": 16}, "geometry": {"node_count": 32}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "scatter"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: size parameter k * r =") and err.count("\n") == 1
+    assert not (out / "extinction.csv").exists()
+
+
 def test_scatter_extinction_peak_matches_sweep_peak(tmp_path):
     cfg = write_config(tmp_path, {"sweep": {"samples": 200, "periods": [1.0]}})
     out = tmp_path / "out"
@@ -274,8 +286,9 @@ def test_ellipse_and_fourier_geometry(tmp_path):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.interpolate is loaded by the inversion only, scipy.signal never
-    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+    # scipy.interpolate is loaded by the inversion only, scipy.special by the
+    # capsule scattering only, scipy.signal never
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.special")
     code = f"import sys, metastrain; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(metastrain.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

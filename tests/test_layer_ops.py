@@ -12,8 +12,10 @@ from metastrain import (
 )
 from metastrain.errors import EvaluationDistanceError
 from metastrain.layer_ops import log_quadrature_matrix
-from metastrain.periodic_green import _cot_minus_inverse, remainder_from_delta
+from metastrain.periodic_green import remainder_from_delta
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
+
+from lattice_oracles import cot_minus_inverse
 
 
 def _pairwise_delta(cell):
@@ -51,7 +53,7 @@ def complex_np_adjoint(cell):
     np.fill_diagonal(dist2, 1.0)
     free = np.real(np.conj(nu)[:, None] * delta) / (2.0 * np.pi * dist2)
     np.fill_diagonal(free, cell.curvatures / (4.0 * np.pi))
-    rem = np.real(nu[:, None] * _cot_minus_inverse(np.pi * delta / L)) / (2.0 * L)
+    rem = np.real(nu[:, None] * cot_minus_inverse(np.pi * delta / L)) / (2.0 * L)
     return (2.0 * np.pi / n) * (free + rem) * cell.speeds[None, :]
 
 
@@ -71,7 +73,7 @@ def assemble_double_layer(cell):
     free = np.real(np.conj(nu)[None, :] * (-delta)) / (2.0 * np.pi * dist2)
     np.fill_diagonal(free, cell.curvatures / (4.0 * np.pi))
 
-    rem_grad = _cot_minus_inverse(np.pi * delta / L) / (2.0 * L)
+    rem_grad = cot_minus_inverse(np.pi * delta / L) / (2.0 * L)
     rem = -np.real(nu[None, :] * rem_grad)
     return (2.0 * np.pi / n) * (free + rem) * cell.speeds[None, :]
 

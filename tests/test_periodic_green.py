@@ -3,6 +3,9 @@ import pytest
 
 from metastrain import PeriodicKernel
 from metastrain.errors import LatticePointError
+from metastrain.periodic_green import remainder_from_delta
+
+from lattice_oracles import remainder_gradient_from_delta
 
 ORIGIN = np.zeros(2)
 
@@ -133,11 +136,7 @@ def test_remainder_continuous_across_far_field_guard(L):
 
 
 def test_remainder_gradient_matches_fd():
-    from metastrain.periodic_green import (
-        remainder_from_delta,
-        remainder_gradient_from_delta,
-    )
-
+    # validates the cot(w) - 1/w oracle of the layer-operator tests
     L = 1.3
     z = 0.21 + 0.13j
     h = 1e-6

@@ -296,6 +296,40 @@ def test_alpha_field_batch_matches_scalar(disk256_dec):
         assert alpha_infinity(disk256_dec, lam).alpha2_plus == value
 
 
+def complex_mode_sums(decomposition, lams, moments):
+    """-(1/2L) sum_j m_j <phi_j, nu2> / ((lam - lam_j)(1/2 - lam_j)) in complex arithmetic.
+
+    The oracle for the real mode sums; also returns sum_j |term_j| / 2L, the
+    scale of the round-off of any order of summation.
+    """
+    lam = np.asarray(lams, dtype=complex)[:, None]
+    lj = decomposition.eigenvalues[None, 1:]
+    terms = (moments[None, 1:] * decomposition.moments_nu2[None, 1:]
+             / ((lam - lj) * (0.5 - lj)) / (2.0 * decomposition.cell.period_ratio))
+    return -terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: make_disk_cell(0.45, 1.0, 256),
+    lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128),
+    lambda: make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128),
+], ids=["disk", "ellipse", "fourier"])
+def test_real_mode_sums_match_complex_formula(make_cell, water_gold):
+    from metastrain.dispersion import contrast_values, omega_from_wavelength
+    from metastrain.spectral import _mode_sums
+
+    dec = decompose(make_cell())
+    omegas = omega_from_wavelength(np.linspace(6.5e-7, 1.7e-6, 400), water_gold)
+    lams = np.concatenate([contrast_values(omegas, water_gold),
+                           [PROBE, -0.3, 3.0, 0.7 + 0.02j, -2.0 + 1e-3j, 1e3 + 1e3j]])
+    for moments in (dec.moments_nu2, dec.moments_nu1):
+        expected, scale = complex_mode_sums(dec, lams, moments)
+        assert np.max(np.abs(_mode_sums(dec, lams, moments) - expected) / scale) < 1e-14
+    expected, _ = complex_mode_sums(dec, lams, dec.moments_nu2)
+    assert np.max(np.abs(_mode_sums(dec, lams, dec.moments_nu2) - expected)
+                  / np.abs(expected)) < 1e-14
+
+
 def test_mismatched_cells_rejected(disk256_ops):
     single, _ = disk256_ops
     other = decompose(make_disk_cell(0.45, 1.0, 128))
