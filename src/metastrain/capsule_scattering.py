@@ -16,9 +16,9 @@ closed-form solution
 using the Wronskian J_n(z) H_n'(z) - J_n'(z) H_n(z) = W, and c_n = i^n
 exp(-i n theta_inc) from the Jacobi-Anger expansion of the incident wave.
 
-J_n, H_n and their derivatives come from one Bessel ladder on the orders
-n = 0..N+1.  ``jv`` is evaluated once on every argument.  H = J - iY, and Y
-comes from one ``y0`` and one ``y1`` call by the forward recurrence
+J_n, Y_n and their derivatives come from one Bessel ladder on the orders
+n = 0..N+1, with H = J - iY; no ``jv`` or ``hankel2`` call is made.  Y comes
+from one ``y0`` and one ``y1`` call by the forward recurrence
 
     Y_{n+1} = (2n) Y_n / z - Y_{n-1}
 
@@ -28,11 +28,30 @@ forward recurrence is stable for it (Gautschi, SIAM Rev. 9, 1967).  The
 expression is the one cephes ``yn`` evaluates, so Y agrees with
 ``scipy.special.yn`` bit for bit.  Against 30-digit mpmath, H is within
 8e-16 relative at z = 11.6 (AMOS ``hankel2``: 9e-15); at larger z both carry
-errors of order z * eps, the conditioning of Y_n(z) in z.  The derivatives
-are the difference (F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1 (the formula
-scipy's ``jvp``/``h2vp`` use, so J' agrees with ``jvp`` bit for bit), and
-negative orders follow by reflection, F_{-n} = (-1)^n F_n.  For very small
-k r, Y_n overflows below the truncation and the capsule is rejected.
+errors of order z * eps, the conditioning of Y_n(z) in z.
+
+J_n is the minimal solution of the same recurrence, so it comes stably from
+the ratios r_n = J_n / J_{n-1} run backward,
+
+    r_n = 1 / (2n / z - r_{n+1}),
+
+from r = 0 at the order top + 20 + ceil(8 cbrt(z_max)), top = N + 1 (Gautschi,
+ibid.).  The cube-root term is the width of the turning region n ~ z: with a
+fixed margin of 20 orders J is off by 2e-2 at z = 2e4.  The Wronskian
+J_{n+1} Y_n - J_n Y_{n+1} = 2 / (pi z) with the Y ladder then fixes the scale
+without a normalisation sum (Steed's method: Barnett, Feng, Steed & Goldfarb,
+Comput. Phys. Commun. 8, 1974):
+
+    J_n = (2 / (pi z)) / (r_{n+1} Y_n - Y_{n+1})   (n < top),   J_top = r_top J_{top-1}.
+
+The closure inherits the absolute error of Y: against 40-digit mpmath, J is
+within 2.3e-15 of each row's maximum on 153 rows z in [0.05, 12.5] (``jv``:
+9.3e-16), and within 1.4e-16 when the exact Y is used instead.  The
+derivatives are the difference (F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1 (the
+formula scipy's ``jvp``/``h2vp`` use), and negative orders follow by
+reflection, F_{-n} = (-1)^n F_n.  For very small k r, Y_n overflows below the
+truncation and the capsule is rejected; so is a spectrum whose ladder would
+not fit the memory budget.
 
 The mode ratio s_n = beta*k * J_n'^2 / (W - beta*k * J_n' H_n') is even in n
 and b_n = c_n s_n with |c_n| = 1, so the widths fold onto n = 0..N with weight
@@ -43,7 +62,21 @@ and b_n = c_n s_n with |c_n| = 1, so the widths fold onto n = 0..N with weight
 The incidence angle enters only through the phases c_n, which cancel in both
 sums: for the circular capsule the widths do not depend on the direction of
 incidence.  ``extinction_spectrum`` evaluates the folded sums for all
-wavelengths at once on a (wavelength x order) grid.
+wavelengths at once on a (wavelength x order) grid, in real arithmetic.
+With beta*k = b_r + i b_i and w = 2 / (pi z), the denominator
+D = W - beta*k J_n' H_n' has
+
+    Re D = -J_n' (b_r J_n' + b_i Y_n'),    Im D = -w - J_n' (b_i J_n' - b_r Y_n'),
+
+and with q_n = J_n'^2 / |D|^2
+
+    sigma_sca = (4/k) |beta k|^2 sum' q_n J_n'^2,
+    sigma_ext = sigma_sca + (4/k) b_i w sum' q_n.
+
+The second term is the absorbed width.  At small k r the terms s_n are almost
+imaginary, and their real part taken from the complex form loses digits to
+cancellation (up to 1e-3 relative at r = 1e-20 m, k r ~ 1e-13, over the
+default window); this form has no cancellation.
 """
 
 from __future__ import annotations
@@ -57,16 +90,30 @@ from .errors import OutOfRangeError, QuadratureFailure
 from .spectral import SpectralDecomposition, alpha2_plus_batch
 
 
+# float64 (wavelength x order) arrays live at once in extinction_spectrum, and
+# the most bytes they may take; larger spectra are refused before allocating
+_LADDER_ARRAYS = 8
+_LADDER_BYTES_MAX = 2**29
+
+
 def _check_size_parameter(k, radius):
-    """k r, rejected unless positive and small enough that ceil(k r) + 16 fits in int64."""
+    """k r, rejected unless positive and small enough for the Bessel ladder's memory budget.
+
+    The ladder holds _LADDER_ARRAYS arrays of (rows x orders 0..ceil(k r) + 17)
+    floats; above _LADDER_BYTES_MAX bytes the request is refused before
+    anything is allocated.
+    """
     with np.errstate(over="ignore"):
         z = k * radius
+        z_max = np.max(z, initial=0.0)
+        # inf when k r or the byte count overflows
+        ladder_bytes = np.size(z) * (np.ceil(z_max) + 18.0) * 8.0 * _LADDER_ARRAYS
     if not np.all(z > 0.0):
         raise ValueError("k * r must be positive")
-    # also catches k r = inf; floats below 2**63 convert to int64 exactly
-    if not np.all(np.ceil(z) + 16.0 < 2.0**63):
+    if not ladder_bytes <= _LADDER_BYTES_MAX:
         raise OutOfRangeError(
-            f"size parameter k * r = {np.max(z):.3g} is too large for the mode truncation"
+            f"size parameter k * r = {z_max:.3g} is too large: the Bessel ladder "
+            f"would need {ladder_bytes / 2**20:.3g} MiB (limit {_LADDER_BYTES_MAX / 2**20:g} MiB)"
         )
     return z
 
@@ -79,52 +126,62 @@ def _derivative(ladder: np.ndarray) -> np.ndarray:
     return prime
 
 
-def _bessel_ladder(z: np.ndarray, n_modes: np.ndarray):
-    """J_n, J_n', H_n, H_n' (H = H^(2) = J - iY) at orders n = 0..max(n_modes), one row per z.
+def _real_ladder(z: np.ndarray, n_modes: np.ndarray):
+    """J_n, J_n', Y_n, Y_n' at orders n = 0..max(n_modes), one row per z.
 
-    ``jv`` is called once, on the orders n <= n_modes + 1 of every row; Y comes
-    from one ``y0`` and one ``y1`` call by forward recurrence.  All four arrays
-    are zero above a row's own ``n_modes``.  Raises :class:`OutOfRangeError`
-    when k r is so small that Y overflows below a row's truncation.
+    Y comes from one ``y0`` and one ``y1`` call by forward recurrence.  J, the
+    minimal solution, comes from the ratios r_n = J_n / J_{n-1} run backward
+    from r = 0 at order top + 20 + ceil(8 cbrt(max z)), top = max(n_modes) + 1
+    (the cube-root term is the width of the turning region n ~ z), closed by
+    the Wronskian: J_n = (2 / (pi z)) / (r_{n+1} Y_n - Y_{n+1}) for n < top and
+    J_top = r_top J_{top-1}.  Against 40-digit mpmath J is within 2.3e-15 of
+    each row's maximum for z <= 12.5 (``jv``: 9.3e-16; see the module
+    docstring).  Each order is one vectorised row over all z.  All four
+    arrays are zero above a row's own ``n_modes``.  Raises
+    :class:`OutOfRangeError` when k r is so small that Y overflows below a
+    row's truncation.
     """
     # imported here so that only the scattering path pays for scipy.special
-    from scipy.special import jv, y0, y1
+    from scipy.special import y0, y1
 
-    orders = np.arange(int(n_modes.max(initial=0)) + 2)
-    live = orders <= n_modes[:, None] + 1
-    nn, zz = np.broadcast_arrays(orders, z[:, None])
-    J = np.zeros(live.shape)
-    J[live] = jv(nn[live], zz[live])
-    # one contiguous row per order; above a row's own n_modes + 1 the recurrence
-    # may overflow, and those entries are dropped below
-    Y = np.empty((orders.size, z.size))
+    top = int(n_modes.max(initial=0)) + 1
+    live = np.arange(top + 1) <= n_modes[:, None] + 1
+    # one contiguous row per order; above a row's own n_modes + 1 either
+    # recurrence may overflow, and those entries are dropped below
+    Y = np.empty((top + 1, z.size))
+    J = np.empty_like(Y)
     Y[0] = y0(z)
     Y[1] = y1(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, orders.size - 1):
+    wronskian = 2.0 / (np.pi * z)
+    ratio = np.zeros(z.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n in range(1, top):
             Y[n + 1] = (2 * n) * Y[n] / z - Y[n - 1]
+        for n in range(top + 20 + int(np.ceil(8.0 * np.cbrt(z.max(initial=0.0)))), 0, -1):
+            ratio = 1.0 / ((2 * n) / z - ratio)
+            if n <= top:
+                J[n - 1] = wronskian / (ratio * Y[n - 1] - Y[n])
+            if n == top:
+                J[top] = ratio * J[top - 1]
     Y = np.where(live, Y.T, 0.0)
-    finite = np.isfinite(Y).all(axis=1)
+    J = np.where(live, J.T, 0.0)
+    finite = (np.isfinite(Y) & np.isfinite(J)).all(axis=1)
     if not finite.all():
         raise OutOfRangeError(
             f"size parameter k * r = {z[np.argmin(finite)]:.3g} is too small: "
             "Y_n overflows below the mode truncation"
         )
-    H = np.empty(live.shape, dtype=complex)
-    H.real = J
-    H.imag = -Y
-    ladders = [J[:, :-1], _derivative(J), H[:, :-1], _derivative(H)]
-    beyond = orders[:-1] > n_modes[:, None]
+    ladders = [J[:, :-1], _derivative(J), Y[:, :-1], _derivative(Y)]
+    beyond = np.arange(top) > n_modes[:, None]
     for F in ladders:
         F[beyond] = 0.0
     return ladders
 
 
-def _mode_systems(beta_k, wronskian, Jp, Hp):
-    """Denominators W - beta*k J_n' H_n' of the mode systems, and where they are singular."""
-    coupling = beta_k * Jp * Hp
-    denom = wronskian - coupling
-    return denom, np.abs(denom) < 1e-14 * (np.abs(wronskian) + np.abs(coupling))
+def _bessel_ladder(z: np.ndarray, n_modes: np.ndarray):
+    """J_n, J_n', H_n, H_n' (H = H^(2) = J - iY) from :func:`_real_ladder`."""
+    J, Jp, Y, Yp = _real_ladder(z, n_modes)
+    return J, Jp, J - 1j * Y, Jp - 1j * Yp
 
 
 @dataclass(frozen=True)
@@ -186,7 +243,10 @@ def solve_modal(radius: float, wave: IncidentWave, beta: complex,
                     for F in _bessel_ladder(np.array([z]), np.array([n_modes])))
 
     beta_k = beta * k
-    denom, bad = _mode_systems(beta_k, -2j / (np.pi * z), Jp, Hp)
+    wronskian = -2j / (np.pi * z)
+    coupling = beta_k * Jp * Hp
+    denom = wronskian - coupling
+    bad = np.abs(denom) < 1e-14 * (np.abs(wronskian) + np.abs(coupling))
     if np.any(bad):
         raise QuadratureFailure(
             f"singular mode systems at orders {n[bad].tolist()} for beta = {beta}"
@@ -257,7 +317,9 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     unless ``beta_override`` pins it (used for transparency checks).  Each
     wavelength keeps the truncation N = ceil(k r) + 16 of :func:`solve_modal`,
     and the folded mode sums of the module docstring are taken for all
-    wavelengths at once.  The widths do not depend on the incidence direction.
+    wavelengths at once, in their real, cancellation-free form.  The widths do
+    not depend on the incidence direction.  A spectrum whose Bessel ladder
+    would not fit the memory budget is refused before anything is computed.
     """
     lam_grid = np.asarray(wavelengths, dtype=float)
     k = 2.0 * np.pi / lam_grid
@@ -269,9 +331,14 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     else:
         betas = np.full(lam_grid.shape, complex(beta_override))
 
-    _, Jp, _, Hp = _bessel_ladder(z, np.ceil(z).astype(int) + 16)
-    beta_k = (betas * k)[:, None]
-    denom, bad = _mode_systems(beta_k, (-2j / (np.pi * z))[:, None], Jp, Hp)
+    _, Jp, _, Yp = _real_ladder(z, np.ceil(z).astype(int) + 16)
+    beta_k = betas * k
+    b_r, b_i = beta_k.real[:, None], beta_k.imag[:, None]
+    w = 2.0 / (np.pi * z)
+    # -Re D and -Im D of D = W - beta*k J' H', and the size of its two terms
+    denom2 = (Jp * (b_r * Jp + b_i * Yp)) ** 2 + (w[:, None] + Jp * (b_i * Jp - b_r * Yp)) ** 2
+    size = w[:, None] + np.abs(beta_k)[:, None] * np.abs(Jp) * np.hypot(Jp, Yp)
+    bad = denom2 < (1e-14 * size) ** 2
     if np.any(bad):
         i = int(np.argmax(bad.any(axis=1)))
         m = np.flatnonzero(bad[i])
@@ -280,9 +347,9 @@ def extinction_spectrum(radius: float, material: MaterialParams,
             f"singular mode systems at orders {orders} for beta = {betas[i]} "
             f"at wavelength {lam_grid[i]} m"
         )
-    terms = beta_k * Jp**2 / denom
-    weights = np.where(np.arange(terms.shape[1]) == 0, 1.0, 2.0)
-    ext = -4.0 / k * np.real(np.sum(terms * weights, axis=1))
-    sca = 4.0 / k * np.sum(np.abs(terms) ** 2 * weights, axis=1)
+    q = Jp**2 / denom2
+    q[:, 1:] *= 2.0  # the folded orders -n and n
+    sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(q * Jp**2, axis=1)
+    ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=1)
     return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca,
                            radius=radius, delta_phys=delta_phys, material=material)

@@ -15,6 +15,8 @@ from metastrain.dispersion import contrast_values, omega_from_wavelength
 from metastrain.errors import OutOfRangeError, QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
 
+import mpmath_literals
+
 K = 2 * np.pi / 7e-7
 R = 1e-6
 BETA = (3 + 2j) * 1e-9
@@ -222,25 +224,31 @@ def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(
         extinction_spectrum(R, water_gold, disk128_dec, 5e-9,
                             np.linspace(6.5e-7, 1.7e-6, size))
         counts.append(dict(calls))
-    assert counts == [{"jv": 1, "y0": 1, "y1": 1, "hankel2": 0}] * 2
+    assert counts == [{"jv": 0, "y0": 1, "y1": 1, "hankel2": 0}] * 2
 
 
 def test_bessel_ladder_matches_scipy_bit_for_bit():
-    # J, J' are scipy's jv, jvp; Y = -Im H is cephes yn, whose forward recurrence
-    # the ladder repeats; H' is the difference formula on those values
-    z = np.array([0.3, 4.4, 11.6])
-    n_modes = np.array([17, 21, 28])
+    # Y = -Im H is cephes yn bit for bit (the ladder repeats its forward
+    # recurrence) and H' is the difference formula on those values.  J comes
+    # from a backward ratio recurrence closed by the Wronskian, so J and J'
+    # are held to 4e-15 of the row maximum against scipy's jv/jvp and J
+    # against 40-digit mpmath; the rows include the doubles nearest the zeros
+    # j_{0,1} and j_{1,1}, where a ratio J_1/J_0 or J_2/J_1 is huge
+    z = np.array(list(mpmath_literals.BESSEL_J))
+    n_modes = np.array([len(row) - 1 for row in mpmath_literals.BESSEL_J.values()])
     J, Jp, H, Hp = capsule_scattering._bessel_ladder(z, n_modes)
     for row, (zi, top) in enumerate(zip(z, n_modes)):
         n = np.arange(top + 1)
         Y = yn(n, zi)
         Yp = np.where(n == 0, -yn(1, zi), (yn(n - 1, zi) - yn(n + 1, zi)) / 2.0)
-        assert np.array_equal(J[row, :top + 1], jv(n, zi))
-        assert np.array_equal(Jp[row, :top + 1], jvp(n, zi))
-        assert np.array_equal(H[row, :top + 1].real, J[row, :top + 1])
-        assert np.array_equal(Hp[row, :top + 1].real, Jp[row, :top + 1])
         assert np.array_equal(-H[row, :top + 1].imag, Y)
         assert np.array_equal(-Hp[row, :top + 1].imag, Yp)
+        assert np.array_equal(H[row, :top + 1].real, J[row, :top + 1])
+        assert np.array_equal(Hp[row, :top + 1].real, Jp[row, :top + 1])
+        for F, reference in ((J, jv(n, zi)), (Jp, jvp(n, zi)),
+                             (J, np.array(mpmath_literals.BESSEL_J[zi]))):
+            error = np.abs(F[row, :top + 1] - reference).max()
+            assert error <= 4e-15 * np.abs(reference).max()
         for F in (J, Jp, H, Hp):
             assert np.all(F[row, top + 1:] == 0.0)
 
@@ -275,11 +283,14 @@ def test_tiny_capsule_overflow_rejected(disk128_dec, water_gold, call):
 
 
 def test_tiny_capsule_still_finite(disk128_dec, water_gold):
-    # k r ~ 1e-13: Y_18 ~ 1e258 is still finite, so the widths are computed and
-    # match the scipy oracle.  The extinction is the small real part of mode
-    # terms that are almost imaginary there: it loses about four digits to that
-    # cancellation in the oracle as well, so only its sign is checked
-    radius, delta = 1e-20, 5e-9
+    # k r ~ 1e-13: Y_18 ~ 1e258 is still finite, so the widths are computed.
+    # The mode terms are almost imaginary there, so the extinction of the
+    # complex form -(4/k) Re sum' s_n loses about four digits to cancellation;
+    # the package's real form has none and matches 60-digit mpmath.  The
+    # mpmath literals are for a fixed beta: Im and Re of 2*delta*alpha2_plus
+    # move by 1e-14 and 1e-13 relative when S moves by one ulp, so a literal
+    # for them would hold on one BLAS build only
+    radius, delta = mpmath_literals.TINY_RADIUS, 5e-9
     lams = np.linspace(6.5e-7, 1.7e-6, 16)
     curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams)
     omegas = omega_from_wavelength(lams, water_gold)
@@ -288,3 +299,22 @@ def test_tiny_capsule_still_finite(disk128_dec, water_gold):
                      for lam, beta in zip(lams, betas)])
     np.testing.assert_allclose(curve.scattering, loop[:, 1], rtol=1e-14, atol=0.0)
     assert np.all(curve.extinction > curve.scattering) and np.all(loop[:, 0] > 0.0)
+    fixed = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams,
+                                beta_override=mpmath_literals.TINY_BETA)
+    np.testing.assert_allclose(fixed.extinction, mpmath_literals.TINY_EXTINCTION,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_ladder_memory_guard_refuses_before_allocating(disk128_dec, water_gold, monkeypatch):
+    # k r ~ 1e7 on 16 wavelengths: the ladder would need ~10 GB.  Neither the
+    # contrast sums nor the ladder may start before the refusal
+    def fail(*args):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(capsule_scattering, "alpha2_plus_batch", fail)
+    monkeypatch.setattr(capsule_scattering, "_real_ladder", fail)
+    lams = np.linspace(6.5e-7, 1.7e-6, 16)
+    with pytest.raises(OutOfRangeError, match=r"too large: the Bessel ladder would need .* MiB"):
+        extinction_spectrum(1.0, water_gold, disk128_dec, 5e-9, lams)
+    with pytest.raises(OutOfRangeError, match="too large"):
+        solve_modal(1e3, IncidentWave((1.0, 0.0), 2 * np.pi / lams[0]), BETA)

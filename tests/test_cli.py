@@ -164,6 +164,19 @@ def test_scatter_tiny_capsule_is_a_domain_error(tmp_path, capsys):
     assert not (out / "extinction.csv").exists()
 
 
+def test_scatter_ladder_over_memory_budget_is_a_domain_error(tmp_path, capsys):
+    # a 1 m capsule has k r ~ 1e7: its Bessel ladder would need ~10 GB, and it
+    # is refused before anything of that size is allocated
+    cfg = write_config(tmp_path, {"capsule": {"radius_m": 1.0},
+                                  "sweep": {"samples": 16}, "geometry": {"node_count": 32}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "scatter"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: size parameter k * r =") and err.count("\n") == 1
+    assert "Bessel ladder would need" in err
+    assert not (out / "extinction.csv").exists()
+
+
 def test_scatter_extinction_peak_matches_sweep_peak(tmp_path):
     cfg = write_config(tmp_path, {"sweep": {"samples": 200, "periods": [1.0]}})
     out = tmp_path / "out"
