@@ -6,24 +6,8 @@ the far-field response over wavelength, and map absorption-peak shifts of a
 nanoparticle-coated microcapsule back to its mechanical deformation.
 """
 
-from .capsule_scattering import (
-    ExtinctionCurve,
-    IncidentWave,
-    ModalScatteringSolution,
-    cross_sections,
-    extinction_spectrum,
-    field,
-    solve_modal,
-)
-from .dispersion import (
-    Contrast,
-    MaterialParams,
-    contrast,
-    drude_mu,
-    omega_from_wavelength,
-    resonance_frequency,
-    wavelength,
-)
+from .capsule_scattering import ExtinctionCurve, extinction_spectrum
+from .dispersion import MaterialParams, drude_mu, omega_from_wavelength, resonance_frequency
 from .geometry import (
     CellGeometry,
     TrigCurve,
@@ -39,7 +23,6 @@ from .layer_ops import (
     assemble_single_layer,
     evaluate_single_layer_off_surface,
 )
-from .periodic_green import PeriodicKernel
 from .resonance_sweep import (
     CalibrationTable,
     Peak,
@@ -80,13 +63,9 @@ __all__ = [
     "CalibrationTable",
     "CapsuleState",
     "CellGeometry",
-    "Contrast",
     "ExtinctionCurve",
-    "IncidentWave",
     "MaterialParams",
-    "ModalScatteringSolution",
     "Peak",
-    "PeriodicKernel",
     "ResonanceCurve",
     "ShapeDerivativeReport",
     "SpectralDecomposition",
@@ -97,8 +76,6 @@ __all__ = [
     "assemble_np_adjoint",
     "assemble_single_layer",
     "axes_from_perimeter",
-    "contrast",
-    "cross_sections",
     "decompose",
     "deformation_index",
     "dominant_peak",
@@ -106,7 +83,6 @@ __all__ = [
     "eigendecompose",
     "evaluate_single_layer_off_surface",
     "extinction_spectrum",
-    "field",
     "find_peaks",
     "invert_peak_to_deformation",
     "make_disk_cell",
@@ -119,9 +95,7 @@ __all__ = [
     "resolvent_density",
     "resonance_frequency",
     "shape_derivative",
-    "solve_modal",
     "stretch_ratio",
     "sweep",
     "validate_shape_derivative",
-    "wavelength",
 ]

@@ -15,6 +15,8 @@ closed-form solution
 
 using the Wronskian J_n(z) H_n'(z) - J_n'(z) H_n(z) = W, and c_n = i^n
 exp(-i n theta_inc) from the Jacobi-Anger expansion of the incident wave.
+Only the widths are computed, from the orders |n| <= N = ceil(k r) + 16; the
+coefficients themselves are formed in the test oracle ``tests/modal_oracle.py``.
 
 J_n, Y_n and their derivatives come from one Bessel ladder on the orders
 n = 0..N+1, with H = J - iY; no ``jv`` or ``hankel2`` call is made.  Y comes
@@ -178,126 +180,6 @@ def _real_ladder(z: np.ndarray, n_modes: np.ndarray):
     return ladders
 
 
-def _bessel_ladder(z: np.ndarray, n_modes: np.ndarray):
-    """J_n, J_n', H_n, H_n' (H = H^(2) = J - iY) from :func:`_real_ladder`."""
-    J, Jp, Y, Yp = _real_ladder(z, n_modes)
-    return J, Jp, J - 1j * Y, Jp - 1j * Yp
-
-
-@dataclass(frozen=True)
-class IncidentWave:
-    """Unit-amplitude plane wave exp(i k kappa.x)."""
-
-    direction: tuple[float, float]
-    wavenumber: float
-
-    def __post_init__(self):
-        if not self.wavenumber > 0.0:
-            raise ValueError("wavenumber must be positive")
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
-            raise ValueError("incidence direction must be a unit vector")
-        object.__setattr__(self, "direction", (float(d[0]), float(d[1])))
-
-    @property
-    def angle(self) -> float:
-        return float(np.arctan2(self.direction[1], self.direction[0]))
-
-
-@dataclass(frozen=True)
-class ModalScatteringSolution:
-    """Cylindrical-mode coefficients of the interface-scattering solution."""
-
-    radius: float
-    beta: complex
-    wave: IncidentWave
-    orders: np.ndarray            # n = -N ... N
-    incident_coeffs: np.ndarray   # c_n
-    interior_coeffs: np.ndarray   # a_n
-    scattered_coeffs: np.ndarray  # b_n
-
-    @property
-    def n_modes(self) -> int:
-        """Truncation order N (orders run from -N to N)."""
-        return int(self.orders[-1])
-
-
-def solve_modal(radius: float, wave: IncidentWave, beta: complex,
-                n_modes: int | None = None) -> ModalScatteringSolution:
-    """Solve the per-mode 2x2 systems for the interface condition.
-
-    ``n_modes`` defaults to ceil(k r) + 16, and must be at least k r + 8 when
-    given explicitly so the truncated coefficients are negligible.
-    """
-    k = wave.wavenumber
-    z = _check_size_parameter(k, radius)
-    if n_modes is None:
-        n_modes = int(np.ceil(z)) + 16
-    elif n_modes < z + 8:
-        raise ValueError(f"n_modes must be at least k*r + 8 = {z + 8:.1f}")
-
-    n = np.arange(-n_modes, n_modes + 1)
-    c = np.exp(1j * n * (np.pi / 2.0 - wave.angle))
-    parity = 1.0 - 2.0 * (n % 2)
-    J, Jp, H, Hp = (parity * F[0, np.abs(n)]
-                    for F in _bessel_ladder(np.array([z]), np.array([n_modes])))
-
-    beta_k = beta * k
-    wronskian = -2j / (np.pi * z)
-    coupling = beta_k * Jp * Hp
-    denom = wronskian - coupling
-    bad = np.abs(denom) < 1e-14 * (np.abs(wronskian) + np.abs(coupling))
-    if np.any(bad):
-        raise QuadratureFailure(
-            f"singular mode systems at orders {n[bad].tolist()} for beta = {beta}"
-        )
-    b = c * beta_k * Jp**2 / denom
-
-    # interior coefficients from whichever condition has the larger pivot
-    with np.errstate(divide="ignore", invalid="ignore"):
-        via_derivative = (c * Jp + b * Hp) / Jp
-        via_jump = (c * J + b * H) / (J - beta * k * Jp)
-    use_derivative = np.abs(Jp) >= 0.1 * (np.abs(J) + np.abs(Jp))
-    a = np.where(use_derivative, via_derivative, via_jump)
-
-    return ModalScatteringSolution(radius=radius, beta=complex(beta), wave=wave,
-                                   orders=n, incident_coeffs=c,
-                                   interior_coeffs=a, scattered_coeffs=b)
-
-
-def field(solution: ModalScatteringSolution, x) -> complex:
-    """Total field at a point: modal sums inside, plane wave plus scattered sum outside."""
-    from scipy.special import hankel2, jv
-
-    x = np.asarray(x, dtype=float)
-    k = solution.wave.wavenumber
-    rho = float(np.hypot(x[0], x[1]))
-    theta = float(np.arctan2(x[1], x[0]))
-    n = solution.orders
-    phases = np.exp(1j * n * theta)
-    if rho < solution.radius:
-        return complex(np.sum(solution.interior_coeffs * jv(n, k * rho) * phases))
-    incident = np.exp(1j * k * (solution.wave.direction[0] * x[0]
-                                + solution.wave.direction[1] * x[1]))
-    scattered = np.sum(solution.scattered_coeffs * hankel2(n, k * rho) * phases)
-    return complex(incident + scattered)
-
-
-def cross_sections(solution: ModalScatteringSolution) -> tuple[float, float]:
-    """(extinction, scattering) widths from the mode coefficients.
-
-    sigma_sca = (4/k) sum |b_n|^2 and, by the two-dimensional optical theorem,
-    sigma_ext = -(4/k) Re sum b_n conj(c_n); they agree when the interface is
-    lossless (real beta).
-    """
-    k = solution.wave.wavenumber
-    b = solution.scattered_coeffs
-    c = solution.incident_coeffs
-    sca = 4.0 / k * float(np.sum(np.abs(b) ** 2))
-    ext = -4.0 / k * float(np.real(np.sum(b * np.conj(c))))
-    return ext, sca
-
-
 @dataclass(frozen=True)
 class ExtinctionCurve:
     wavelengths: np.ndarray
@@ -315,8 +197,8 @@ def extinction_spectrum(radius: float, material: MaterialParams,
 
     The jump coefficient is recomputed per wavelength as 2*delta_phys*alpha2_plus
     unless ``beta_override`` pins it (used for transparency checks).  Each
-    wavelength keeps the truncation N = ceil(k r) + 16 of :func:`solve_modal`,
-    and the folded mode sums of the module docstring are taken for all
+    wavelength sums the orders |n| <= N = ceil(k r) + 16 of its own k r, and
+    the folded mode sums of the module docstring are taken for all
     wavelengths at once, in their real, cancellation-free form.  The widths do
     not depend on the incidence direction.  A spectrum whose Bessel ladder
     would not fit the memory budget is refused before anything is computed.

@@ -338,10 +338,17 @@ def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTab
         raise CalibrationError(f"calibration file {path} lacks columns {missing}")
     try:
         for record in reader:
+            period = float(record["period"])
             lam = float(record["peak_wavelength_m"])
             mode = int(record["mode_index"])
+            if not (math.isfinite(period) and period > 0.0):
+                raise CalibrationError(f"calibration file {path} has period {period!r}, "
+                                       "not a positive finite number")
+            if not (np.isnan(lam) or (math.isfinite(lam) and lam > 0.0)):
+                raise CalibrationError(f"calibration file {path} has peak wavelength {lam!r}, "
+                                       "neither NaN (no peak) nor a positive finite number")
             rows.append(CalibrationRow(
-                period=float(record["period"]),
+                period=period,
                 peak_wavelength=None if np.isnan(lam) else lam,
                 peak_magnitude=float(record["peak_magnitude"]),
                 mode_index=None if mode < 0 else mode,

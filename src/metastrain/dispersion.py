@@ -64,13 +64,6 @@ class MaterialParams:
         return 1.0 / np.sqrt(self.eps_m * self.mu_m)
 
 
-@dataclass(frozen=True)
-class Contrast:
-    """Dimensionless permeability contrast lam(omega)."""
-
-    value: complex
-
-
 def drude_mu(omega, material: MaterialParams):
     """Drude permeability mu0 * (1 - omega_p^2 / (omega^2 + i*omega/T))."""
     omega = np.asarray(omega, dtype=float)
@@ -90,11 +83,6 @@ def contrast_values(omega, material: MaterialParams):
     return (material.mu_m + mu_c) / (2.0 * diff)
 
 
-def contrast(omega: float, material: MaterialParams) -> Contrast:
-    """Contrast at a single frequency."""
-    return Contrast(value=complex(contrast_values(omega, material)))
-
-
 def resonance_frequency(lambda_j: float, material: MaterialParams) -> float:
     """Real part of the frequency solving lambda_j = lam(omega).
 
@@ -109,17 +97,12 @@ def resonance_frequency(lambda_j: float, material: MaterialParams) -> float:
     return float(np.sqrt(radicand))
 
 
-def wavelength(omega, material: MaterialParams):
-    """Wavelength 2*pi*c/omega with c the background medium speed."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise ValueError("frequency must be positive")
-    val = 2.0 * np.pi * material.background_speed / omega
-    return float(val) if val.ndim == 0 else val
-
-
 def omega_from_wavelength(lam_m, material: MaterialParams):
-    """Inverse of :func:`wavelength`."""
+    """Angular frequency 2*pi*c/lambda with c the background medium speed.
+
+    The map is its own inverse: applied to an angular frequency it returns the
+    wavelength.
+    """
     lam_m = np.asarray(lam_m, dtype=float)
     if np.any(lam_m <= 0.0):
         raise ValueError("wavelength must be positive")

@@ -9,10 +9,6 @@ class GeometryError(MetastrainError):
     """Invalid or inadmissible boundary curve."""
 
 
-class LatticePointError(MetastrainError):
-    """Kernel evaluated at a lattice point, where it is singular."""
-
-
 class EvaluationDistanceError(MetastrainError):
     """Off-surface evaluation point too close to the boundary for the quadrature."""
 
@@ -22,7 +18,7 @@ class QuadratureFailure(MetastrainError):
 
 
 class ResonanceError(MetastrainError):
-    """Contrast coincides with (or is numerically too close to) a real eigenvalue."""
+    """The contrast coincides with (or is numerically too close to) a real eigenvalue."""
 
     def __init__(self, message, mode_index=None):
         super().__init__(message)

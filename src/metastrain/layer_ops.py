@@ -4,6 +4,14 @@ The single layer S, the Neumann-Poincare operator K* (normal derivative of S
 in the target point) and its arclength adjoint K are assembled as dense
 matrices acting on nodal densities.
 
+The kernel is the Green's function of the Laplacian with unit sources at
+(n*L, 0), n integer:
+
+    G(xi) = (1/4pi) * ln[ sinh^2(pi*xi2/L) + sin^2(pi*xi1/L) ],
+
+L-periodic in xi1, like (1/2pi)*ln|xi| + (1/2pi)*ln(pi/L) near the origin,
+and within exp(-2pi|xi2|/L) of |xi2|/(2L) - ln(2)/(2pi) at large |xi2|.
+
 Quadrature follows the classical kernel-splitting scheme for analytic curves:
 the Green's function is written as
 
@@ -37,7 +45,26 @@ import numpy as np
 
 from .errors import EvaluationDistanceError
 from .geometry import CellGeometry
-from .periodic_green import _FAR_FIELD_GUARD, value_from_delta
+
+# beyond this |pi*xi2/L| the sinh^2 term dwarfs everything representable
+_FAR_FIELD_GUARD = 30.0
+
+_LN2_OVER_2PI = np.log(2.0) / (2.0 * np.pi)
+
+
+def value_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
+    """G evaluated at complex separations delta = dxi1 + i*dxi2 (vectorised)."""
+    delta = np.asarray(delta, dtype=complex)
+    u = np.pi * delta.real / period_ratio
+    v = np.pi * delta.imag / period_ratio
+    out = np.empty(delta.shape, dtype=float)
+    far = np.abs(v) > _FAR_FIELD_GUARD
+    near = ~far
+    s2 = np.sin(u[near]) ** 2 + np.sinh(v[near]) ** 2
+    with np.errstate(divide="ignore"):
+        out[near] = np.log(s2) / (4.0 * np.pi)
+    out[far] = np.abs(delta.imag[far]) / (2.0 * period_ratio) - _LN2_OVER_2PI
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from .errors import CalibrationError, OutOfRangeError
 from .resonance_sweep import CalibrationTable
 
 _REL_TOL = 1e-10
+# r^2 stays a normal float and r^4 finite between these radii
+_RADIUS_MIN, _RADIUS_MAX = 1e-154, 1e77
 
 
 @dataclass(frozen=True)
@@ -72,18 +74,33 @@ def axes_from_perimeter(r: float, P_target: float) -> tuple[float, float]:
 
     With C = (P/(pi*sqrt(2)))^2, the major axis solves t^2 - C t + r^4 = 0 for
     t = L1^2; feasibility requires P >= 2*pi*r (the circle minimises the
-    perimeter at fixed area).
+    perimeter at fixed area).  The axes must also be resolved in double
+    precision: r^2 a normal float, r^4 finite, and L2 above one ulp of L1 so
+    that the deformation index stays below 1.
     """
+    if not _RADIUS_MIN <= r <= _RADIUS_MAX:
+        raise OutOfRangeError(
+            f"capsule radius {r:.6g} outside [{_RADIUS_MIN:g}, {_RADIUS_MAX:g}], "
+            "where r^2 and r^4 stay normal floats",
+            lo=_RADIUS_MIN, hi=_RADIUS_MAX,
+        )
     if P_target < 2.0 * np.pi * r * (1.0 - 1e-14):
         raise OutOfRangeError(
             f"target perimeter {P_target:.6g} below the circular minimum {2*np.pi*r:.6g}",
             lo=2.0 * np.pi * r,
         )
-    C = (P_target / (np.pi * np.sqrt(2.0))) ** 2
-    disc = max(C**2 - 4.0 * r**4, 0.0)
+    with np.errstate(over="ignore"):
+        C = (P_target / (np.pi * np.sqrt(2.0))) ** 2
+        disc = max(C**2 - 4.0 * r**4, 0.0)
     t = 0.5 * (C + np.sqrt(disc))
-    L1 = float(np.sqrt(t))
-    return max(L1, r), r**2 / max(L1, r)
+    L1 = max(float(np.sqrt(t)), r)
+    L2 = r**2 / L1
+    if not (L1 - L2) / (L1 + L2) < 1.0:
+        raise OutOfRangeError(
+            f"capsule of radius {r:.6g} stretched to perimeter {P_target:.6g} has axes "
+            f"L1 = {L1:.3g}, L2 = {L2:.3g}: the deformation index is not resolved below 1"
+        )
+    return L1, L2
 
 
 def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationTable,

@@ -1,10 +1,56 @@
-"""Complex-arithmetic lattice kernels kept as oracles for the real assembly.
+"""Lattice kernels kept as oracles for the real assembly.
 
-The package assembles S and K* from real lattice kernels; these are the
-older complex forms, imported by the layer-operator and Green's function tests.
+The package assembles S and K* from real lattice kernels and evaluates only
+the lattice Green's function G itself (``layer_ops.value_from_delta``).  The
+gradient of G, the smooth remainder R = G - (1/2pi) ln|delta| and the complex
+form of its gradient live here, imported by the layer-operator and Green's
+function tests.
 """
 
 import numpy as np
+
+from metastrain.layer_ops import _FAR_FIELD_GUARD, _LN2_OVER_2PI
+
+
+def gradient_from_delta(delta, period_ratio):
+    """Gradient of G in the first argument, returned as d1G + i*d2G.
+
+    The closed form without a far-field branch: sinh^2 overflows beyond
+    |Im delta| ~ 100 L, far outside every separation the tests take.
+    """
+    w = np.pi * np.asarray(delta, dtype=complex) / period_ratio
+    u, v = w.real, w.imag
+    return (np.sin(2.0 * u) + 1j * np.sinh(2.0 * v)) / (
+        4.0 * period_ratio * (np.sin(u) ** 2 + np.sinh(v) ** 2))
+
+
+def remainder_from_delta(delta, period_ratio):
+    """Smooth part R(delta) = G(delta) - (1/2pi)*ln|delta|.
+
+    The removable singularity at delta = 0 is filled with (1/2pi)*ln(pi/L).
+    Valid for |Re delta| < L (between the neighbouring lattice points).
+    """
+    delta = np.asarray(delta, dtype=complex)
+    L = period_ratio
+    u = np.pi * delta.real / L
+    v = np.pi * delta.imag / L
+    out = np.empty(delta.shape, dtype=float)
+    far = np.abs(v) > _FAR_FIELD_GUARD
+    near = ~far
+    num = np.sin(u[near]) ** 2 + np.sinh(v[near]) ** 2
+    den = u[near] ** 2 + v[near] ** 2
+    ratio = np.ones_like(num)
+    nz = den > 0.0
+    ratio[nz] = num[nz] / den[nz]
+    # den = (pi/L)^2 |delta|^2: the constant turns ln(num/den)/(4pi) into G - ln|delta|/(2pi)
+    out[near] = np.log(ratio) / (4.0 * np.pi) + np.log(np.pi / L) / (2.0 * np.pi)
+    with np.errstate(divide="ignore"):
+        out[far] = (
+            np.abs(delta.imag[far]) / (2.0 * L)
+            - _LN2_OVER_2PI
+            - np.log(np.abs(delta[far])) / (2.0 * np.pi)
+        )
+    return out
 
 
 def cot_minus_inverse(w):

@@ -3,19 +3,14 @@ import pytest
 import scipy.special
 from scipy.special import h2vp, hankel2, jv, jvp, yn
 
-from metastrain import (
-    IncidentWave,
-    cross_sections,
-    extinction_spectrum,
-    field,
-    solve_modal,
-)
+from metastrain import extinction_spectrum
 from metastrain import capsule_scattering
 from metastrain.dispersion import contrast_values, omega_from_wavelength
 from metastrain.errors import OutOfRangeError, QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
 
 import mpmath_literals
+from modal_oracle import ModalSolution
 
 K = 2 * np.pi / 7e-7
 R = 1e-6
@@ -23,115 +18,82 @@ BETA = (3 + 2j) * 1e-9
 
 
 @pytest.fixture(scope="module")
-def wave():
-    return IncidentWave(direction=(1.0, 0.0), wavenumber=K)
+def solution():
+    return ModalSolution(R, K, BETA)
 
 
-@pytest.fixture(scope="module")
-def solution(wave):
-    return solve_modal(R, wave, BETA)
-
-
-def test_incident_wave_validation():
-    with pytest.raises(ValueError):
-        IncidentWave(direction=(1.0, 0.5), wavenumber=K)
-    with pytest.raises(ValueError):
-        IncidentWave(direction=(1.0, 0.0), wavenumber=-1.0)
-
-
-def test_transparency_at_zero_beta(wave):
-    sol = solve_modal(R, wave, 0.0)
-    assert np.abs(sol.scattered_coeffs).max() == 0.0
+def test_transparency_at_zero_beta():
+    sol = ModalSolution(R, K, 0.0)
+    assert np.abs(sol.b).max() == 0.0
     for point in ([0.4e-6, -0.3e-6], [2.3e-6, 1.1e-6], [0.0, 0.2e-6]):
         x = np.asarray(point)
         plane = np.exp(1j * K * x[0])
-        assert abs(field(sol, x) - plane) < 1e-12
-    ext, sca = cross_sections(sol)
+        assert abs(sol.field(x) - plane) < 1e-12
+    ext, sca = sol.widths()
     assert ext == 0.0 and sca == 0.0
 
 
 def test_boundary_conditions_at_64_angles(solution):
     # residuals of derivative continuity and the value-jump identity
-    n = solution.orders
-    z = K * R
-    d_out = (solution.incident_coeffs * jvp(n, z) + solution.scattered_coeffs * h2vp(n, z)) * K
-    d_in = solution.interior_coeffs * jvp(n, z) * K
-    v_out = solution.incident_coeffs * jv(n, z) + solution.scattered_coeffs * hankel2(n, z)
-    v_in = solution.interior_coeffs * jv(n, z)
-    scale = max(1.0, float(np.abs(v_in).max()))
-    for theta in 2 * np.pi * np.arange(64) / 64:
-        phases = np.exp(1j * n * theta)
-        deriv_resid = abs(np.sum((d_out - d_in) * phases)) / (K * scale)
-        jump_resid = abs(np.sum((v_out - v_in) * phases)
-                         + BETA * np.sum(d_in * phases)) / scale
-        assert deriv_resid < 1e-10
-        assert jump_resid < 1e-10
+    deriv_resid, jump_resid = solution.boundary_residuals()
+    assert deriv_resid < 1e-10
+    assert jump_resid < 1e-10
 
 
-def test_truncation_convergence(wave):
+def test_truncation_convergence():
     # k r = 5 geometry: doubling the mode count leaves field values unchanged
     k = 5.0 / R
-    w5 = IncidentWave(direction=(1.0, 0.0), wavenumber=k)
-    lo = solve_modal(R, w5, BETA, n_modes=13)
-    hi = solve_modal(R, w5, BETA, n_modes=26)
+    lo = ModalSolution(R, k, BETA, n_modes=13)
+    hi = ModalSolution(R, k, BETA, n_modes=26)
     for point in ([0.4e-6, -0.3e-6], [1.5e-6, 0.8e-6]):
-        assert abs(field(lo, point) - field(hi, point)) < 1e-8
+        assert abs(lo.field(point) - hi.field(point)) < 1e-8
 
 
 def test_truncated_tail_negligible(solution):
-    b = np.abs(solution.scattered_coeffs)
+    # the package truncates at the same N = ceil(k r) + 16
+    b = np.abs(solution.b)
     assert max(b[0], b[-1]) < 1e-12 * b.max()
-
-
-def test_minimum_mode_count_enforced(wave):
-    with pytest.raises(ValueError):
-        solve_modal(R, wave, BETA, n_modes=int(K * R))
 
 
 def test_helmholtz_residual_by_fd(solution):
     h = 2e-9
     for p in (np.array([1.7e-6, 0.9e-6]), np.array([0.3e-6, -0.2e-6])):
-        u = lambda q: field(solution, q)
+        u = solution.field
         lap = (u(p + [h, 0]) + u(p - [h, 0]) + u(p + [0, h]) + u(p - [0, h]) - 4 * u(p)) / h**2
         assert abs(lap + K**2 * u(p)) / (K**2 * abs(u(p))) < 1e-3
 
 
 def test_scattered_far_field_decay(solution):
     rho1, rho2 = 200 / K, 800 / K
-    s1 = abs(field(solution, [rho1, 0.0]) - np.exp(1j * K * rho1))
-    s2 = abs(field(solution, [rho2, 0.0]) - np.exp(1j * K * rho2))
+    s1 = abs(solution.field([rho1, 0.0]) - np.exp(1j * K * rho1))
+    s2 = abs(solution.field([rho2, 0.0]) - np.exp(1j * K * rho2))
     assert s1 / s2 == pytest.approx(np.sqrt(rho2 / rho1), rel=0.05)
 
 
-def test_rotation_invariance(wave, solution):
-    angle = 0.7
-    rotated = IncidentWave(direction=(np.cos(angle), np.sin(angle)), wavenumber=K)
-    sol_rot = solve_modal(R, rotated, BETA)
-    assert np.abs(np.abs(sol_rot.scattered_coeffs)
-                  - np.abs(solution.scattered_coeffs)).max() < 1e-14
-    assert np.abs(np.abs(sol_rot.interior_coeffs)
-                  - np.abs(solution.interior_coeffs)).max() < 1e-13
+def test_rotation_invariance(solution):
+    rotated = ModalSolution(R, K, BETA, angle=0.7)
+    assert np.abs(np.abs(rotated.b) - np.abs(solution.b)).max() < 1e-14
+    assert np.abs(np.abs(rotated.a) - np.abs(solution.a)).max() < 1e-13
 
 
-def test_dimensionless_reciprocity(wave):
+def test_dimensionless_reciprocity():
     # solution depends on beta and r only through k*beta and k*r
     s = 3.0
-    sol1 = solve_modal(R, wave, BETA)
-    wave2 = IncidentWave(direction=(1.0, 0.0), wavenumber=K / s)
-    sol2 = solve_modal(R * s, wave2, BETA * s)
-    assert np.abs(sol1.scattered_coeffs - sol2.scattered_coeffs).max() < 1e-13
+    sol1 = ModalSolution(R, K, BETA)
+    sol2 = ModalSolution(R * s, K / s, BETA * s)
+    assert np.abs(sol1.b - sol2.b).max() < 1e-13
 
 
-def test_lossless_optical_theorem(wave):
+def test_lossless_optical_theorem():
     # real beta: scattering equals extinction (energy conservation)
     for beta in (2.5e-9, -4.0e-9, 1.0e-8):
-        ext, sca = cross_sections(solve_modal(R, wave, beta))
+        ext, sca = ModalSolution(R, K, beta).widths()
         assert abs(ext - sca) <= 1e-8 * max(abs(ext), 1e-30)
 
 
-def test_absorbing_interface(wave):
+def test_absorbing_interface(solution):
     # Im beta > 0 (the sign induced by the damped contrast) absorbs energy
-    ext, sca = cross_sections(solve_modal(R, wave, BETA))
+    ext, sca = solution.widths()
     assert ext > sca > 0.0
 
 
@@ -151,31 +113,16 @@ def test_extinction_peak_colocated_with_alpha_peak(disk128_dec, water_gold):
     assert np.all(curve.extinction >= curve.scattering)
 
 
-def modal_widths(radius, direction, k, beta):
-    """(extinction, scattering) of one wavelength from scipy's jvp/h2vp on n = -N..N.
-
-    Independent of the package's Bessel ladder: the oracle for extinction_spectrum.
-    """
-    z = k * radius
-    n_modes = int(np.ceil(z)) + 16
-    n = np.arange(-n_modes, n_modes + 1)
-    c = np.exp(1j * n * (np.pi / 2.0 - np.arctan2(direction[1], direction[0])))
-    Jp, Hp = jvp(n, z), h2vp(n, z)
-    b = c * beta * k * Jp**2 / (-2j / (np.pi * z) - beta * k * Jp * Hp)
-    return -4.0 / k * np.real(np.sum(b * np.conj(c))), 4.0 / k * np.sum(np.abs(b) ** 2)
-
-
 @pytest.mark.parametrize("angle", [0.0, 0.7], ids=["x_axis", "rotated"])
 def test_extinction_spectrum_matches_per_wavelength_loop(disk128_dec, water_gold, angle):
     # k r runs from 4.4 to 11.6, so the truncation N = ceil(k r) + 16 varies over the grid;
     # only the oracle's incident wave is rotated: the widths do not depend on direction
     radius, delta = 1.2e-6, 5e-9
-    direction = (np.cos(angle), np.sin(angle))
     lams = np.linspace(6.5e-7, 1.7e-6, 64)
     curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams)
     omegas = omega_from_wavelength(lams, water_gold)
     betas = 2.0 * delta * alpha2_plus_batch(disk128_dec, contrast_values(omegas, water_gold))
-    loop = np.array([modal_widths(radius, direction, 2 * np.pi / lam, beta)
+    loop = np.array([ModalSolution(radius, 2 * np.pi / lam, beta, angle).widths()
                      for lam, beta in zip(lams, betas)])
     np.testing.assert_allclose(curve.extinction, loop[:, 0], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(curve.scattering, loop[:, 1], rtol=1e-13, atol=0.0)
@@ -200,8 +147,6 @@ def test_oversized_size_parameter_rejected(disk128_dec, water_gold, lams):
     radius = 1e300
     with pytest.raises(OutOfRangeError, match="too large"):
         extinction_spectrum(radius, water_gold, disk128_dec, 5e-9, lams)
-    with pytest.raises(OutOfRangeError, match="too large"):
-        solve_modal(radius, IncidentWave((1.0, 0.0), 2 * np.pi / lams[0]), BETA)
 
 
 def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(
@@ -228,33 +173,30 @@ def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(
 
 
 def test_bessel_ladder_matches_scipy_bit_for_bit():
-    # Y = -Im H is cephes yn bit for bit (the ladder repeats its forward
-    # recurrence) and H' is the difference formula on those values.  J comes
+    # Y is cephes yn bit for bit (the ladder repeats its forward recurrence)
+    # and Y' is the difference formula on those values.  J comes
     # from a backward ratio recurrence closed by the Wronskian, so J and J'
     # are held to 4e-15 of the row maximum against scipy's jv/jvp and J
     # against 40-digit mpmath; the rows include the doubles nearest the zeros
     # j_{0,1} and j_{1,1}, where a ratio J_1/J_0 or J_2/J_1 is huge
     z = np.array(list(mpmath_literals.BESSEL_J))
     n_modes = np.array([len(row) - 1 for row in mpmath_literals.BESSEL_J.values()])
-    J, Jp, H, Hp = capsule_scattering._bessel_ladder(z, n_modes)
+    J, Jp, Y, Yp = capsule_scattering._real_ladder(z, n_modes)
     for row, (zi, top) in enumerate(zip(z, n_modes)):
         n = np.arange(top + 1)
-        Y = yn(n, zi)
-        Yp = np.where(n == 0, -yn(1, zi), (yn(n - 1, zi) - yn(n + 1, zi)) / 2.0)
-        assert np.array_equal(-H[row, :top + 1].imag, Y)
-        assert np.array_equal(-Hp[row, :top + 1].imag, Yp)
-        assert np.array_equal(H[row, :top + 1].real, J[row, :top + 1])
-        assert np.array_equal(Hp[row, :top + 1].real, Jp[row, :top + 1])
+        assert np.array_equal(Y[row, :top + 1], yn(n, zi))
+        assert np.array_equal(Yp[row, :top + 1], np.where(
+            n == 0, -yn(1, zi), (yn(n - 1, zi) - yn(n + 1, zi)) / 2.0))
         for F, reference in ((J, jv(n, zi)), (Jp, jvp(n, zi)),
                              (J, np.array(mpmath_literals.BESSEL_J[zi]))):
             error = np.abs(F[row, :top + 1] - reference).max()
             assert error <= 4e-15 * np.abs(reference).max()
-        for F in (J, Jp, H, Hp):
+        for F in (J, Jp, Y, Yp):
             assert np.all(F[row, top + 1:] == 0.0)
 
 
 def test_bessel_ladder_hankel_matches_amos():
-    # H and H' against scipy's hankel2/h2vp (AMOS), entry by entry.  Y_n(z) has
+    # H = J - iY and H' against scipy's hankel2/h2vp (AMOS), entry by entry.  Y_n(z) has
     # condition number about z in z: beyond z ~ 10 both the recurrence (from
     # cephes y0, which reduces z - pi/4 in double precision) and AMOS carry
     # errors of order z * eps; against 30-digit mpmath at z = 1000 they are
@@ -262,7 +204,8 @@ def test_bessel_ladder_hankel_matches_amos():
     # benchmark capsule and are held to 2e-14.
     z = np.array([0.3, 4.4, 11.6, 100.3, 2.0e4 + 0.37])
     n_modes = np.ceil(z).astype(int) + 16
-    _, _, H, Hp = capsule_scattering._bessel_ladder(z, n_modes)
+    J, Jp, Y, Yp = capsule_scattering._real_ladder(z, n_modes)
+    H, Hp = J - 1j * Y, Jp - 1j * Yp
     for row, (zi, top) in enumerate(zip(z, n_modes)):
         n = np.arange(top + 1)
         tol = max(2e-14, 8.0 * zi * np.finfo(float).eps)
@@ -270,16 +213,12 @@ def test_bessel_ladder_hankel_matches_amos():
             assert np.max(np.abs(F[row, :top + 1] - reference) / np.abs(reference)) < tol
 
 
-@pytest.mark.parametrize("call", ["spectrum", "modal"])
-def test_tiny_capsule_overflow_rejected(disk128_dec, water_gold, call):
+def test_tiny_capsule_overflow_rejected(disk128_dec, water_gold):
     # k r ~ 1e-23: Y_n overflows below the truncation N = 17
     radius = 1e-30
     lams = np.linspace(6.5e-7, 1.7e-6, 8)
     with pytest.raises(OutOfRangeError, match=r"k \* r = .* too small"):
-        if call == "spectrum":
-            extinction_spectrum(radius, water_gold, disk128_dec, 5e-9, lams)
-        else:
-            solve_modal(radius, IncidentWave((1.0, 0.0), 2 * np.pi / lams[0]), BETA)
+        extinction_spectrum(radius, water_gold, disk128_dec, 5e-9, lams)
 
 
 def test_tiny_capsule_still_finite(disk128_dec, water_gold):
@@ -295,7 +234,7 @@ def test_tiny_capsule_still_finite(disk128_dec, water_gold):
     curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, lams)
     omegas = omega_from_wavelength(lams, water_gold)
     betas = 2.0 * delta * alpha2_plus_batch(disk128_dec, contrast_values(omegas, water_gold))
-    loop = np.array([modal_widths(radius, (1.0, 0.0), 2 * np.pi / lam, beta)
+    loop = np.array([ModalSolution(radius, 2 * np.pi / lam, beta).widths()
                      for lam, beta in zip(lams, betas)])
     np.testing.assert_allclose(curve.scattering, loop[:, 1], rtol=1e-14, atol=0.0)
     assert np.all(curve.extinction > curve.scattering) and np.all(loop[:, 0] > 0.0)
@@ -316,5 +255,3 @@ def test_ladder_memory_guard_refuses_before_allocating(disk128_dec, water_gold, 
     lams = np.linspace(6.5e-7, 1.7e-6, 16)
     with pytest.raises(OutOfRangeError, match=r"too large: the Bessel ladder would need .* MiB"):
         extinction_spectrum(1.0, water_gold, disk128_dec, 5e-9, lams)
-    with pytest.raises(OutOfRangeError, match="too large"):
-        solve_modal(1e3, IncidentWave((1.0, 0.0), 2 * np.pi / lams[0]), BETA)

@@ -217,6 +217,22 @@ def test_invert_knot_exact_period(tmp_path, capsys):
     assert d_value == pytest.approx(float(knot["period"]) * 5e-9, rel=1e-9)
 
 
+@pytest.mark.parametrize("capsule", [
+    {"radius_m": 1e-12, "particle_count": 1256, "particle_scale_m": 1e-3},
+    {"radius_m": 1e-200},
+], ids=["deformation_rounds_to_one", "minor_axis_underflows"])
+def test_invert_extreme_capsule_is_a_domain_error(tmp_path, capsys, capsule):
+    # these used to end in a ValueError traceback from CapsuleState
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(out), "sweep"]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"capsule": capsule})
+    assert main(["--config", str(cfg), "--out", str(out), "invert",
+                 "--peak-wavelength-nm", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
 def test_invert_missing_calibration(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "nowhere"), "invert",
@@ -227,7 +243,11 @@ def test_invert_missing_calibration(tmp_path):
     "period,peak_magnitude,mode_index\n1.0,2.5,0\n",
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,abc,2.5,0\n",
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07\n",
-], ids=["missing_column", "non_numeric_cell", "short_row"])
+    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\nnan,8e-07,2.5,0\n",
+    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\n-1.5,8e-07,2.5,0\n",
+    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,inf,2.5,0\n1.5,8e-07,2.5,0\n",
+], ids=["missing_column", "non_numeric_cell", "short_row", "nan_period", "negative_period",
+        "inf_peak"])
 def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
     cfg = write_config(tmp_path)
     path = tmp_path / "calibration.csv"

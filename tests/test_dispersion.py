@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from metastrain import MaterialParams, contrast, drude_mu, resonance_frequency, wavelength
-from metastrain.dispersion import contrast_values, omega_from_wavelength
+from metastrain import MaterialParams, drude_mu, omega_from_wavelength, resonance_frequency
+from metastrain.dispersion import contrast_values
 from metastrain.errors import ContrastError, OverdampedModeError
 
 
@@ -35,8 +35,8 @@ def test_drude_rejects_nonpositive_frequency(water_gold):
 
 def test_contrast_special_values():
     m = MaterialParams(omega_p=2e15, collision_time=1e12)
-    assert contrast(2e15 / np.sqrt(2), m).value == pytest.approx(0.0, abs=1e-9)
-    assert contrast(2e15, m).value == pytest.approx(0.5, abs=1e-9)
+    assert contrast_values(2e15 / np.sqrt(2), m) == pytest.approx(0.0, abs=1e-9)
+    assert contrast_values(2e15, m) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_contrast_general_equals_simple_for_vacuum_background(water_gold):
@@ -51,7 +51,7 @@ def test_contrast_general_equals_simple_for_vacuum_background(water_gold):
 def test_contrast_positive_imaginary_part(water_gold):
     # Im lam = omega / (T * omega_p^2) for mu_m = mu0
     omega = 1.3e15
-    lam = contrast(omega, water_gold).value
+    lam = complex(contrast_values(omega, water_gold))
     expected = omega / (water_gold.collision_time * water_gold.omega_p**2)
     assert lam.imag == pytest.approx(expected, rel=1e-12)
     assert lam.imag > 0
@@ -81,23 +81,24 @@ def test_resonance_frequency_overdamped():
         resonance_frequency(-0.4999, m)
 
 
+# omega_from_wavelength is its own inverse: applied to omega it gives the wavelength
 def test_wavelength_vacuum():
     m = MaterialParams()
-    assert wavelength(2 * np.pi * 1e15, m) == pytest.approx(C0 * 1e-15, rel=1e-9)
+    assert omega_from_wavelength(2 * np.pi * 1e15, m) == pytest.approx(C0 * 1e-15, rel=1e-9)
 
 
 def test_wavelength_water_scaling(water_gold):
     vac = MaterialParams()
     omega = 1.8e15
-    assert wavelength(omega, vac) / wavelength(omega, water_gold) == pytest.approx(
-        1.77, rel=1e-6)
+    assert (omega_from_wavelength(omega, vac) / omega_from_wavelength(omega, water_gold)
+            == pytest.approx(1.77, rel=1e-6))
 
 
 def test_wavelength_monotone(water_gold):
-    assert wavelength(1e15, water_gold) > wavelength(2e15, water_gold)
+    assert omega_from_wavelength(1e15, water_gold) > omega_from_wavelength(2e15, water_gold)
     lam = 6.1e-7
-    assert wavelength(omega_from_wavelength(lam, water_gold), water_gold) == pytest.approx(
-        lam, rel=1e-14)
+    assert omega_from_wavelength(omega_from_wavelength(lam, water_gold),
+                                 water_gold) == pytest.approx(lam, rel=1e-14)
 
 
 def test_resonance_frequency_is_argmax_predictor(water_gold):

@@ -12,10 +12,9 @@ from metastrain import (
 )
 from metastrain.errors import EvaluationDistanceError
 from metastrain.layer_ops import log_quadrature_matrix
-from metastrain.periodic_green import remainder_from_delta
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
 
-from lattice_oracles import cot_minus_inverse
+from lattice_oracles import cot_minus_inverse, gradient_from_delta, remainder_from_delta
 
 
 def _pairwise_delta(cell):
@@ -254,8 +253,6 @@ def test_double_layer_constant_on_disk_far_cell():
 def test_double_layer_off_surface_limit(disk256):
     # oracle: off-surface double layer on a fine independent grid, extrapolated
     # to the boundary from outside; expect the (-1/2 + K) trace combination
-    from metastrain.periodic_green import gradient_from_delta
-
     double = assemble_double_layer(disk256)
     phi_coarse = disk256.normals[:, 1]
     i = 33

@@ -131,9 +131,7 @@ def test_peak_vs_period_closed_form_crosscheck(water_gold):
     for row in table.rows:
         dec = decompose(make_disk_cell(0.45, row.period, 96))
         lam_j = dec.eigenvalues[dec.dominant_mode()]
-        from metastrain import wavelength
-
-        lam_pred = wavelength(resonance_frequency(lam_j, water_gold), water_gold)
+        lam_pred = omega_from_wavelength(resonance_frequency(lam_j, water_gold), water_gold)
         assert abs(lam_pred - row.peak_wavelength) < 2 * step
 
 

@@ -74,6 +74,18 @@ def test_axes_infeasible_perimeter():
         axes_from_perimeter(R, 0.9 * 2 * np.pi * R)
 
 
+@pytest.mark.parametrize("r, P", [
+    (1e-12, 1.66),      # L2 ~ 3e-24 m is below one ulp of L1 ~ 0.37 m: D rounds to 1
+    (1e-200, 8.3e-6),   # r^2 underflows to 0, and with it L2
+    (1e-6, np.inf),     # L1 overflows
+], ids=["deformation_rounds_to_one", "minor_axis_underflows", "major_axis_overflows"])
+def test_unresolved_axes_out_of_range(r, P):
+    with pytest.raises(OutOfRangeError):
+        axes_from_perimeter(r, P)
+    with pytest.raises(OutOfRangeError):
+        CapsuleState.from_perimeter(r, 1256, P)
+
+
 def test_capsule_state_invariants():
     state = CapsuleState.from_perimeter(R, 600, 1.5 * 2 * np.pi * R)
     assert state.L1 * state.L2 == pytest.approx(R**2, rel=1e-10)
