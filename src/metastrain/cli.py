@@ -25,6 +25,7 @@ from .dispersion import MaterialParams
 from .errors import (
     CalibrationError,
     ConfigError,
+    DomainError,
     GeometryError,
     MetastrainError,
     OutOfRangeError,
@@ -83,14 +84,17 @@ class RunConfig:
 
     def material_params(self) -> MaterialParams:
         m = self.material
-        return MaterialParams.from_relative(
-            mu_m_rel=m["mu_m_rel"],
-            eps_m_rel=m["eps_m_rel"],
-            omega_p=m["plasma_frequency_rad_per_s"],
-            collision_time=m["collision_time_s"],
-            eps_c_rel=m["eps_c_rel"],
-            plasma_frequency_is_angular=m["plasma_frequency_is_angular"],
-        )
+        try:
+            return MaterialParams.from_relative(
+                mu_m_rel=m["mu_m_rel"],
+                eps_m_rel=m["eps_m_rel"],
+                omega_p=m["plasma_frequency_rad_per_s"],
+                collision_time=m["collision_time_s"],
+                eps_c_rel=m["eps_c_rel"],
+                plasma_frequency_is_angular=m["plasma_frequency_is_angular"],
+            )
+        except DomainError as exc:
+            raise ConfigError(f"material section invalid: {exc}") from exc
 
     def build_cell(self, period: float | None = None) -> CellGeometry:
         g = self.geometry
@@ -188,10 +192,6 @@ def parse_config(raw: dict) -> RunConfig:
         "plasma_frequency_is_angular": (bool, _REQUIRED),
         "collision_time_s": (_NUM, _REQUIRED), "eps_c_rel": (_NUM, None),
     })
-    if m["eps_m_rel"] <= 0 or m["mu_m_rel"] <= 0:
-        raise ConfigError("background material constants must be positive")
-    if m["plasma_frequency_rad_per_s"] <= 0 or m["collision_time_s"] <= 0:
-        raise ConfigError("Drude parameters must be positive")
 
     s = _require(merged["sweep"], "sweep", {
         "wavelength_min_m": (_NUM, _REQUIRED), "wavelength_max_m": (_NUM, _REQUIRED),
@@ -210,8 +210,10 @@ def parse_config(raw: dict) -> RunConfig:
     if c["radius_m"] <= 0 or c["particle_scale_m"] <= 0 or c["particle_count"] < 3:
         raise ConfigError("capsule section requires positive sizes and at least 3 particles")
 
-    return RunConfig(geometry=g, material=m, sweep=s, capsule=c,
-                     output_dir=merged["output_dir"])
+    config = RunConfig(geometry=g, material=m, sweep=s, capsule=c,
+                       output_dir=merged["output_dir"])
+    config.material_params()  # a material that is not representable in SI is a config error
+    return config
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -10,13 +10,18 @@ outgoing cylindrical waves are Hankel functions of the second kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0 as EPS0
-from scipy.constants import mu_0 as MU0
 
-from .errors import ContrastError, OverdampedModeError
+from .errors import ContrastError, DomainError, OverdampedModeError
+
+# vacuum permittivity and permeability, CODATA 2022 (the edition scipy 1.17
+# ships as scipy.constants); literals keep the output bytes independent of the
+# installed scipy and keep scipy off the import path
+EPS0 = 8.8541878188e-12
+MU0 = 1.25663706127e-06
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,22 @@ class MaterialParams:
     collision_time: float = 1.0e-14
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError(f"plasma frequency must be positive, got {self.omega_p}")
-        if not self.collision_time > 0.0:
-            raise ValueError(f"collision time must be positive, got {self.collision_time}")
-        if not self.eps_m > 0.0 or not self.mu_m > 0.0:
-            raise ValueError("background permittivity and permeability must be positive")
+        # the SI quantities the model reads must be positive finite doubles;
+        # scaling a relative constant can underflow to 0 or overflow to inf
+        mu_m, eps_m = float(self.mu_m), float(self.eps_m)
+        omega_p, T = float(self.omega_p), float(self.collision_time)
+        for name, value in (
+                ("background permeability mu_m", mu_m),
+                ("background permittivity eps_m", eps_m),
+                ("eps_m * mu_m", eps_m * mu_m),
+                ("plasma frequency omega_p", omega_p),
+                ("omega_p^2", omega_p * omega_p),
+                ("collision time T", T)):
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite in SI units, got {value!r}")
+        # 1/T^2 may underflow to 0 (no damping) but must not overflow
+        if not 1.0 / T / T < math.inf:
+            raise DomainError(f"1/T^2 must be finite in SI units, got T = {T!r}")
 
     @classmethod
     def from_relative(cls, mu_m_rel: float = 1.0, eps_m_rel: float = 1.0,
@@ -68,7 +83,7 @@ def drude_mu(omega, material: MaterialParams):
     """Drude permeability mu0 * (1 - omega_p^2 / (omega^2 + i*omega/T))."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
-        raise ValueError("frequency must be positive")
+        raise DomainError("frequency must be positive")
     gamma = 1.0 / material.collision_time
     val = material.mu0 * (1.0 - material.omega_p**2 / (omega**2 + 1j * omega * gamma))
     return complex(val) if val.ndim == 0 else val
@@ -105,6 +120,6 @@ def omega_from_wavelength(lam_m, material: MaterialParams):
     """
     lam_m = np.asarray(lam_m, dtype=float)
     if np.any(lam_m <= 0.0):
-        raise ValueError("wavelength must be positive")
+        raise DomainError("wavelength must be positive")
     val = 2.0 * np.pi * material.background_speed / lam_m
     return float(val) if val.ndim == 0 else val

@@ -5,6 +5,10 @@ class MetastrainError(Exception):
     """Base class for all package-specific failures."""
 
 
+class DomainError(MetastrainError, ValueError):
+    """Argument outside the domain of a model function (also a ``ValueError``)."""
+
+
 class GeometryError(MetastrainError):
     """Invalid or inadmissible boundary curve."""
 

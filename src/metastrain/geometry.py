@@ -226,7 +226,10 @@ def perturb_normal(cell: CellGeometry, eta: float) -> CellGeometry:
 
     The displaced curve x + eta*nu(x) is resampled on a fine grid and
     re-expanded as a trigonometric series, which is exact to machine precision
-    once the series is resolved (a perturbed disk stays an exact disk).
+    once the series is resolved (a perturbed disk stays an exact disk).  The
+    series keeps the smallest band |k| <= K holding every coefficient above
+    the round-off level of the largest, so repeated perturbation does not
+    grow it (a perturbed disk keeps three coefficients).
     """
     curve = cell.parametrization
     fine = max(4 * cell.node_count, 4 * curve.coefficients.size, 64)
@@ -235,4 +238,8 @@ def perturb_normal(cell: CellGeometry, eta: float) -> CellGeometry:
     normal = -1j * dz / np.abs(dz)
     samples = z + eta * normal
     coeffs = np.fft.fft(samples) / fine
+    mag = np.abs(coeffs)
+    above = np.abs(_frequencies(fine)[mag > np.finfo(float).eps * mag.max()])
+    band = min(int(above.max()), fine // 2 - 1)  # never the orientation-ambiguous Nyquist slot
+    coeffs = np.concatenate([coeffs[:band + 1], coeffs[fine - band:]])
     return _discretize(TrigCurve(coeffs), cell.period_ratio, cell.node_count)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import QuadratureFailure, ResonanceError
 from .geometry import CellGeometry
@@ -106,6 +105,8 @@ _EQUILIBRIUM_RESIDUAL = 1e-10
 
 def _equilibrium_mode(K: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     """Eigenpair of K* nearest 1/2, with the density scaled to unit mass."""
+    import scipy.linalg  # deferred, like scipy.special: importing the package stays scipy-free
+
     n = w.size
     lu = scipy.linalg.lu_factor(K - (0.5 + _EQUILIBRIUM_SHIFT) * np.eye(n))
     psi = np.ones(n)
@@ -144,6 +145,8 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
         single_layer.cell.weights, np_adjoint.cell.weights
     ):
         raise ValueError("operators were assembled from different cells")
+    import scipy.linalg
+
     cell = single_layer.cell
     w = cell.weights
     S = single_layer.matrix
@@ -163,7 +166,7 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     try:
         vals, vecs = scipy.linalg.eigh(_reflected_block(B, h, beta),
                                        _reflected_block(gram, h, beta))
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
         raise QuadratureFailure(
             "Gram matrix -W S is not positive definite on the zero-mean sector"
         ) from exc
@@ -256,6 +259,8 @@ def resolvent_density(decomposition: SpectralDecomposition, lam: complex,
     error.  Real lam too close to the spectrum is rejected with the offending
     mode index.
     """
+    import scipy.linalg
+
     lam = complex(lam)
     _check_off_spectrum(decomposition, lam)
     adjoint = decomposition.np_adjoint
@@ -263,7 +268,7 @@ def resolvent_density(decomposition: SpectralDecomposition, lam: complex,
     rhs = np.asarray(rhs, dtype=complex if lam.imag != 0.0 else float)
     try:
         return scipy.linalg.solve(system, rhs)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"resolvent system singular at contrast {lam}") from exc
 
 

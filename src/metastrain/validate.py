@@ -28,6 +28,7 @@ PROBE_CONTRAST = 0.8
 FAR_FIELD_HEIGHT = 8.0
 PROBE_NODES = (17, 40)  # boundary nodes (mod n) of the finite-difference trace check
 FD_DISTANCES = np.array([0.006, 0.009, 0.012, 0.016, 0.020])  # along the normal
+ROUND_OFF_SHARE = 1e-3  # residuals below this share of their tolerance print as a bound
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,12 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  {self.detail}" if self.detail else ""
-        return f"{status}  {self.name:<28s} residual={self.residual:9.3e} tol={self.tolerance:.1e}{extra}"
+        # a residual far below its tolerance is round-off: print a bound, so that
+        # stdout does not follow the last bits of the arithmetic
+        bound = ROUND_OFF_SHARE * self.tolerance
+        residual = (f"residual<{bound:<9.1e}" if self.residual < bound
+                    else f"residual={self.residual:9.3e}")
+        return f"{status}  {self.name:<28s} {residual} tol={self.tolerance:.1e}{extra}"
 
 
 def neville_to_zero(xs, ys):

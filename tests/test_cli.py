@@ -112,6 +112,26 @@ def test_sweep_empty_window_rejected(tmp_path):
     assert main(["--config", str(cfg), "eigs"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "scatter"])
+@pytest.mark.parametrize("material", [
+    {"eps_m_rel": 1e-320},
+    {"mu_m_rel": 1e-320},
+    {"plasma_frequency_rad_per_s": 1e300},
+    {"collision_time_s": 1e-300},
+], ids=["eps_underflows", "mu_underflows", "omega_p_squared_overflows",
+        "damping_squared_overflows"])
+def test_material_not_representable_in_si_is_a_config_error(tmp_path, capsys, material,
+                                                            command):
+    # these used to end in a ValueError or OverflowError traceback, or in a
+    # RuntimeWarning and a misleading "mu_m equals mu_c" numerical failure
+    cfg = write_config(tmp_path, {"material": material})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: material section invalid:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_capsule_radius_rejected(tmp_path):
     cfg = write_config(tmp_path, {"capsule": {"radius_m": None}})
     assert main(["--config", str(cfg), "scatter"]) == 2
@@ -318,12 +338,26 @@ def test_ellipse_and_fourier_geometry(tmp_path):
     assert main(["--config", str(cfg2), "--out", str(out), "eigs"]) == 0
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.interpolate is loaded by the inversion only, scipy.special by the
-    # capsule scattering only, scipy.signal never
-    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.special")
-    code = f"import sys, metastrain; print([m for m in {heavy!r} if m in sys.modules])"
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this checkout."""
     env = {**os.environ, "PYTHONPATH": str(Path(metastrain.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # importing the package and its CLI loads no scipy module at all:
+    # scipy.linalg comes with the first decomposition, scipy.special with the
+    # first extinction spectrum, scipy.interpolate with the first inversion
+    code = ("import sys, metastrain, metastrain.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_first_decomposition_loads_scipy_linalg(disk256_dec):
+    code = ("import sys, metastrain; "
+            "dec = metastrain.decompose(metastrain.make_disk_cell(0.45, 1.0, 256)); "
+            "print('scipy.linalg' in sys.modules); print(dec.eigenvalues.tobytes().hex())")
+    loaded, eigenvalues = run_fresh(code).split()
+    assert loaded == "True"
+    assert bytes.fromhex(eigenvalues) == disk256_dec.eigenvalues.tobytes()

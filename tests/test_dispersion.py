@@ -3,8 +3,8 @@ import pytest
 from scipy.constants import c as C0
 
 from metastrain import MaterialParams, drude_mu, omega_from_wavelength, resonance_frequency
-from metastrain.dispersion import contrast_values
-from metastrain.errors import ContrastError, OverdampedModeError
+from metastrain.dispersion import EPS0, MU0, contrast_values
+from metastrain.errors import ContrastError, DomainError, MetastrainError, OverdampedModeError
 
 
 def test_drude_high_frequency_limit(water_gold):
@@ -133,3 +133,24 @@ def test_material_validation():
         MaterialParams(omega_p=-1.0)
     with pytest.raises(ValueError):
         MaterialParams(collision_time=0.0)
+
+
+@pytest.mark.parametrize("relative", [
+    {"eps_m_rel": 1e-320},
+    {"mu_m_rel": 1e-320},
+    {"eps_m_rel": 1e200, "mu_m_rel": 1e200},
+    {"omega_p": 1e300},
+    {"collision_time": 1e-300},
+], ids=["eps_underflows", "mu_underflows", "speed_underflows", "omega_p_squared_overflows",
+        "damping_squared_overflows"])
+def test_material_rejects_quantities_not_representable_in_si(relative):
+    # a domain error is both a ValueError and a package error
+    with pytest.raises(DomainError) as info:
+        MaterialParams.from_relative(**relative)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, MetastrainError)
+
+
+def test_vacuum_constants_are_codata_2022_literals():
+    assert EPS0 == 8.8541878188e-12
+    assert MU0 == 1.25663706127e-06
+    assert 1.0 / np.sqrt(EPS0 * MU0) == pytest.approx(299792458.0, rel=1e-12)

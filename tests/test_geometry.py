@@ -165,6 +165,29 @@ def test_perturb_disk_is_disk():
     assert grown.perimeter == pytest.approx(2 * np.pi * 0.35, abs=1e-13)
 
 
+def test_perturbed_disk_keeps_three_coefficients():
+    # the re-expansion drops its round-off tail: the parallel circle of radius
+    # r + eta is the series [0, r + eta, 0], to round-off in its geometry
+    cell = make_disk_cell(0.4, 1.0, 128)
+    moved = perturb_normal(cell, 1e-3)
+    assert moved.parametrization.coefficients.size == 3
+    assert np.abs(moved.curvatures - 1.0 / 0.401).max() < 1e-13
+    assert np.abs(moved.normals - cell.normals).max() < 1e-15
+    assert perturb_normal(moved, 1e-3).parametrization.coefficients.size == 3
+
+
+def test_repeated_perturbation_does_not_grow_the_series():
+    coeffs = np.zeros(8)
+    coeffs[[1, 2, 3, 6, 7]] = [0.32, 0.012, -0.005, 0.008, 0.015]
+    cell = make_smooth_cell(coeffs, 1.3, 128)
+    once = perturb_normal(cell, 1e-2)
+    twice = perturb_normal(once, 1e-2)
+    size = once.parametrization.coefficients.size
+    assert size % 2 == 1 and size < 4 * cell.node_count
+    # displaced twice is the parallel curve at 2*eta: its band may differ by one
+    assert twice.parametrization.coefficients.size <= size + 2
+
+
 def test_perturb_perimeter_first_order():
     # dP/deta = integral of curvature = 2*pi for a simple closed curve
     cell = make_ellipse_cell(0.35, 0.22, 1.0, 96)

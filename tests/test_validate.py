@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metastrain import make_disk_cell, make_ellipse_cell, make_smooth_cell
-from metastrain.validate import _up_down_symmetric
+from metastrain.validate import CheckResult, _up_down_symmetric
 
 
 @pytest.mark.parametrize("cell, symmetric", [
@@ -20,3 +20,15 @@ from metastrain.validate import _up_down_symmetric
         "egg"])
 def test_up_down_symmetry_read_from_nodes(cell, symmetric):
     assert _up_down_symmetric(cell) is symmetric
+
+
+def test_round_off_residual_prints_as_a_bound():
+    # below 1e-3 of the tolerance the residual's digits are round-off
+    line = CheckResult("alpha_far_field_limits", True, 6.662e-16, 5e-11).line()
+    assert line == "PASS  alpha_far_field_limits       residual<5.0e-14   tol=5.0e-11"
+
+
+def test_residual_near_tolerance_prints_its_value():
+    line = CheckResult("trace_formulae_fd", False, 2.388e-06, 1e-6, detail="x").line()
+    assert line == "FAIL  trace_formulae_fd            residual=2.388e-06 tol=1.0e-06  x"
+    assert "residual=      inf" in CheckResult("eigendecomposition", False, np.inf, 0.0).line()
