@@ -140,6 +140,24 @@ def _segments_cross(points: np.ndarray) -> bool:
     return bool(crossing.any())
 
 
+def _windings(points: np.ndarray) -> float:
+    """Turns of the closed polygon through ``points`` about the origin."""
+    return float(np.angle(np.roll(points, -1) * np.conj(points)).sum() / (2.0 * np.pi))
+
+
+def _star_shaped(points: np.ndarray) -> bool:
+    """Whether a closed polyline is star-shaped about its vertex centroid.
+
+    Every edge turning the same strict way about the centroid, once in all,
+    sweeps each ray from it exactly once, so the polyline is simple: an O(m)
+    certificate that spares the O(m^2) crossing test on most curves.
+    """
+    rel = points - points.mean()
+    cross = np.imag(np.conj(rel) * np.roll(rel, -1))
+    one_sign = bool(np.all(cross > 0.0) or np.all(cross < 0.0))
+    return one_sign and round(abs(_windings(rel))) == 1
+
+
 def _validated_curve(curve: TrigCurve, period: float) -> TrigCurve:
     """Reject inadmissible curves; normalise orientation to counterclockwise."""
     fine = max(8 * curve.coefficients.size, 256)
@@ -156,7 +174,13 @@ def _validated_curve(curve: TrigCurve, period: float) -> TrigCurve:
     area = 0.5 * (2.0 * np.pi / fine) * np.sum(np.imag(np.conj(z) * dz))
     if abs(area) < 1e-14 * max(1.0, np.abs(z).max() ** 2):
         raise GeometryError("degenerate curve: enclosed area is zero")
-    if _segments_cross(z[:: max(1, fine // 512)]):
+    # a simple closed curve's tangent turns exactly once (Hopf's Umlaufsatz);
+    # a curve traversed twice has no proper crossing but turns twice
+    turns = round(_windings(dz))
+    if abs(turns) != 1:
+        raise GeometryError(f"curve is not simple: its tangent turns {turns} times, not once")
+    polyline = z[:: max(1, fine // 512)]
+    if not _star_shaped(polyline) and _segments_cross(polyline):
         raise GeometryError("curve is self-intersecting")
     if area < 0.0:
         return curve.reversed()

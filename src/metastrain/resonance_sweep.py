@@ -14,7 +14,7 @@ from .dispersion import (
     omega_from_wavelength,
     resonance_frequency,
 )
-from .errors import OverdampedModeError
+from .errors import DomainError, OverdampedModeError
 from .geometry import make_disk_cell
 from .spectral import SpectralDecomposition, alpha2_plus_batch, decompose
 
@@ -41,9 +41,9 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
           wavelength_min: float, wavelength_max: float, samples: int = 400) -> ResonanceCurve:
     """Sample |alpha2_plus| on a uniform wavelength grid and locate its peaks."""
     if not wavelength_min < wavelength_max:
-        raise ValueError("need wavelength_min < wavelength_max")
+        raise DomainError("need wavelength_min < wavelength_max")
     if samples < 16:
-        raise ValueError("need at least 16 samples")
+        raise DomainError("need at least 16 samples")
     lam_grid = np.linspace(wavelength_min, wavelength_max, samples)
     omega = omega_from_wavelength(lam_grid, material)
     contrasts = contrast_values(omega, material)
@@ -77,7 +77,7 @@ def find_peaks(curve: ResonanceCurve) -> list[Peak]:
     lam = curve.wavelengths
     mag = curve.magnitudes
     if lam.size < 3:
-        raise ValueError("peak finding needs at least 3 samples")
+        raise DomainError("peak finding needs at least 3 samples")
     peaks = []
     logm = np.log(mag)
     for i in range(1, lam.size - 1):

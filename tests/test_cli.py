@@ -325,6 +325,35 @@ def test_validate_asymmetric_fourier_curve_passes(tmp_path, capsys):
     assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
 
 
+def test_unresolved_mode_above_one_half_exits_4(tmp_path, capsys):
+    # at a gap of 0.005, n = 256 gives a zero-mean eigenvalue of 0.512: no
+    # sweep peak can be trusted, while a gap of 0.01 still resolves
+    cfg = write_config(tmp_path, {"geometry": {"node_count": 256}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep", "--periods", "0.905"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lambda_1 = 0.51" in err
+    assert not (out / "calibration.csv").exists()
+    assert main(["--config", str(cfg), "--out", str(out), "sweep", "--periods", "0.91"]) == 0
+    # validate still prints its report and names the failing checks
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"geometry": {"node_count": 256, "period": 0.905}})
+    assert main(["--config", str(cfg), "validate"]) == 4
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert "spectrum_containment" in failed and "alpha_far_field_limits" in failed
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_curve_traversed_twice_is_a_config_error(tmp_path, capsys, command):
+    coeffs = [[0.0, 0.0], [0.0, 0.0], [0.3, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    cfg = write_config(tmp_path, {"geometry": {"shape": "fourier", "fourier_coefficients": coeffs,
+                                               "period": 1.2, "node_count": 128}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "turns 2 times" in err
+
+
 def test_ellipse_and_fourier_geometry(tmp_path):
     cfg = write_config(tmp_path, {"geometry": {"shape": "ellipse", "semi_axis_1": 0.35,
                                                "semi_axis_2": 0.22, "node_count": 64,

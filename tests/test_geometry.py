@@ -10,6 +10,7 @@ from metastrain import (
     perturb_normal,
 )
 from metastrain.errors import GeometryError
+from metastrain import geometry
 from metastrain.geometry import _segments_cross
 
 
@@ -139,6 +140,51 @@ def test_segments_cross_matches_complex_form():
     figure_eight = np.sin(t) + 0.5j * np.sin(2 * t)
     assert _segments_cross(figure_eight) and complex_segments_cross(figure_eight)
     assert not _segments_cross(0.3 * np.exp(1j * t))
+
+
+def fourier_of(z):
+    return np.fft.fft(z) / z.size
+
+
+def test_curve_traversed_twice_rejected():
+    # z = 0.3 exp(2it) has no proper crossing, but its tangent turns twice
+    with pytest.raises(GeometryError, match="turns 2 times"):
+        make_smooth_cell([0.0, 0.0, 0.3, 0.0, 0.0], 1.2, 128)
+
+
+def test_figure_eight_rejected():
+    # unequal lobes, so the enclosed area does not vanish
+    t = 2 * np.pi * np.arange(64) / 64
+    z = 0.3 * np.sin(t) * (1 + 0.4 * np.sin(t)) + 0.15j * np.sin(2 * t)
+    with pytest.raises(GeometryError, match="turns 0 times"):
+        make_smooth_cell(fourier_of(z), 1.0, 64)
+
+
+def test_crossing_curve_turning_once_rejected():
+    # the tangent turns once, so only the crossing test can reject it
+    coeffs = [0.0, 0.3, 0.01, -0.15, 0.0, 0.05, 0.11, 0.05]
+    with pytest.raises(GeometryError, match="self-intersecting"):
+        make_smooth_cell(coeffs, 2.0, 64)
+
+
+def test_star_certificate_and_crossing_fallback(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(points.size)
+        return _segments_cross(points)
+
+    monkeypatch.setattr(geometry, "_segments_cross", counted)
+    make_disk_cell(0.45, 1.0, 64)
+    make_smooth_cell([0.0, 0.3, 0.01, 0.005, 0.0, 0.0, -0.008, 0.015], 1.3, 64)
+    assert calls == []  # both are star-shaped about their centroid
+    # a crescent around the origin is simple but not star-shaped about its centroid
+    t = 2 * np.pi * np.arange(64) / 64
+    crescent = fourier_of(0.25 * (1 + 0.3 * np.cos(t)) * np.exp(2j * np.sin(t)))
+    polyline = TrigCurve(crescent).sample(512)
+    assert not geometry._star_shaped(polyline)
+    make_smooth_cell(crescent, 1.0, 64)
+    assert len(calls) == 1
 
 
 def test_orientation_normalised():

@@ -7,6 +7,7 @@ import pytest
 
 from metastrain import decompose, dominant_peak, find_peaks, make_disk_cell, peak_vs_period, sweep
 from metastrain.dispersion import omega_from_wavelength, resonance_frequency
+from metastrain.errors import DomainError
 
 WINDOW = (6.5e-7, 1.7e-6)
 
@@ -38,6 +39,22 @@ def test_curve_does_not_keep_its_decomposition(water_gold):
     gc.collect()
     assert ref() is None
     assert curve.eigenvalues.size == 64
+
+
+@pytest.mark.parametrize("window, samples, message", [
+    ((1.7e-6, 6.5e-7), 400, "wavelength_min < wavelength_max"),
+    (WINDOW, 15, "at least 16 samples"),
+], ids=["reversed_window", "too_few_samples"])
+def test_sweep_arguments_are_domain_errors(disk128_dec, water_gold, window, samples, message):
+    with pytest.raises(DomainError, match=message):
+        sweep(disk128_dec, water_gold, *window, samples=samples)
+
+
+def test_find_peaks_needs_three_samples(disk_curve):
+    short = dataclasses.replace(disk_curve, wavelengths=disk_curve.wavelengths[:2],
+                                magnitudes=disk_curve.magnitudes[:2])
+    with pytest.raises(DomainError, match="at least 3 samples"):
+        find_peaks(short)
 
 
 def test_sweep_flat_far_off_resonance(disk128_dec, water_gold):

@@ -16,7 +16,7 @@ from metastrain import (
     make_smooth_cell,
     resolvent_density,
 )
-from metastrain.errors import QuadratureFailure, ResonanceError
+from metastrain.errors import DomainError, QuadratureFailure, ResonanceError
 from metastrain.validate import off_surface_normal_derivative
 
 PROBE = 0.8  # real contrast comfortably off the spectrum
@@ -330,9 +330,73 @@ def test_real_mode_sums_match_complex_formula(make_cell, water_gold):
                   / np.abs(expected)) < 1e-14
 
 
+def default_window(material, samples=400):
+    from metastrain.dispersion import contrast_values, omega_from_wavelength
+
+    return contrast_values(omega_from_wavelength(np.linspace(6.5e-7, 1.7e-6, samples),
+                                                 material), material)
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: make_disk_cell(0.45, 1.0, 256),
+    lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128),
+    lambda: make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128),
+    lambda: make_disk_cell(0.45, 0.92, 256),
+], ids=["disk", "ellipse", "fourier", "gap_0.02"])
+def test_gauss_rule_alpha2_matches_complex_formula(make_cell, water_gold):
+    from metastrain.spectral import alpha2_plus_batch
+
+    dec = decompose(make_cell())
+    j = dec.dominant_mode()
+    # the last two sit 1e-7 from the dominant pole and 1e-5 from the round-off
+    # cluster, where a node one ulp off would show unless the rounding test
+    # sends them to the full sum
+    lams = np.concatenate([default_window(water_gold),
+                           [PROBE, -0.3, 3.0, 0.7 + 0.02j, -2.0 + 1e-3j, 1e3 + 1e3j, 1e4,
+                            dec.eigenvalues[j] + 1e-7j, 1e-5j]])
+    expected, _ = complex_mode_sums(dec, lams, dec.moments_nu2)
+    assert np.max(np.abs(alpha2_plus_batch(dec, lams) - expected) / np.abs(expected)) < 1e-14
+
+
+def test_gauss_rule_nodes_on_default_window(disk256_dec, water_gold):
+    from metastrain.spectral import _nu2_sums
+
+    _, sizes = _nu2_sums(disk256_dec, default_window(water_gold))
+    assert sizes.max() <= 10  # of 255 modes, for every one of the 400 contrasts
+
+
+def test_gauss_rule_fallback_inside_hull_is_the_full_sum(disk256_dec):
+    from metastrain.spectral import _mode_sums, _nu2_sums, alpha2_plus_batch
+
+    lo, hi = disk256_dec.nu2_gauss_rule.hull
+    lams = np.array([0.5 * (lo + hi) + 1e-3, 0.9 * lo, 0.9 * hi])
+    _, sizes = _nu2_sums(disk256_dec, lams)
+    assert np.all(sizes == disk256_dec.mode_count - 1)
+    full = _mode_sums(disk256_dec, lams, disk256_dec.moments_nu2)
+    assert np.array_equal(alpha2_plus_batch(disk256_dec, lams), full)
+
+
+def test_gauss_rule_scalar_and_batch_identical(disk256_dec, water_gold):
+    from metastrain.spectral import alpha2_plus_batch
+
+    lams = default_window(water_gold)
+    batch = alpha2_plus_batch(disk256_dec, lams)
+    assert all(alpha_infinity(disk256_dec, lam).alpha2_plus == value
+               for lam, value in zip(lams, batch))
+
+
+def test_mode_above_one_half_reported():
+    # n = 256 does not resolve a gap of 0.005: one zero-mean eigenvalue is 0.512
+    dec = decompose(make_disk_cell(0.45, 0.905, 256))
+    with pytest.raises(QuadratureFailure, match=r"lambda_1 = 0\.51"):
+        alpha_infinity(dec, PROBE)
+
+
 def test_mismatched_cells_rejected(disk256_ops):
     single, _ = disk256_ops
     other = decompose(make_disk_cell(0.45, 1.0, 128))
     bad_adjoint = assemble_np_adjoint(other.cell)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         eigendecompose(single, bad_adjoint)
+    with pytest.raises(DomainError, match="component"):
+        alpha_field(other, PROBE, 3, [0.0, 2.0])
