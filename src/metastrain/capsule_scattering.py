@@ -88,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import MaterialParams, contrast_values, omega_from_wavelength
-from .errors import OutOfRangeError, QuadratureFailure
+from .errors import DomainError, OutOfRangeError, QuadratureFailure
 from .spectral import SpectralDecomposition, alpha2_plus_batch
 
 
@@ -111,7 +111,7 @@ def _check_size_parameter(k, radius):
         # inf when k r or the byte count overflows
         ladder_bytes = np.size(z) * (np.ceil(z_max) + 18.0) * 8.0 * _LADDER_ARRAYS
     if not np.all(z > 0.0):
-        raise ValueError("k * r must be positive")
+        raise DomainError("k * r must be positive")
     if not ladder_bytes <= _LADDER_BYTES_MAX:
         raise OutOfRangeError(
             f"size parameter k * r = {z_max:.3g} is too large: the Bessel ladder "

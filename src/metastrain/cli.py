@@ -33,7 +33,7 @@ from .errors import (
 )
 from .geometry import CellGeometry, make_disk_cell, make_ellipse_cell, make_smooth_cell
 from .resonance_sweep import CalibrationRow, CalibrationTable, calibrate
-from .spectral import decompose
+from .spectral import check_working_set, decompose
 from .strain import CapsuleState, invert_peak_to_deformation
 from .validate import run_validation
 
@@ -396,7 +396,7 @@ def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
         try:
             alt = CapsuleState.from_perimeter(state.r, state.N + dn, (state.N + dn) * state.d)
             print(f"D_if_N{dn:+d} = {alt.D!r}")
-        except (OutOfRangeError, ValueError):
+        except (OutOfRangeError, DomainError):
             print(f"D_if_N{dn:+d} = infeasible")
     if write_csv:
         csv_path = out_dir / "deformation.csv"
@@ -448,6 +448,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.command != "invert":  # every other command decomposes a cell
+            sweeps = args.command in ("sweep", "scatter")
+            check_working_set(config.geometry["node_count"],
+                              config.sweep["samples"] if sweeps else 0)
         out_dir = Path(args.out or config.output_dir)
         if args.command != "validate":
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationDistanceError
+from .errors import DomainError, EvaluationDistanceError
 from .geometry import CellGeometry
 
 # beyond this |pi*xi2/L| the sinh^2 term dwarfs everything representable
@@ -87,7 +87,7 @@ def log_quadrature_matrix(n: int) -> np.ndarray:
     symbol of the continuous operator is -1/|m| on exp(i*m*t) and 0 on constants.
     """
     if n % 2 != 0:
-        raise ValueError("log quadrature requires an even node count")
+        raise DomainError("log quadrature requires an even node count")
     symbol = np.zeros(n // 2 + 1)
     symbol[1:-1] = -1.0 / np.arange(1, n // 2)
     symbol[-1] = -2.0 / n

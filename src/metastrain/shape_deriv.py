@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModeError, ModeTrackingError
+from .errors import DegenerateModeError, DomainError, ModeTrackingError
 from .geometry import CellGeometry, perturb_normal
 from .spectral import SpectralDecomposition, decompose
 
@@ -62,9 +62,9 @@ def shape_derivative(decomposition: SpectralDecomposition, cell: CellGeometry, j
                      sign: str = DEFAULT_SIGN) -> float:
     """First-order coefficient d(lam_j)/d(eta) at eta = 0 for mode j >= 1."""
     if sign not in SIGN_CONVENTIONS:
-        raise ValueError(f"sign must be one of {SIGN_CONVENTIONS}")
+        raise DomainError(f"sign must be one of {SIGN_CONVENTIONS}")
     if j == 0:
-        raise ValueError("the equilibrium eigenvalue 1/2 is stationary; pick j >= 1")
+        raise DomainError("the equilibrium eigenvalue 1/2 is stationary; pick j >= 1")
     gap = _mode_gap(decomposition, j)
     if gap <= SIMPLE_GAP:
         raise DegenerateModeError(
@@ -132,7 +132,7 @@ def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder) -> ShapeDe
     """
     etas = np.sort(np.asarray(eta_ladder, dtype=float))[::-1]
     if etas.size == 0 or np.any(etas <= 0.0):
-        raise ValueError("eta ladder must contain positive values")
+        raise DomainError("eta ladder must contain positive values")
     base = decompose(cell)
     predictions = {s: shape_derivative(base, cell, j, sign=s) for s in SIGN_CONVENTIONS}
 

@@ -8,9 +8,20 @@ trailing columns of one Householder reflector H with H w parallel to e_0, so
 its blocks of H G H and H B H come from rank-2 updates and the densities map
 back with one rank-1 update.
 
+A cell mirror-symmetric about the line through node 0 parallel to the grating
+(the disk, the ellipse, real-coefficient curves) gives G and K* that commute
+with the node mirror P: j -> -j mod n, because the lattice kernel is even in
+both offsets.  When both matrices pass that test to a relative defect of
+eps * n^2, the problem splits over the orthonormal orbit basis into an even
+sector (e_0, e_{n/2} and (e_j + e_{n-j}) / sqrt 2, which holds the constant
+and the zero-mean constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2):
+two generalized eigh calls of about n/2 instead of one of n - 1.  Every other
+cell takes the whole space as its one sector.
+
 The equilibrium mode (eigenvalue 1/2, non-zero mean) is found by shifted
-inverse iteration on the full matrix: one LU of K* - (1/2 + 1e-10) I, a few
-solves and the Rayleigh quotient, with a residual check.
+inverse iteration in the sector of the constant: one LU of
+K* - (1/2 + 1e-10) I there, a few solves and the Rayleigh quotient, with a
+residual check on the full K*.
 
 The eigenpairs feed two downstream quantities:
 
@@ -42,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure, ResonanceError
+from .errors import DomainError, OutOfRangeError, QuadratureFailure, ResonanceError
 from .geometry import CellGeometry
 from .layer_ops import (
     BoundaryOperator,
@@ -195,8 +206,8 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
     The reference is the lowest-index entry whose magnitude is within 1e-8
     relative of the column maximum: on mirror-symmetric cells the largest |v|
-    is tied between mirrored nodes up to round-off, so a plain argmax would let
-    round-off choose the sign.
+    is tied between mirrored nodes (up to round-off where the cell's mirror
+    does not fix node 0), so a plain argmax would let round-off choose the sign.
     """
     mag = np.abs(vectors)
     idx = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
@@ -213,16 +224,95 @@ _EQUILIBRIUM_SOLVES = 3
 _EQUILIBRIUM_RESIDUAL = 1e-10
 
 
-def _equilibrium_mode(K: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Eigenpair of K* nearest 1/2, with the density scaled to unit mass."""
+@dataclass(frozen=True)
+class _Sector:
+    """An invariant subspace of the node mirror P: j -> -j mod n, by its orthonormal basis Q.
+
+    ``parity`` +1 is the even sector (e_0, (e_j + e_{n-j}) / sqrt 2 for
+    0 < j < n/2, e_{n/2}, in that order), -1 the odd one
+    ((e_j - e_{n-j}) / sqrt 2) and 0 the whole space (Q = I).
+    """
+
+    parity: int
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        """Q^T x along the first axis."""
+        if self.parity == 0:
+            return x
+        h = x.shape[0] // 2
+        pairs = (x[1:h] + self.parity * x[:h:-1]) * _SQRT_HALF
+        if self.parity < 0:
+            return pairs
+        out = np.empty((h + 1,) + x.shape[1:])
+        out[0], out[1:h], out[h] = x[0], pairs, x[h]
+        return out
+
+    def extend(self, y: np.ndarray) -> np.ndarray:
+        """Q y along the first axis."""
+        if self.parity == 0:
+            return y
+        h = y.shape[0] - self.parity
+        out = np.zeros((2 * h,) + y.shape[1:])
+        pairs = (y[1:h] if self.parity > 0 else y) * _SQRT_HALF
+        if self.parity > 0:
+            out[0], out[h] = y[0], y[h]
+        out[1:h] = pairs
+        out[:h:-1] = self.parity * pairs
+        return out
+
+    def block(self, A: np.ndarray) -> np.ndarray:
+        """Q^T A Q."""
+        return self.restrict(self.restrict(A).T).T
+
+
+_SQRT_HALF = np.sqrt(0.5)
+_WHOLE = (_Sector(0),)
+_MIRRORED = (_Sector(1), _Sector(-1))
+
+
+def _mirror_defect(A: np.ndarray) -> float:
+    """max |A - P A P| / max |A| for the node mirror P: j -> -j mod n.
+
+    Compared on slice views: the interior block of nodes 1..n/2-1 against
+    that of nodes n-1..n/2+1, the two cross blocks, and the rows and columns
+    of the fixed nodes 0 and n/2.
+    """
+    h = A.shape[0] // 2
+    lo, hi = slice(1, h), slice(None, h, -1)
+    pairs = ((A[lo, lo], A[hi, hi]), (A[lo, hi], A[hi, lo]),
+             (A[::h, lo], A[::h, hi]), (A[lo, ::h], A[hi, ::h]))
+    return max(float(np.abs(a - b).max()) for a, b in pairs) / float(np.abs(A).max())
+
+
+def _sectors(gram: np.ndarray, K: np.ndarray) -> tuple:
+    """The mirror sectors when gram and K* both commute with P, else the whole space.
+
+    On mirrored disks, ellipses and Fourier curves and their normal
+    perturbations the defect of K* stays below about eps * n^2 / 9 (its
+    near-diagonal entries cancel to that level) and that of the Gram matrix
+    below 1e-14; an asymmetric cell's is 1e-2 or more.
+    """
+    tolerance = np.finfo(float).eps * gram.shape[0] ** 2
+    if _mirror_defect(gram) <= tolerance and _mirror_defect(K) <= tolerance:
+        return _MIRRORED
+    return _WHOLE
+
+
+def _equilibrium_mode(K: np.ndarray, K_sector: np.ndarray, sector: _Sector,
+                      w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Eigenpair of K* nearest 1/2, by inverse iteration in the sector of the constant.
+
+    The density comes back at unit mass; the residual and mass checks use
+    the full K*.
+    """
     import scipy.linalg  # deferred, like scipy.special: importing the package stays scipy-free
 
-    n = w.size
-    lu = scipy.linalg.lu_factor(K - (0.5 + _EQUILIBRIUM_SHIFT) * np.eye(n))
-    psi = np.ones(n)
+    lu = scipy.linalg.lu_factor(K_sector - (0.5 + _EQUILIBRIUM_SHIFT) * np.eye(K_sector.shape[0]))
+    psi = sector.restrict(np.ones(w.size))
     for _ in range(_EQUILIBRIUM_SOLVES):
         psi = scipy.linalg.lu_solve(lu, psi)
         psi /= np.linalg.norm(psi)
+    psi = sector.extend(psi)
     k_psi = K @ psi
     lam0 = float(psi @ k_psi)
     residual = float(np.linalg.norm(k_psi - lam0 * psi))
@@ -237,7 +327,7 @@ def _equilibrium_mode(K: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _reflected_block(A: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
-    """Trailing (n-1)x(n-1) block of H A H for symmetric A and H = I - beta h h^T."""
+    """Trailing (m-1)x(m-1) block of H A H for symmetric A and H = I - beta h h^T."""
     p = beta * (A @ h)
     q = p - (0.5 * beta * (h @ p)) * h
     return A[1:, 1:] - np.outer(h[1:], q[1:]) - np.outer(q[1:], h[1:])
@@ -246,6 +336,11 @@ def _reflected_block(A: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
 def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
                    ) -> SpectralDecomposition:
     """Diagonalise K* in the -S inner product on the zero-mean sector.
+
+    Each mirror sector of the cell (or the whole space, on a cell that is
+    not mirror-symmetric) is solved on its own; the eigenvalues are merged in
+    descending order.  On mirrored cells the nu2 moment of every even mode and
+    the nu1 moment of every odd mode are exactly 0.
 
     Raises :class:`QuadratureFailure` if the Gram matrix is not positive
     definite there or the equilibrium mode cannot be resolved, either of
@@ -264,40 +359,63 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
 
     gram = -(w[:, None] * S)
     gram = 0.5 * (gram + gram.T)
-    B = gram @ K
-    B = 0.5 * (B + B.T)
+    values, densities, parities = [], [], []
+    for sector in _sectors(gram, K):
+        G = sector.block(gram)
+        K_sector = sector.block(K)
+        B = G @ K_sector
+        B = 0.5 * (B + B.T)
+        if sector.parity >= 0:
+            # the sector of the constant: columns 1.. of a Householder reflector
+            # H = I - beta h h^T with H w = -|w| e_0 (the weights are positive)
+            # span w^T x = 0 within it
+            w_sector = sector.restrict(w)
+            norm_w = np.linalg.norm(w_sector)
+            h = w_sector.copy()
+            h[0] += norm_w
+            beta = 1.0 / (norm_w * h[0])
+            G, B = _reflected_block(G, h, beta), _reflected_block(B, h, beta)
+            constant_sector, K_constant = sector, K_sector
+        try:
+            vals, vecs = scipy.linalg.eigh(B, G)
+        except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
+            raise QuadratureFailure(
+                "Gram matrix -W S is not positive definite on the zero-mean sector"
+            ) from exc
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        if sector.parity >= 0:
+            reflected = np.zeros((h.size, vecs.shape[1]))
+            reflected[1:] = vecs
+            reflected -= np.outer(beta * h, h[1:] @ vecs)
+            vecs = reflected
+        values.append(vals)
+        densities.append(sector.extend(vecs))
+        parities.append(np.full(vals.size, sector.parity))
+    # a stable merge of the descending sector spectra; take() keeps the
+    # densities in C order (a fancy column index gives F order, and the last
+    # bits of the moments below follow the layout)
+    order = np.argsort(-np.concatenate(values), kind="stable")
+    vals = np.concatenate(values)[order]
+    densities = _fix_signs(np.take(np.hstack(densities), order, axis=1))
 
-    # Householder reflector H = I - beta h h^T with H w = -|w| e_0 (the weights
-    # are positive): its columns 1..n-1 are an orthonormal basis of w^T x = 0
-    norm_w = np.linalg.norm(w)
-    h = w.copy()
-    h[0] += norm_w
-    beta = 1.0 / (norm_w * h[0])
-    try:
-        vals, vecs = scipy.linalg.eigh(_reflected_block(B, h, beta),
-                                       _reflected_block(gram, h, beta))
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
-        raise QuadratureFailure(
-            "Gram matrix -W S is not positive definite on the zero-mean sector"
-        ) from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    densities = np.zeros((w.size, vecs.shape[1]))
-    densities[1:] = vecs
-    densities -= np.outer(beta * h, h[1:] @ vecs)
-    densities = _fix_signs(densities)
-
-    lam0, psi0 = _equilibrium_mode(K, w)
+    lam0, psi0 = _equilibrium_mode(K, K_constant, constant_sector, w)
     eigenvalues = np.concatenate([[lam0], vals])
     eigendensities = np.column_stack([psi0, densities])
+    parity = np.concatenate([[constant_sector.parity], np.concatenate(parities)[order]])
     nu1 = gram @ cell.normals[:, 0]
     nu2 = gram @ cell.normals[:, 1]
+    moments_nu1 = eigendensities.T @ nu1
+    moments_nu2 = eigendensities.T @ nu2
+    # nu1 is even and nu2 odd under the mirror: their moments on the other
+    # sector vanish, and are set to the exact 0 rather than round-off
+    moments_nu1[parity < 0] = 0.0
+    moments_nu2[parity > 0] = 0.0
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         eigendensities=eigendensities,
-        moments_nu1=eigendensities.T @ nu1,
-        moments_nu2=eigendensities.T @ nu2,
+        moments_nu1=moments_nu1,
+        moments_nu2=moments_nu2,
         gram=gram,
         cell=cell,
         single_layer=S,
@@ -306,8 +424,42 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
 
 
 def decompose(cell: CellGeometry) -> SpectralDecomposition:
-    """Assemble S and K* on the cell and diagonalise K*: the pipeline's one entry."""
+    """Assemble S and K* on the cell and diagonalise K*: the pipeline's one entry.
+
+    A cell whose working set exceeds the byte budget is refused before
+    assembly (see :func:`check_working_set`).
+    """
+    check_working_set(cell.node_count)
     return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
+
+
+# float64 arrays live at once: n x n ones in a decomposition (9 at the peak of
+# n = 512, by tracemalloc) and samples x (n - 1) ones in a full mode sum over a
+# batch of contrasts (3 measured); and the most bytes a run may ask for
+_DENSE_ARRAYS = 10
+_BATCH_ARRAYS = 4
+_WORKING_SET_BYTES_MAX = 2**32
+
+
+def working_set_bytes(node_count: int, samples: int = 0) -> int:
+    """Estimated peak bytes of one decomposition at node_count nodes and one batch of samples contrasts."""
+    n = max(int(node_count), 0)
+    return 8 * (_DENSE_ARRAYS * n * n + _BATCH_ARRAYS * int(samples) * max(n - 1, 0))
+
+
+def check_working_set(node_count: int, samples: int = 0) -> None:
+    """Refuse, before anything is allocated, a run whose working set exceeds the byte budget.
+
+    Raises :class:`OutOfRangeError` naming the estimate and the limit.
+    """
+    need = working_set_bytes(node_count, samples)
+    if need > _WORKING_SET_BYTES_MAX:
+        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
+        with_samples = f" with {samples} sweep samples" if samples else ""
+        raise OutOfRangeError(
+            f"node_count {node_count}{with_samples} would need about {gib:.3g} GiB "
+            f"(limit {_WORKING_SET_BYTES_MAX / 2**30:g} GiB)"
+        )
 
 
 def _check_off_spectrum(decomposition: SpectralDecomposition, lam: complex):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, OutOfRangeError
+from .errors import CalibrationError, DomainError, OutOfRangeError
 from .resonance_sweep import CalibrationTable
 
 _REL_TOL = 1e-10
@@ -35,11 +35,11 @@ class CapsuleState:
 
     def __post_init__(self):
         if abs(self.L1 * self.L2 - self.r**2) > _REL_TOL * self.r**2:
-            raise ValueError("axes violate area conservation L1*L2 = r^2")
+            raise DomainError("axes violate area conservation L1*L2 = r^2")
         if abs(self.P - self.N * self.d) > _REL_TOL * self.P:
-            raise ValueError("perimeter and spacing violate P = N*d")
+            raise DomainError("perimeter and spacing violate P = N*d")
         if not 0.0 <= self.D < 1.0:
-            raise ValueError(f"deformation index {self.D} outside [0, 1)")
+            raise DomainError(f"deformation index {self.D} outside [0, 1)")
 
     @classmethod
     def from_perimeter(cls, r: float, N: int, P: float) -> "CapsuleState":
@@ -51,21 +51,21 @@ class CapsuleState:
 def deformation_index(L1: float, L2: float) -> float:
     """Taylor index (L1 - L2)/(L1 + L2) for L1 >= L2 > 0."""
     if L2 <= 0.0 or L1 < L2:
-        raise ValueError("axes must satisfy L1 >= L2 > 0")
+        raise DomainError("axes must satisfy L1 >= L2 > 0")
     return (L1 - L2) / (L1 + L2)
 
 
 def perimeter(L1: float, L2: float) -> float:
     """Ellipse perimeter approximation pi*sqrt(2)*sqrt(L1^2 + L2^2)."""
     if L1 <= 0.0 or L2 <= 0.0:
-        raise ValueError("axes must be positive")
+        raise DomainError("axes must be positive")
     return np.pi * np.sqrt(2.0) * np.hypot(L1, L2)
 
 
 def stretch_ratio(r: float, L1: float) -> float:
     """Perimeter ratio of the area-conserving ellipse with major axis L1 to the circle."""
     if L1 < r:
-        raise ValueError("major axis cannot be smaller than the undeformed radius")
+        raise DomainError("major axis cannot be smaller than the undeformed radius")
     return perimeter(L1, r**2 / L1) / (2.0 * np.pi * r)
 
 

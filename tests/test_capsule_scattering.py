@@ -6,7 +6,7 @@ from scipy.special import h2vp, hankel2, jv, jvp, yn
 from metastrain import extinction_spectrum
 from metastrain import capsule_scattering
 from metastrain.dispersion import contrast_values, omega_from_wavelength
-from metastrain.errors import OutOfRangeError, QuadratureFailure
+from metastrain.errors import DomainError, MetastrainError, OutOfRangeError, QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
 
 import mpmath_literals
@@ -255,3 +255,9 @@ def test_ladder_memory_guard_refuses_before_allocating(disk128_dec, water_gold, 
     lams = np.linspace(6.5e-7, 1.7e-6, 16)
     with pytest.raises(OutOfRangeError, match=r"too large: the Bessel ladder would need .* MiB"):
         extinction_spectrum(1.0, water_gold, disk128_dec, 5e-9, lams)
+
+
+def test_non_positive_size_parameter_is_a_package_error():
+    with pytest.raises(DomainError) as info:
+        capsule_scattering._check_size_parameter(np.array([K, 0.0]), R)
+    assert isinstance(info.value, MetastrainError) and isinstance(info.value, ValueError)

@@ -390,3 +390,31 @@ def test_first_decomposition_loads_scipy_linalg(disk256_dec):
     loaded, eigenvalues = run_fresh(code).split()
     assert loaded == "True"
     assert bytes.fromhex(eigenvalues) == disk256_dec.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eigs", {"geometry": {"node_count": 512}}),
+    ("validate", {"geometry": {"node_count": 512}}),
+    ("sweep", {"sweep": {"samples": 20000}}),
+    ("scatter", {"sweep": {"samples": 20000}}),
+], ids=["eigs_nodes", "validate_nodes", "sweep_samples", "scatter_samples"])
+def test_working_set_over_budget_is_a_domain_error(tmp_path, capsys, monkeypatch, command, extra):
+    # a 10 MiB budget stands in for the real one, so that a broken guard
+    # allocates tens of MiB rather than gigabytes
+    from metastrain import spectral
+
+    monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", 10 * 2**20)
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: node_count") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_working_set_counts_samples_only_where_swept(tmp_path, monkeypatch):
+    from metastrain import spectral
+
+    monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", 10 * 2**20)
+    cfg = write_config(tmp_path, {"sweep": {"samples": 20000}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "eigs"]) == 0

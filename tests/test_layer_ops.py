@@ -10,7 +10,7 @@ from metastrain import (
     make_ellipse_cell,
     make_smooth_cell,
 )
-from metastrain.errors import EvaluationDistanceError
+from metastrain.errors import DomainError, EvaluationDistanceError, MetastrainError
 from metastrain.layer_ops import log_quadrature_matrix
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
 
@@ -373,3 +373,9 @@ def test_neville_keeps_complex_intercept():
     value = neville_to_zero(xs, ys)
     assert isinstance(value, complex)
     assert value == pytest.approx(coeffs[-1], abs=1e-10)
+
+
+def test_odd_log_quadrature_is_a_package_error():
+    with pytest.raises(DomainError) as info:
+        log_quadrature_matrix(33)
+    assert isinstance(info.value, MetastrainError) and isinstance(info.value, ValueError)

@@ -8,7 +8,7 @@ from metastrain import (
     shape_derivative,
     validate_shape_derivative,
 )
-from metastrain.errors import DegenerateModeError
+from metastrain.errors import DegenerateModeError, DomainError, MetastrainError
 from metastrain.shape_deriv import SIGN_CONVENTIONS
 
 
@@ -105,3 +105,14 @@ def test_report_fields(ellipse_report, ellipse128_dec):
     assert ellipse_report.base_eigenvalue == pytest.approx(
         ellipse128_dec.eigenvalues[ellipse_report.mode_index])
     assert set(ellipse_report.predicted_slopes) == set(SIGN_CONVENTIONS)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dec: shape_derivative(dec, dec.cell, 1, sign="sideways"),
+    lambda dec: shape_derivative(dec, dec.cell, 0),
+    lambda dec: validate_shape_derivative(dec.cell, 1, []),
+], ids=["sign", "equilibrium", "eta_ladder"])
+def test_domain_errors_are_package_errors(call, disk128_dec):
+    with pytest.raises(DomainError) as info:
+        call(disk128_dec)
+    assert isinstance(info.value, MetastrainError) and isinstance(info.value, ValueError)

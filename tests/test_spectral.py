@@ -14,9 +14,10 @@ from metastrain import (
     make_disk_cell,
     make_ellipse_cell,
     make_smooth_cell,
+    perturb_normal,
     resolvent_density,
 )
-from metastrain.errors import DomainError, QuadratureFailure, ResonanceError
+from metastrain.errors import DomainError, OutOfRangeError, QuadratureFailure, ResonanceError
 from metastrain.validate import off_surface_normal_derivative
 
 PROBE = 0.8  # real contrast comfortably off the spectrum
@@ -324,7 +325,8 @@ def test_real_mode_sums_match_complex_formula(make_cell, water_gold):
                            [PROBE, -0.3, 3.0, 0.7 + 0.02j, -2.0 + 1e-3j, 1e3 + 1e3j]])
     for moments in (dec.moments_nu2, dec.moments_nu1):
         expected, scale = complex_mode_sums(dec, lams, moments)
-        assert np.max(np.abs(_mode_sums(dec, lams, moments) - expected) / scale) < 1e-14
+        # on a mirrored cell every term of the nu1 cross sum is exactly 0, and so is its scale
+        assert np.all(np.abs(_mode_sums(dec, lams, moments) - expected) <= 1e-14 * scale)
     expected, _ = complex_mode_sums(dec, lams, dec.moments_nu2)
     assert np.max(np.abs(_mode_sums(dec, lams, dec.moments_nu2) - expected)
                   / np.abs(expected)) < 1e-14
@@ -400,3 +402,145 @@ def test_mismatched_cells_rejected(disk256_ops):
         eigendecompose(single, bad_adjoint)
     with pytest.raises(DomainError, match="component"):
         alpha_field(other, PROBE, 3, [0.0, 2.0])
+
+
+# ------------------------------------------------------------ mirror sectors
+
+# a mirror-symmetric curve in the range of the benchmark's shape workload
+BENCH_CURVE = [0.0, 0.33, 0.012, -0.006, 0.0, 0.0, 0.008, -0.015]
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Orders of the generalized eigh calls made while the test runs."""
+    sizes = []
+    original = scipy.linalg.eigh
+
+    def recorded(a, b=None, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+    return sizes
+
+
+def shifted_origin(cell):
+    """The same curve with its parameter origin moved by one node: c_k -> c_k exp(2 pi i k / n).
+
+    The node set is the same, but node j no longer mirrors to node -j, so the
+    decomposition takes the whole-space path: the oracle for the sector path.
+    """
+    coeffs = cell.parametrization.coefficients
+    k = np.rint(np.fft.fftfreq(coeffs.size) * coeffs.size)
+    return make_smooth_cell(coeffs * np.exp(2j * np.pi * k / cell.node_count),
+                            cell.period_ratio, cell.node_count)
+
+
+MIRRORED_CELLS = {
+    "disk": lambda: make_disk_cell(0.45, 1.0, 256),
+    "ellipse": lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128),
+    "fourier": lambda: make_smooth_cell(BENCH_CURVE, 1.3, 128),
+    "fourier+1e-2": lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), 1e-2),
+    "fourier-1e-2": lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), -1e-2),
+    "fourier+1e-3": lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), 1e-3),
+    "fourier-1e-3": lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), -1e-3),
+    "gap_0.01_n512": lambda: make_disk_cell(0.45, 0.91, 512),
+}
+
+
+@pytest.mark.parametrize("make_cell", MIRRORED_CELLS.values(), ids=MIRRORED_CELLS.keys())
+def test_mirror_sectors_match_whole_space_oracle(make_cell, water_gold, eigh_sizes):
+    from metastrain.spectral import alpha2_plus_batch
+
+    cell = make_cell()
+    n = cell.node_count
+    dec = decompose(cell)
+    assert eigh_sizes == [n // 2, n // 2 - 1]
+    oracle = decompose(shifted_origin(cell))
+    assert eigh_sizes[2:] == [n - 1]
+    radius = np.abs(oracle.eigenvalues).max()
+    assert np.abs(dec.eigenvalues - oracle.eigenvalues).max() <= 1e-13 * radius
+    lams = default_window(water_gold)
+    expected = alpha2_plus_batch(oracle, lams)
+    assert np.max(np.abs(alpha2_plus_batch(dec, lams) - expected) / np.abs(expected)) <= 1e-13
+    j = oracle.dominant_mode()
+    assert dec.dominant_mode() == j
+    assert dec.eigenvalues[j] == pytest.approx(oracle.eigenvalues[j], rel=1e-13)
+    assert abs(dec.moments_nu2[j]) == pytest.approx(abs(oracle.moments_nu2[j]), rel=1e-13)
+
+
+def test_mirror_sectors_give_parity_exact_moments(disk256_dec):
+    # the equilibrium mode and the 128 even zero-mean modes carry no nu2
+    # moment, the 127 odd ones no nu1 moment: exact zeros, not round-off
+    n = disk256_dec.mode_count
+    even = disk256_dec.moments_nu2 == 0.0
+    assert even.sum() == n // 2 + 1 and even[0]
+    assert np.array_equal(disk256_dec.moments_nu1 == 0.0, ~even)
+    dens = disk256_dec.eigendensities
+    mirrored = dens[(-np.arange(n)) % n]
+    assert np.array_equal(mirrored[:, even], dens[:, even])
+    assert np.array_equal(mirrored[:, ~even], -dens[:, ~even])
+
+
+def test_asymmetric_cell_takes_the_whole_space(eigh_sizes):
+    cell = make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128)
+    dec = decompose(cell)
+    assert eigh_sizes == [127]
+    assert np.all(dec.moments_nu2[1:] != 0.0)
+
+
+@pytest.mark.parametrize("parity", [1, -1], ids=["even", "odd"])
+def test_gram_failure_in_one_sector_reported(parity, eigh_sizes):
+    # a mirror-invariant rank-one update along (e_1 +- e_{n-1}) / sqrt 2 that
+    # makes the Gram matrix indefinite in that sector only
+    cell = make_disk_cell(0.45, 1.0, 64)
+    n = cell.node_count
+    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
+    gram = -(cell.weights[:, None] * single.matrix)
+    u = np.zeros(n)
+    u[1], u[n - 1] = np.sqrt(0.5), parity * np.sqrt(0.5)
+    gram = gram - 1e3 * np.abs(gram).max() * np.outer(u, u)
+    broken = dataclasses.replace(single, matrix=-gram / cell.weights[:, None])
+    with pytest.raises(QuadratureFailure, match="not positive definite"):
+        eigendecompose(broken, adjoint)
+    assert eigh_sizes == ([n // 2] if parity > 0 else [n // 2, n // 2 - 1])
+
+
+# ------------------------------------------------------------ memory guard
+
+def test_working_set_estimate():
+    from metastrain.spectral import working_set_bytes
+
+    assert working_set_bytes(256) == 8 * 10 * 256**2
+    assert working_set_bytes(256, 400) == 8 * (10 * 256**2 + 4 * 400 * 255)
+    # exact integer arithmetic: no overflow however large the request
+    assert working_set_bytes(10**400, 10**400) > 10**800
+    assert working_set_bytes(-10**6) == 0  # left to the node-count check
+
+
+@pytest.mark.parametrize("node_count, samples", [(8192, 0), (10**6, 0), (256, 10**9), (10**400, 0)],
+                         ids=["n8192", "n1e6", "samples1e9", "n1e400"])
+def test_working_set_over_budget_refused(node_count, samples):
+    from metastrain.spectral import check_working_set
+
+    with pytest.raises(OutOfRangeError, match="would need about .* GiB"):
+        check_working_set(node_count, samples)
+
+
+def test_working_set_of_supported_runs_accepted():
+    from metastrain.spectral import check_working_set
+
+    for node_count, samples in ((1024, 400), (4096, 1000), (256, 10**5)):
+        check_working_set(node_count, samples)
+
+
+def test_decompose_refuses_before_assembly(monkeypatch):
+    from metastrain import spectral
+
+    def no_assembly(cell):
+        raise AssertionError("assembled a cell over the byte budget")
+
+    monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", 8 * 10 * 64**2 - 1)
+    monkeypatch.setattr(spectral, "assemble_single_layer", no_assembly)
+    with pytest.raises(OutOfRangeError):
+        decompose(make_disk_cell(0.45, 1.0, 64))

@@ -10,7 +10,7 @@ from metastrain import (
     perimeter,
     stretch_ratio,
 )
-from metastrain.errors import CalibrationError, OutOfRangeError
+from metastrain.errors import CalibrationError, DomainError, MetastrainError, OutOfRangeError
 from metastrain.resonance_sweep import CalibrationRow, CalibrationTable
 
 R = 1e-6
@@ -177,3 +177,17 @@ def test_composite_map_monotone(water_gold):
     L1s = [axes_from_perimeter(r, N * p * delta)[0] for p in periods]
     assert np.all(np.diff(L1s) > 0)
     assert np.all(np.diff(lams) < 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: deformation_index(R, -R),
+    lambda: perimeter(-R, R),
+    lambda: stretch_ratio(R, 0.5 * R),
+    lambda: CapsuleState(r=R, N=10, L1=2 * R, L2=R, D=0.3, P=1.0, d=0.1),
+    lambda: CapsuleState(r=R, N=10, L1=2 * R, L2=R / 2, D=0.6, P=1.0, d=0.2),
+    lambda: CapsuleState(r=R, N=10, L1=2 * R, L2=R / 2, D=1.5, P=1.0, d=0.1),
+], ids=["index_axes", "perimeter_axes", "stretch_axis", "area", "spacing", "index_range"])
+def test_domain_errors_are_package_errors(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert isinstance(info.value, MetastrainError) and isinstance(info.value, ValueError)
