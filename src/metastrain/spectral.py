@@ -8,15 +8,18 @@ trailing columns of one Householder reflector H with H w parallel to e_0, so
 its blocks of H G H and H B H come from rank-2 updates and the densities map
 back with one rank-1 update.
 
-A cell mirror-symmetric about the line through node 0 parallel to the grating
-(the disk, the ellipse, real-coefficient curves) gives G and K* that commute
-with the node mirror P: j -> -j mod n, because the lattice kernel is even in
-both offsets.  When both matrices pass that test to a relative defect of
-eps * n^2, the problem splits over the orthonormal orbit basis into an even
-sector (e_0, e_{n/2} and (e_j + e_{n-j}) / sqrt 2, which holds the constant
-and the zero-mean constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2):
-two generalized eigh calls of about n/2 instead of one of n - 1.  Every other
-cell takes the whole space as its one sector.
+A cell mirror-symmetric about a line through node 0 parallel or normal to
+the grating (the disk, the ellipse, real-coefficient curves; purely imaginary
+ones) gives G and K* that commute with the node mirror P: j -> -j mod n,
+because the lattice kernel is even in both offsets.  When both matrices pass
+that test to a relative defect of eps * n^2 / 4, the problem splits over the
+orthonormal orbit basis into an even sector (e_0, e_{n/2} and
+(e_j + e_{n-j}) / sqrt 2, which holds the constant and the zero-mean
+constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2): two generalized
+eigh calls of about n/2 instead of one of n - 1.  Every other cell takes the
+whole space as its one sector.  Which normal moments vanish on a sector is
+read off the moment vectors W S nu_l, not assumed: the mirror parallel to the
+grating makes nu1 even and nu2 odd, the one normal to it the reverse.
 
 The equilibrium mode (eigenvalue 1/2, non-zero mean) is found by shifted
 inverse iteration in the sector of the constant: one LU of
@@ -284,18 +287,40 @@ def _mirror_defect(A: np.ndarray) -> float:
     return max(float(np.abs(a - b).max()) for a, b in pairs) / float(np.abs(A).max())
 
 
-def _sectors(gram: np.ndarray, K: np.ndarray) -> tuple:
-    """The mirror sectors when gram and K* both commute with P, else the whole space.
+def _mirror_tolerance(n: int) -> float:
+    """Relative mirror defect up to which a cell of n nodes is solved as mirrored.
 
     On mirrored disks, ellipses and Fourier curves and their normal
-    perturbations the defect of K* stays below about eps * n^2 / 9 (its
-    near-diagonal entries cancel to that level) and that of the Gram matrix
-    below 1e-14; an asymmetric cell's is 1e-2 or more.
+    perturbations the defect of K* stays below about 0.15 eps * n^2 (0.18
+    once in 400 perturbed bench curves; its near-diagonal entries cancel to
+    that level) and that of the Gram matrix below 1e-14; an asymmetric
+    cell's is 1e-2 or more.  A cell asymmetric by
+    less than this (1.5e-11 at n = 256, 5.8e-11 at n = 1024) is solved as
+    mirrored: its cross-sector couplings of that relative size are dropped.
     """
-    tolerance = np.finfo(float).eps * gram.shape[0] ** 2
+    return 0.25 * np.finfo(float).eps * n * n
+
+
+def _sectors(gram: np.ndarray, K: np.ndarray) -> tuple:
+    """The mirror sectors when gram and K* both commute with P, else the whole space."""
+    tolerance = _mirror_tolerance(gram.shape[0])
     if _mirror_defect(gram) <= tolerance and _mirror_defect(K) <= tolerance:
         return _MIRRORED
     return _WHOLE
+
+
+def _clear_vanishing_moments(moments: np.ndarray, parity: np.ndarray, sectors: tuple,
+                             vector: np.ndarray) -> None:
+    """Set to exactly 0 the moments <phi_j, vector> of every sector that vector misses.
+
+    A sector is missed when the projection Q^T vector is below the mirror
+    tolerance of max |vector|; the moments there are then round-off.  The
+    whole space is never missed by a non-zero vector.
+    """
+    scale = _mirror_tolerance(vector.size) * np.abs(vector).max()
+    for sector in sectors:
+        if np.abs(sector.restrict(vector)).max() <= scale:
+            moments[parity == sector.parity] = 0.0
 
 
 def _equilibrium_mode(K: np.ndarray, K_sector: np.ndarray, sector: _Sector,
@@ -339,8 +364,10 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
 
     Each mirror sector of the cell (or the whole space, on a cell that is
     not mirror-symmetric) is solved on its own; the eigenvalues are merged in
-    descending order.  On mirrored cells the nu2 moment of every even mode and
-    the nu1 moment of every odd mode are exactly 0.
+    descending order.  On mirrored cells the moments of a normal component
+    on the sector its moment vector misses are exactly 0: the nu2 moments of
+    the even modes and the nu1 moments of the odd ones when the mirror is
+    parallel to the grating, the other way round when it is normal to it.
 
     Raises :class:`QuadratureFailure` if the Gram matrix is not positive
     definite there or the equilibrium mode cannot be resolved, either of
@@ -360,7 +387,8 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     gram = -(w[:, None] * S)
     gram = 0.5 * (gram + gram.T)
     values, densities, parities = [], [], []
-    for sector in _sectors(gram, K):
+    sectors = _sectors(gram, K)
+    for sector in sectors:
         G = sector.block(gram)
         K_sector = sector.block(K)
         B = G @ K_sector
@@ -407,10 +435,8 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     nu2 = gram @ cell.normals[:, 1]
     moments_nu1 = eigendensities.T @ nu1
     moments_nu2 = eigendensities.T @ nu2
-    # nu1 is even and nu2 odd under the mirror: their moments on the other
-    # sector vanish, and are set to the exact 0 rather than round-off
-    moments_nu1[parity < 0] = 0.0
-    moments_nu2[parity > 0] = 0.0
+    _clear_vanishing_moments(moments_nu1, parity, sectors, nu1)
+    _clear_vanishing_moments(moments_nu2, parity, sectors, nu2)
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         eigendensities=eigendensities,
@@ -441,18 +467,16 @@ _BATCH_ARRAYS = 4
 _WORKING_SET_BYTES_MAX = 2**32
 
 
-def working_set_bytes(node_count: int, samples: int = 0) -> int:
-    """Estimated peak bytes of one decomposition at node_count nodes and one batch of samples contrasts."""
-    n = max(int(node_count), 0)
-    return 8 * (_DENSE_ARRAYS * n * n + _BATCH_ARRAYS * int(samples) * max(n - 1, 0))
-
-
 def check_working_set(node_count: int, samples: int = 0) -> None:
     """Refuse, before anything is allocated, a run whose working set exceeds the byte budget.
 
-    Raises :class:`OutOfRangeError` naming the estimate and the limit.
+    The estimate counts, in exact integers, the live n x n arrays of one
+    decomposition and the samples x (n - 1) ones of one batch of contrasts;
+    a negative count is left to the node-count check.  Raises
+    :class:`OutOfRangeError` naming the estimate and the limit.
     """
-    need = working_set_bytes(node_count, samples)
+    n = max(int(node_count), 0)
+    need = 8 * (_DENSE_ARRAYS * n * n + _BATCH_ARRAYS * int(samples) * max(n - 1, 0))
     if need > _WORKING_SET_BYTES_MAX:
         gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
         with_samples = f" with {samples} sweep samples" if samples else ""

@@ -125,7 +125,13 @@ def _far_field_checks(dec: SpectralDecomposition) -> list[CheckResult]:
         return [CheckResult("alpha_far_field_limits", False, np.inf, 0.0, detail=str(exc))]
     results = []
     if _up_down_symmetric(cell):
-        a1 = abs(limits.alpha1_plus)
+        # from the moments as computed: the decomposition sets those that a
+        # mirror makes round-off to exact zeros, and with them every nu1 nu2
+        # product, so its own alpha1 vanishes by construction
+        computed = dec.eigendensities.T @ (dec.gram @ cell.normals)
+        uncleared = dataclasses.replace(dec, moments_nu1=computed[:, 0],
+                                        moments_nu2=computed[:, 1])
+        a1 = abs(alpha_infinity(uncleared, PROBE_CONTRAST).alpha1_plus)
         results.append(CheckResult("alpha1_mirror_symmetry", a1 < 1e-8, a1, 1e-8,
                                    detail="up-down symmetric cell"))
     far_tol = max(10.0 * np.exp(-2.0 * np.pi * FAR_FIELD_HEIGHT / cell.period_ratio), 5e-11)

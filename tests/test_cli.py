@@ -325,6 +325,20 @@ def test_validate_asymmetric_fourier_curve_passes(tmp_path, capsys):
     assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
 
 
+def test_validate_disk_with_node0_on_top_passes(tmp_path, capsys):
+    # the node mirror j -> -j is xi1 -> -xi1 here, so nu2 is even under it:
+    # the far-field and moment checks fail if its moments are cleared as odd
+    cfg = write_config(tmp_path, {"geometry": {
+        "shape": "fourier", "fourier_coefficients": [[0.0, 0.0], [0.0, 0.45], [0.0, 0.0]],
+        "period": 1.0, "node_count": 128}})
+    code = main(["--config", str(cfg), "validate"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    names = [line.split()[1] for line in lines[:-1]]
+    assert "moment_identity" in names and "alpha_far_field_limits" in names
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
+
+
 def test_unresolved_mode_above_one_half_exits_4(tmp_path, capsys):
     # at a gap of 0.005, n = 256 gives a zero-mean eigenvalue of 0.512: no
     # sweep peak can be trusted, while a gap of 0.01 still resolves

@@ -445,6 +445,9 @@ MIRRORED_CELLS = {
     "fourier+1e-3": lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), 1e-3),
     "fourier-1e-3": lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), -1e-3),
     "gap_0.01_n512": lambda: make_disk_cell(0.45, 0.91, 512),
+    # mirrored about the vertical line through node 0: nu1 odd, nu2 even
+    "disk_node0_on_top": lambda: make_smooth_cell([0.0, 0.45j, 0.0], 1.0, 256),
+    "fourier_left_right": lambda: make_smooth_cell(1j * np.array(BENCH_CURVE), 1.3, 128),
 }
 
 
@@ -469,14 +472,23 @@ def test_mirror_sectors_match_whole_space_oracle(make_cell, water_gold, eigh_siz
     assert abs(dec.moments_nu2[j]) == pytest.approx(abs(oracle.moments_nu2[j]), rel=1e-13)
 
 
-def test_mirror_sectors_give_parity_exact_moments(disk256_dec):
-    # the equilibrium mode and the 128 even zero-mean modes carry no nu2
-    # moment, the 127 odd ones no nu1 moment: exact zeros, not round-off
-    n = disk256_dec.mode_count
-    even = disk256_dec.moments_nu2 == 0.0
+@pytest.mark.parametrize("coefficient, empty_on_even, empty_on_odd", [
+    (0.45, "moments_nu2", "moments_nu1"),
+    (0.45j, "moments_nu1", "moments_nu2"),
+], ids=["parallel_to_grating", "normal_to_grating"])
+def test_mirror_sectors_give_parity_exact_moments(coefficient, empty_on_even, empty_on_odd,
+                                                  eigh_sizes):
+    # node 0 on the right, the mirror j -> -j is xi2 -> -xi2: the equilibrium
+    # mode and the 128 even zero-mean modes carry no nu2 moment, the 127 odd
+    # ones no nu1 moment; node 0 on top (xi1 -> -xi1) the other way round.
+    # Exact zeros, not round-off
+    dec = decompose(make_smooth_cell([0.0, coefficient, 0.0], 1.0, 256))
+    n = dec.mode_count
+    assert eigh_sizes == [n // 2, n // 2 - 1]
+    even = getattr(dec, empty_on_even) == 0.0
     assert even.sum() == n // 2 + 1 and even[0]
-    assert np.array_equal(disk256_dec.moments_nu1 == 0.0, ~even)
-    dens = disk256_dec.eigendensities
+    assert np.array_equal(getattr(dec, empty_on_odd) == 0.0, ~even)
+    dens = dec.eigendensities
     mirrored = dens[(-np.arange(n)) % n]
     assert np.array_equal(mirrored[:, even], dens[:, even])
     assert np.array_equal(mirrored[:, ~even], -dens[:, ~even])
@@ -508,14 +520,25 @@ def test_gram_failure_in_one_sector_reported(parity, eigh_sizes):
 
 # ------------------------------------------------------------ memory guard
 
-def test_working_set_estimate():
-    from metastrain.spectral import working_set_bytes
+@pytest.mark.parametrize("node_count, samples, need", [
+    (256, 0, 8 * 10 * 256**2),
+    (256, 400, 8 * (10 * 256**2 + 4 * 400 * 255)),
+], ids=["nodes", "nodes_and_samples"])
+def test_working_set_estimate_is_the_budget_edge(monkeypatch, node_count, samples, need):
+    from metastrain import spectral
 
-    assert working_set_bytes(256) == 8 * 10 * 256**2
-    assert working_set_bytes(256, 400) == 8 * (10 * 256**2 + 4 * 400 * 255)
-    # exact integer arithmetic: no overflow however large the request
-    assert working_set_bytes(10**400, 10**400) > 10**800
-    assert working_set_bytes(-10**6) == 0  # left to the node-count check
+    monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", need)
+    spectral.check_working_set(node_count, samples)
+    monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", need - 1)
+    with pytest.raises(OutOfRangeError):
+        spectral.check_working_set(node_count, samples)
+
+
+def test_working_set_negative_count_left_to_node_check(monkeypatch):
+    from metastrain import spectral
+
+    monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", 0)
+    spectral.check_working_set(-10**6)
 
 
 @pytest.mark.parametrize("node_count, samples", [(8192, 0), (10**6, 0), (256, 10**9), (10**400, 0)],

@@ -32,3 +32,15 @@ def test_residual_near_tolerance_prints_its_value():
     line = CheckResult("trace_formulae_fd", False, 2.388e-06, 1e-6, detail="x").line()
     assert line == "FAIL  trace_formulae_fd            residual=2.388e-06 tol=1.0e-06  x"
     assert "residual=      inf" in CheckResult("eigendecomposition", False, np.inf, 0.0).line()
+
+
+def test_alpha1_mirror_check_reads_the_moments_as_computed(disk128_dec):
+    # the decomposition of a mirrored disk clears every nu1 nu2 product to
+    # an exact 0; the check sums the products of the computed moments, so its
+    # residual is round-off rather than 0 by construction
+    from metastrain.validate import _far_field_checks
+
+    assert np.count_nonzero(disk128_dec.moments_nu1 * disk128_dec.moments_nu2) == 0
+    check = _far_field_checks(disk128_dec)[0]
+    assert check.name == "alpha1_mirror_symmetry" and check.passed
+    assert 0.0 < check.residual < 1e-12
