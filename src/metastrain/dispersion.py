@@ -98,13 +98,18 @@ def contrast_values(omega, material: MaterialParams):
     return (material.mu_m + mu_c) / (2.0 * diff)
 
 
+def resonance_radicand(lambda_j, material: MaterialParams):
+    """(lambda_j + 1/2)*omega_p^2 - 1/(4 T^2), the square of Re omega; vectorised."""
+    return (lambda_j + 0.5) * material.omega_p**2 - 0.25 / material.collision_time**2
+
+
 def resonance_frequency(lambda_j: float, material: MaterialParams) -> float:
     """Real part of the frequency solving lambda_j = lam(omega).
 
     Closed form (Re omega)^2 = (lambda_j + 1/2)*omega_p^2 - 1/(4 T^2); modes
     with a non-positive right-hand side are overdamped and rejected.
     """
-    radicand = (lambda_j + 0.5) * material.omega_p**2 - 0.25 / material.collision_time**2
+    radicand = resonance_radicand(lambda_j, material)
     if radicand <= 0.0:
         raise OverdampedModeError(
             f"mode with eigenvalue {lambda_j} has no real resonance frequency"

@@ -23,7 +23,10 @@ with the plain trapezoidal rule.  The K* kernel is smooth on an analytic
 curve; its coincidence limit is the classical curvature term kappa/(4pi).
 
 Both kernels are evaluated in real arithmetic from u + iv = pi*(x_i - x_j)/L,
-once per unordered node pair.  The free-space split cancels exactly:
+once per unordered node pair, in one pass: ``assemble_single_layer`` builds K*
+alongside S and leaves it on the cell object for the next
+``assemble_np_adjoint`` call on that cell, which takes it; a cell without one
+runs that same pass, so K* has one assembly path.  The free-space split cancels exactly:
 
 * S, off the diagonal: ln|delta|^2 of the free-space factor cancels the one
   in the lattice remainder R, so the smooth part is
@@ -92,8 +95,11 @@ def log_quadrature_matrix(n: int) -> np.ndarray:
     symbol[1:-1] = -1.0 / np.arange(1, n // 2)
     symbol[-1] = -2.0 / n
     row = np.fft.irfft(symbol, n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return row[idx]
+    # entry (i, j) is row[(i - j) mod n]: window n - 1 - i of the reversed row
+    # taken twice, copied from a strided view rather than gathered by index
+    rev = row[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
+    return windows[::-1].copy()
 
 
 def _upper_pairs(cell: CellGeometry):
@@ -110,45 +116,74 @@ def _upper_pairs(cell: CellGeometry):
     return i, j, u, np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD), excess
 
 
+# instance attribute under which a cell holds the K* built with its S until
+# assemble_np_adjoint takes it (not a field: dataclasses.replace drops it)
+_PENDING_ADJOINT = "_pending_np_adjoint"
+
+
 def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
-    """Matrix of the periodic single-layer potential on the cell's nodes."""
+    """Matrix of the periodic single-layer potential on the cell's nodes.
+
+    The same pass over the node pairs also builds K*, which waits on the cell
+    object for the next :func:`assemble_np_adjoint` call on it.
+    """
     n = cell.node_count
     s = cell.speeds
+    nu = cell.normals
     i, j, u, v, excess = _upper_pairs(cell)
+    sin_u, sinh_v = np.sin(u), np.sinh(v)
+    s2 = sin_u**2 + sinh_v**2
+
+    # K*: grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd
+    # in the pair, so entry (j, i) has nu_j and the opposite sign
+    den = 2.0 * cell.period_ratio * s2
+    g1 = sin_u * np.cos(u)
+    g1 /= den
+    g2 = sinh_v * np.cosh(v)
+    g2 /= den
+    # pair arrays go as soon as they are used, and the scalings below run in
+    # place, so building both matrices peaks lower than S alone did
+    del u, v, sin_u, sinh_v, den
 
     # smooth part G - (1/4pi) ln(4 sin^2((t_i - t_j)/2)); t_j - t_i = 2pi (j - i)/n,
     # and beyond the guard G keeps growing like |v|/(2pi)
     canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    pair = np.log((np.sin(u) ** 2 + np.sinh(v) ** 2) / canonical[j - i]) / (4.0 * np.pi)
+    pair = np.log(s2 / canonical[j - i]) / (4.0 * np.pi)
     pair += excess / (2.0 * np.pi)
+    del s2, excess
+    adjoint = np.empty((n, n))
+    adjoint[i, j] = nu[i, 0] * g1 + nu[i, 1] * g2
+    adjoint[j, i] = -(nu[j, 0] * g1 + nu[j, 1] * g2)
+    del g1, g2
+    np.fill_diagonal(adjoint, cell.curvatures / (4.0 * np.pi))
+    adjoint *= 2.0 * np.pi / n
+    adjoint *= s[None, :]
     smooth = np.empty((n, n))
     smooth[i, j] = pair
     smooth[j, i] = pair
+    del i, j, pair
     np.fill_diagonal(smooth, np.log(s**2) / (4.0 * np.pi)
                      + np.log(np.pi / cell.period_ratio) / (2.0 * np.pi))
 
-    matrix = (0.5 * log_quadrature_matrix(n) + (2.0 * np.pi / n) * smooth) * s[None, :]
+    # (0.5 Q + (2pi/n) smooth) * s
+    matrix = log_quadrature_matrix(n)
+    matrix *= 0.5
+    smooth *= 2.0 * np.pi / n
+    matrix += smooth
+    matrix *= s[None, :]
+    cell.__dict__[_PENDING_ADJOINT] = adjoint
     return BoundaryOperator(matrix=matrix, cell=cell)
 
 
 def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
-    """Matrix of K*, the periodic Neumann-Poincare operator."""
-    n = cell.node_count
-    i, j, u, v, _ = _upper_pairs(cell)
+    """Matrix of K*, the periodic Neumann-Poincare operator.
 
-    # grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd in the pair
-    sin_u, sinh_v = np.sin(u), np.sinh(v)
-    den = 2.0 * cell.period_ratio * (sin_u**2 + sinh_v**2)
-    g1 = sin_u * np.cos(u) / den
-    g2 = sinh_v * np.cosh(v) / den
-    nu = cell.normals
-    kernel = np.empty((n, n))
-    kernel[i, j] = nu[i, 0] * g1 + nu[i, 1] * g2
-    kernel[j, i] = -(nu[j, 0] * g1 + nu[j, 1] * g2)
-    np.fill_diagonal(kernel, cell.curvatures / (4.0 * np.pi))
-
-    matrix = (2.0 * np.pi / n) * kernel * cell.speeds[None, :]
-    return BoundaryOperator(matrix=matrix, cell=cell)
+    Takes the matrix that :func:`assemble_single_layer` left on this cell
+    object, so the cell keeps no copy; without one, runs that pass first.
+    """
+    if _PENDING_ADJOINT not in cell.__dict__:
+        assemble_single_layer(cell)
+    return BoundaryOperator(matrix=cell.__dict__.pop(_PENDING_ADJOINT), cell=cell)
 
 
 def assemble_np(np_adjoint: BoundaryOperator) -> BoundaryOperator:

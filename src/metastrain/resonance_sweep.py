@@ -12,9 +12,9 @@ from .dispersion import (
     MaterialParams,
     contrast_values,
     omega_from_wavelength,
-    resonance_frequency,
+    resonance_radicand,
 )
-from .errors import DomainError, OverdampedModeError
+from .errors import DomainError
 from .geometry import make_disk_cell
 from .spectral import SpectralDecomposition, alpha2_plus_batch, decompose
 
@@ -57,19 +57,24 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
     return dataclasses.replace(curve, peaks=tuple(find_peaks(curve)))
 
 
-def _nearest_mode(curve: ResonanceCurve, peak_wavelength: float) -> int | None:
-    omega_peak = omega_from_wavelength(peak_wavelength, curve.material)
-    best, best_gap = None, np.inf
-    for j, lam_j in enumerate(curve.eigenvalues):
-        if j == 0:
-            continue  # equilibrium mode carries no normal moment
-        try:
-            gap = abs(resonance_frequency(lam_j, curve.material) - omega_peak)
-        except OverdampedModeError:
-            continue
-        if gap < best_gap:
-            best, best_gap = j, gap
-    return best
+def _resonances(curve: ResonanceCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Modes j >= 1 that are not overdamped, and their real resonance frequencies.
+
+    The closed form of ``dispersion.resonance_frequency`` over all modes at once; the
+    equilibrium mode j = 0 carries no normal moment.
+    """
+    radicand = resonance_radicand(curve.eigenvalues[1:], curve.material)
+    modes = np.flatnonzero(radicand > 0.0) + 1
+    return modes, np.sqrt(radicand[modes - 1])
+
+
+def _nearest_mode(resonances: tuple[np.ndarray, np.ndarray], omega_peak: float) -> int | None:
+    """First mode whose resonance frequency is nearest omega_peak; None if no gap is finite."""
+    modes, frequencies = resonances
+    gaps = np.abs(frequencies - omega_peak)
+    if not (gaps.size and gaps.min() < np.inf):
+        return None
+    return int(modes[np.argmin(gaps)])
 
 
 def find_peaks(curve: ResonanceCurve) -> list[Peak]:
@@ -80,9 +85,9 @@ def find_peaks(curve: ResonanceCurve) -> list[Peak]:
         raise DomainError("peak finding needs at least 3 samples")
     peaks = []
     logm = np.log(mag)
-    for i in range(1, lam.size - 1):
-        if not (mag[i] > mag[i - 1] and mag[i] > mag[i + 1]):
-            continue
+    maxima = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])) + 1
+    resonances = _resonances(curve)
+    for i in maxima:
         denom = logm[i - 1] - 2.0 * logm[i] + logm[i + 1]
         if denom == 0.0:
             offset = 0.0
@@ -91,10 +96,11 @@ def find_peaks(curve: ResonanceCurve) -> list[Peak]:
         h = lam[i + 1] - lam[i]
         refined_lam = lam[i] + offset * h
         refined_mag = np.exp(logm[i] - 0.25 * (logm[i - 1] - logm[i + 1]) * offset)
+        omega_peak = omega_from_wavelength(float(refined_lam), curve.material)
         peaks.append(Peak(
             wavelength=float(refined_lam),
             magnitude=float(refined_mag),
-            mode_index=_nearest_mode(curve, float(refined_lam)),
+            mode_index=_nearest_mode(resonances, omega_peak),
         ))
     return peaks
 

@@ -8,6 +8,7 @@ equally spaced so P = N*d, and the orientation angle is always zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +104,13 @@ def axes_from_perimeter(r: float, P_target: float) -> tuple[float, float]:
     return L1, L2
 
 
-def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationTable,
-                               r: float, N: int, delta_phys: float) -> CapsuleState:
-    """Measured peak wavelength to full capsule state through the calibration table.
+@functools.lru_cache(maxsize=1)
+def _peak_to_period(calibration: CalibrationTable):
+    """Knot peak wavelengths in ascending order and the monotone map peak -> period.
 
-    Monotone piecewise-cubic interpolation maps the peak back to a period
-    ratio, the physical spacing follows as ratio * delta_phys, and the axes
-    come from the perimeter inversion.
+    Built once per table: inverting several peaks against one table checks,
+    sorts and interpolates it once.  A table that fails a check raises on
+    every call, since exceptions are not cached.
     """
     from scipy.interpolate import PchipInterpolator  # deferred: only inversion needs it
 
@@ -122,12 +123,24 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
     per = calibration.periods()
     order = np.argsort(lam)
     lam, per = lam[order], per[order]
+    return lam, PchipInterpolator(lam, per)
+
+
+def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationTable,
+                               r: float, N: int, delta_phys: float) -> CapsuleState:
+    """Measured peak wavelength to full capsule state through the calibration table.
+
+    Monotone piecewise-cubic interpolation maps the peak back to a period
+    ratio, the physical spacing follows as ratio * delta_phys, and the axes
+    come from the perimeter inversion.
+    """
+    lam, period_of_peak = _peak_to_period(calibration)
     if not lam[0] <= peak_wavelength <= lam[-1]:
         raise OutOfRangeError(
             f"peak wavelength {peak_wavelength:.6g} m outside the calibrated range "
             f"[{lam[0]:.6g}, {lam[-1]:.6g}] m",
             lo=float(lam[0]), hi=float(lam[-1]),
         )
-    ratio = float(PchipInterpolator(lam, per)(peak_wavelength))
+    ratio = float(period_of_peak(peak_wavelength))
     d_phys = ratio * delta_phys
     return CapsuleState.from_perimeter(r=r, N=N, P=N * d_phys)

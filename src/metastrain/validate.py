@@ -15,6 +15,7 @@ import numpy as np
 from .errors import MetastrainError
 from .geometry import CellGeometry, make_ellipse_cell
 from .layer_ops import (
+    BoundaryOperator,
     assemble_np,
     assemble_np_adjoint,
     assemble_single_layer,
@@ -32,8 +33,14 @@ from .spectral import (
 
 PROBE_CONTRAST = 0.8
 FAR_FIELD_HEIGHT = 8.0
-PROBE_NODES = (17, 40)  # boundary nodes (mod n) of the finite-difference trace check
-FD_DISTANCES = np.array([0.006, 0.009, 0.012, 0.016, 0.020])  # along the normal
+# parameter fractions t/2pi of the finite-difference trace check's probe nodes
+PROBE_FRACTIONS = (1.0 / 16.0, 5.0 / 32.0)
+# distances along the normal in units of the local radius of curvature; the
+# stencils reach 1.5 times the last one, 1/30 of the radius
+FD_LADDER = np.array([6.0, 9.0, 12.0, 16.0, 20.0]) / 900.0
+# floor of that radius in mean node spacings: the upsampling stays at most
+# 900 / FD_MIN_RADIUS_SPACINGS = 225
+FD_MIN_RADIUS_SPACINGS = 4.0
 ROUND_OFF_SHARE = 1e-3  # residuals below this share of their tolerance print as a bound
 
 
@@ -67,22 +74,53 @@ def neville_to_zero(xs, ys):
     return ys[0]
 
 
+def probe_nodes(node_count: int) -> list[int]:
+    """Nodes nearest the parameter fractions PROBE_FRACTIONS.
+
+    They are the same curve points for every node count that the fractions'
+    denominators divide.
+    """
+    return [round(f * node_count) % node_count for f in PROBE_FRACTIONS]
+
+
+def fd_distances(cell: CellGeometry, node: int) -> np.ndarray:
+    """FD_LADDER scaled to the radius of curvature at the node.
+
+    The ladder's truncation error scales with a power of distance over
+    radius, so a fixed ladder fails where the curve bends tightly.  The
+    radius is capped at P/(2 pi), the radius of a disk of the same perimeter,
+    so a flat stretch keeps a ladder short against the whole curve.  It is
+    floored at FD_MIN_RADIUS_SPACINGS mean node spacings P/n, which bounds
+    the upsampling the innermost distance calls for; on a bend tighter than
+    that the ladder reaches past 1/30 of the radius and the check reports
+    the truncation error it then makes.
+    """
+    radius = cell.perimeter / (2.0 * np.pi)
+    curvature = abs(float(cell.curvatures[node]))
+    if curvature * radius > 1.0:
+        radius = 1.0 / curvature
+    radius = max(radius, FD_MIN_RADIUS_SPACINGS * cell.perimeter / cell.node_count)
+    return FD_LADDER * radius
+
+
 def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node: int,
                                   side: int):
     """Limit of the normal derivative of S[density] from one side of the boundary.
 
-    Fourth-order finite differences along the normal at a ladder of distances,
-    extrapolated to the boundary.  ``side`` is +1 for the exterior limit and
-    -1 for the interior one.  A complex density gives a complex limit.
+    Fourth-order finite differences along the normal at a ladder of distances
+    (:func:`fd_distances`), extrapolated to the boundary.  ``side`` is +1 for
+    the exterior limit and -1 for the interior one.  A complex density gives
+    a complex limit.
     """
+    distances = fd_distances(cell, node)
     # keep the effective node spacing well below the innermost stencil point
-    innermost = float(np.min(FD_DISTANCES)) / 2.0
+    innermost = float(np.min(distances)) / 2.0
     needed = int(np.ceil(3.0 * cell.perimeter / (innermost * cell.node_count)))
     upsample = max(32, needed)
     x0 = cell.nodes[node]
     nu = cell.normals[node]
     values = []
-    for d in FD_DISTANCES:
+    for d in distances:
         h = d / 4.0
         stencil = [
             evaluate_single_layer_off_surface(cell, density, x0 + side * (d + s * h) * nu,
@@ -91,7 +129,7 @@ def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node:
         ]
         values.append(side * (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3])
                       / (12.0 * h))
-    return neville_to_zero(FD_DISTANCES, values)
+    return neville_to_zero(distances, values)
 
 
 def _up_down_symmetric(cell: CellGeometry) -> bool:
@@ -144,6 +182,26 @@ def _far_field_checks(dec: SpectralDecomposition) -> list[CheckResult]:
         far = float(max(up, down))
         results.append(CheckResult(name, far < far_tol, far, far_tol))
     return results
+
+
+def trace_check(adjoint: BoundaryOperator) -> CheckResult:
+    """Jump relations dS[phi]/dnu = (+-1/2 + K*)[phi] from either side, phi = nu2.
+
+    The one-sided limits come from finite differences off the surface at the
+    probe nodes; their difference must also equal phi there.
+    """
+    cell = adjoint.cell
+    n = cell.node_count
+    resid = 0.0
+    phi = cell.normals[:, 1]
+    plus = (0.5 * np.eye(n) + adjoint.matrix) @ phi
+    minus = (-0.5 * np.eye(n) + adjoint.matrix) @ phi
+    for node in probe_nodes(n):
+        fd_plus = off_surface_normal_derivative(cell, phi, node, +1)
+        fd_minus = off_surface_normal_derivative(cell, phi, node, -1)
+        resid = max(resid, abs(fd_plus - plus[node]), abs(fd_minus - minus[node]),
+                    abs((fd_plus - fd_minus) - phi[node]))
+    return CheckResult("trace_formulae_fd", resid < 1e-6, resid, 1e-6)
 
 
 def run_validation(cell: CellGeometry, break_quadrature: bool = False) -> list[CheckResult]:
@@ -199,17 +257,7 @@ def run_validation(cell: CellGeometry, break_quadrature: bool = False) -> list[C
 
     results.extend(_far_field_checks(dec))
 
-    trace_resid = 0.0
-    phi = cell.normals[:, 1]
-    plus = (0.5 * np.eye(n) + adjoint.matrix) @ phi
-    minus = (-0.5 * np.eye(n) + adjoint.matrix) @ phi
-    for node in (p % n for p in PROBE_NODES):
-        fd_plus = off_surface_normal_derivative(cell, phi, node, +1)
-        fd_minus = off_surface_normal_derivative(cell, phi, node, -1)
-        trace_resid = max(trace_resid, abs(fd_plus - plus[node]),
-                          abs(fd_minus - minus[node]),
-                          abs((fd_plus - fd_minus) - phi[node]))
-    results.append(CheckResult("trace_formulae_fd", trace_resid < 1e-6, trace_resid, 1e-6))
+    results.append(trace_check(adjoint))
 
     # the lattice Green's function at complex separations xi1 + i*xi2
     h = 1e-4

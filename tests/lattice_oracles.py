@@ -4,7 +4,8 @@ The package assembles S and K* from real lattice kernels and evaluates only
 the lattice Green's function G itself (``layer_ops.value_from_delta``).  The
 gradient of G, the smooth remainder R = G - (1/2pi) ln|delta| and the complex
 form of its gradient live here, imported by the layer-operator and Green's
-function tests.
+function tests, and so does the assembly of S and K* by one separate pass
+over the node pairs each, the exact oracle of the shared pass.
 """
 
 import numpy as np
@@ -72,3 +73,57 @@ def remainder_gradient_from_delta(delta, period_ratio):
     g = cot_minus_inverse(np.pi * delta / period_ratio) / (2.0 * period_ratio)
     # grad(Re f) = (Re f', -Im f') for holomorphic f
     return g.real - 1j * g.imag
+
+
+def per_call_single_layer(cell):
+    """S as assembled by one call per operator, each with its own pass over the node pairs.
+
+    Kept verbatim, n x n index gather of the log rule included, as the
+    bit-for-bit oracle of the one-pass assembly of S and K*.
+    """
+    n = cell.node_count
+    s = cell.speeds
+    i, j, u, v, excess = _per_call_pairs(cell)
+    canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+    pair = np.log((np.sin(u) ** 2 + np.sinh(v) ** 2) / canonical[j - i]) / (4.0 * np.pi)
+    pair += excess / (2.0 * np.pi)
+    smooth = np.empty((n, n))
+    smooth[i, j] = pair
+    smooth[j, i] = pair
+    np.fill_diagonal(smooth, np.log(s**2) / (4.0 * np.pi)
+                     + np.log(np.pi / cell.period_ratio) / (2.0 * np.pi))
+    return (0.5 * _gathered_log_rule(n) + (2.0 * np.pi / n) * smooth) * s[None, :]
+
+
+def per_call_np_adjoint(cell):
+    """K* as assembled by one call per operator (see :func:`per_call_single_layer`)."""
+    n = cell.node_count
+    i, j, u, v, _ = _per_call_pairs(cell)
+    sin_u, sinh_v = np.sin(u), np.sinh(v)
+    den = 2.0 * cell.period_ratio * (sin_u**2 + sinh_v**2)
+    g1 = sin_u * np.cos(u) / den
+    g2 = sinh_v * np.cosh(v) / den
+    nu = cell.normals
+    kernel = np.empty((n, n))
+    kernel[i, j] = nu[i, 0] * g1 + nu[i, 1] * g2
+    kernel[j, i] = -(nu[j, 0] * g1 + nu[j, 1] * g2)
+    np.fill_diagonal(kernel, cell.curvatures / (4.0 * np.pi))
+    return (2.0 * np.pi / n) * kernel * cell.speeds[None, :]
+
+
+def _per_call_pairs(cell):
+    i, j = np.triu_indices(cell.node_count, 1)
+    scale = np.pi / cell.period_ratio
+    x, y = cell.nodes[:, 0], cell.nodes[:, 1]
+    u = (x[i] - x[j]) * scale
+    v = (y[i] - y[j]) * scale
+    excess = np.maximum(np.abs(v) - _FAR_FIELD_GUARD, 0.0)
+    return i, j, u, np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD), excess
+
+
+def _gathered_log_rule(n):
+    symbol = np.zeros(n // 2 + 1)
+    symbol[1:-1] = -1.0 / np.arange(1, n // 2)
+    symbol[-1] = -2.0 / n
+    row = np.fft.irfft(symbol, n)
+    return row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,17 @@ from metastrain import (
     make_smooth_cell,
 )
 from metastrain.errors import DomainError, EvaluationDistanceError, MetastrainError
+from metastrain import layer_ops
 from metastrain.layer_ops import log_quadrature_matrix
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
 
-from lattice_oracles import cot_minus_inverse, gradient_from_delta, remainder_from_delta
+from lattice_oracles import (
+    cot_minus_inverse,
+    gradient_from_delta,
+    per_call_np_adjoint,
+    per_call_single_layer,
+    remainder_from_delta,
+)
 
 
 def _pairwise_delta(cell):
@@ -111,6 +120,68 @@ def test_tall_ellipse_reaches_the_far_field_branch():
     cell = make_ellipse_cell(0.3, 60.0, 1.0, 256)
     v = np.pi * np.ptp(cell.nodes[:, 1]) / cell.period_ratio
     assert 355.0 < v < 710.0
+
+
+SHARED_PASS_CELLS = {
+    "disk": lambda: make_disk_cell(0.45, 1.0, 256),
+    "ellipse": lambda: make_ellipse_cell(0.35, 0.22, 1.0, 256),
+    "fourier": lambda: make_smooth_cell(FOURIER_COEFFS, 1.2, 128),
+    "tall_ellipse": lambda: make_ellipse_cell(0.3, 60.0, 1.0, 256),
+}
+
+
+def _same_as_per_call(cell, single, adjoint):
+    return (np.array_equal(single.matrix, per_call_single_layer(cell))
+            and np.array_equal(adjoint.matrix, per_call_np_adjoint(cell)))
+
+
+@pytest.mark.parametrize("make_cell", SHARED_PASS_CELLS.values(), ids=SHARED_PASS_CELLS.keys())
+def test_shared_pass_is_bit_identical_to_per_call_assembly(make_cell):
+    cell = make_cell()
+    single = assemble_single_layer(cell)
+    assert layer_ops._PENDING_ADJOINT in vars(cell)
+    adjoint = assemble_np_adjoint(cell)
+    assert _same_as_per_call(cell, single, adjoint)
+    # the cell keeps nothing once K* is taken
+    assert layer_ops._PENDING_ADJOINT not in vars(cell)
+
+
+def test_adjoint_first_then_single_layer():
+    cell = make_ellipse_cell(0.35, 0.22, 1.0, 64)
+    adjoint = assemble_np_adjoint(cell)
+    single = assemble_single_layer(cell)
+    assert _same_as_per_call(cell, single, adjoint)
+    assert np.array_equal(assemble_np_adjoint(cell).matrix, adjoint.matrix)
+
+
+def test_adjoint_after_single_layer_of_another_cell():
+    # S(A), S(B), K*(A): A must not get B's K*
+    a = make_ellipse_cell(0.35, 0.22, 1.0, 64)
+    b = make_smooth_cell(FOURIER_COEFFS, 1.2, 64)
+    single_a = assemble_single_layer(a)
+    single_b = assemble_single_layer(b)
+    assert _same_as_per_call(a, single_a, assemble_np_adjoint(a))
+    assert _same_as_per_call(b, single_b, assemble_np_adjoint(b))
+
+
+def test_same_cell_twice():
+    cell = make_smooth_cell(FOURIER_COEFFS, 1.2, 64)
+    first, second = assemble_single_layer(cell), assemble_single_layer(cell)
+    adjoints = [assemble_np_adjoint(cell), assemble_np_adjoint(cell)]
+    for single, adjoint in zip((first, second), adjoints):
+        assert _same_as_per_call(cell, single, adjoint)
+
+
+def test_replaced_cell_gets_its_own_matrices():
+    # the negative control of validate detunes the weights of a copy
+    cell = make_disk_cell(0.45, 1.0, 64)
+    broken = dataclasses.replace(cell, weights=cell.weights * (1.0 + 0.03 * (-1.0) ** np.arange(64)))
+    assemble_single_layer(cell)
+    adjoint = assemble_np_adjoint(broken)
+    assert np.array_equal(adjoint.matrix, per_call_np_adjoint(broken))
+    assert not np.array_equal(adjoint.matrix, per_call_np_adjoint(cell))
+    single = assemble_single_layer(broken)
+    assert _same_as_per_call(broken, single, assemble_np_adjoint(broken))
 
 
 def test_log_quadrature_symbol_exact():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from metastrain import decompose, dominant_peak, find_peaks, make_disk_cell, peak_vs_period, sweep
-from metastrain.dispersion import omega_from_wavelength, resonance_frequency
-from metastrain.errors import DomainError
+from metastrain.dispersion import MaterialParams, omega_from_wavelength, resonance_frequency
+from metastrain.errors import DomainError, OverdampedModeError
+from metastrain.resonance_sweep import _nearest_mode, _resonances
 
 WINDOW = (6.5e-7, 1.7e-6)
 
@@ -158,3 +159,49 @@ def test_missing_peak_reported_per_row(water_gold):
     assert not table.complete()
     assert table.rows[0].note != ""
     assert not table.is_monotone()
+
+
+def _nearest_mode_by_loop(curve, omega_peak):
+    """The scalar loop the vectorised lookup replaces: first strictly smaller gap wins."""
+    best, best_gap = None, np.inf
+    for j, lam_j in enumerate(curve.eigenvalues):
+        if j == 0:
+            continue
+        try:
+            gap = abs(resonance_frequency(lam_j, curve.material) - omega_peak)
+        except OverdampedModeError:
+            continue
+        if gap < best_gap:
+            best, best_gap = j, gap
+    return best
+
+
+def test_nearest_mode_matches_loop_with_overdamped_modes(disk_curve):
+    # with T = 1e-15 every mode below lambda = -0.4375 is overdamped; repeated
+    # eigenvalues tie, and the first of them must win
+    damped = MaterialParams.from_relative(eps_m_rel=1.77**2, omega_p=2.0e15,
+                                          collision_time=1.0e-15)
+    eigenvalues = np.concatenate([[0.5], np.linspace(-0.5, 0.45, 39), [0.1, 0.1, -0.49]])
+    curve = dataclasses.replace(disk_curve, eigenvalues=eigenvalues, material=damped, peaks=())
+    resonances = _resonances(curve)
+    assert 0 < resonances[0].size < eigenvalues.size - 1
+    omegas = np.concatenate([resonances[1], np.linspace(1e14, 3e15, 301), [np.nan, np.inf]])
+    for omega in omegas:
+        assert _nearest_mode(resonances, omega) == _nearest_mode_by_loop(curve, omega)
+
+
+def test_nearest_mode_none_when_every_mode_is_overdamped(disk_curve):
+    # 1/(4 T^2) = 6.25 omega_p^2 exceeds (lambda + 1/2) omega_p^2 for every lambda <= 1/2
+    damped = MaterialParams.from_relative(eps_m_rel=1.77**2, omega_p=2.0e15,
+                                          collision_time=1.0e-16)
+    curve = dataclasses.replace(disk_curve, material=damped, peaks=())
+    assert _resonances(curve)[0].size == 0
+    assert _nearest_mode(_resonances(curve), 1e15) is None
+    assert _nearest_mode_by_loop(curve, 1e15) is None
+    assert all(p.mode_index is None for p in find_peaks(curve))
+
+
+def test_peak_modes_match_loop(disk_curve, water_gold):
+    for peak in disk_curve.peaks:
+        omega = omega_from_wavelength(peak.wavelength, water_gold)
+        assert peak.mode_index == _nearest_mode_by_loop(disk_curve, omega)

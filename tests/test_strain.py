@@ -12,6 +12,7 @@ from metastrain import (
 )
 from metastrain.errors import CalibrationError, DomainError, MetastrainError, OutOfRangeError
 from metastrain.resonance_sweep import CalibrationRow, CalibrationTable
+from metastrain.strain import _peak_to_period
 
 R = 1e-6
 
@@ -142,6 +143,54 @@ def test_invert_rejects_incomplete_table():
                              wavelength_max=2e-6, samples=10, material=MaterialParams())
     with pytest.raises(CalibrationError):
         invert_peak_to_deformation(1.2e-6, table, r=9.9e-7, N=1256, delta_phys=5e-9)
+
+
+def _invert(peak, table):
+    return invert_peak_to_deformation(peak, table, r=9.9e-7, N=1256, delta_phys=5e-9)
+
+
+def test_alternating_tables_invert_like_fresh_calls():
+    first = synthetic_table([1.0, 1.2, 1.4, 1.6], [1.4e-6, 1.1e-6, 9.9e-7, 9.2e-7])
+    second = synthetic_table([1.0, 1.5, 2.0], [1.3e-6, 1.0e-6, 8.5e-7])
+    peaks = [1.05e-6, 1.2e-6, 9.5e-7]
+    fresh = {}
+    for name, table in (("first", first), ("second", second)):
+        for peak in peaks:
+            _peak_to_period.cache_clear()
+            fresh[name, peak] = _invert(peak, table)
+    _peak_to_period.cache_clear()
+    for _ in range(2):
+        for peak in peaks:
+            assert _invert(peak, first) == fresh["first", peak]
+            assert _invert(peak, second) == fresh["second", peak]
+
+
+def test_one_map_per_table():
+    table = synthetic_table([1.0, 1.5, 2.0], [1.3e-6, 1.0e-6, 8.5e-7])
+    _peak_to_period.cache_clear()
+    for peak in (9.0e-7, 1.0e-6, 1.1e-6, 1.2e-6):
+        _invert(peak, table)
+    info = _peak_to_period.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("rows", [
+    ((1.0, 1.4e-6), (1.5, None), (2.0, 9.0e-7)),
+    ((1.0, 1.4e-6), (1.5, 1.0e-6), (2.0, 1.2e-6)),
+], ids=["incomplete", "not_monotone"])
+def test_rejected_table_raises_on_every_call(rows):
+    bad = CalibrationTable(
+        rows=tuple(CalibrationRow(period=p, peak_wavelength=w, peak_magnitude=1.0, mode_index=1)
+                   for p, w in rows),
+        radius=0.45, node_count=64, wavelength_min=0.0, wavelength_max=2e-6, samples=10,
+        material=synthetic_table([1.0, 2.0], [1.0e-6, 9.0e-7]).material)
+    good = synthetic_table([1.0, 1.5, 2.0], [1.3e-6, 1.0e-6, 8.5e-7])
+    for _ in range(3):
+        with pytest.raises(CalibrationError):
+            _invert(1.1e-6, bad)
+        _invert(1.1e-6, good)
+        with pytest.raises(CalibrationError):
+            _invert(1.1e-6, bad)
 
 
 def test_forward_inverse_round_trip(water_gold):

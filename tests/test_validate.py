@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from metastrain import make_disk_cell, make_ellipse_cell, make_smooth_cell
-from metastrain.validate import CheckResult, _up_down_symmetric
+from metastrain import assemble_np_adjoint, make_disk_cell, make_ellipse_cell, make_smooth_cell
+from metastrain import validate
+from metastrain.validate import (
+    FD_LADDER,
+    FD_MIN_RADIUS_SPACINGS,
+    PROBE_FRACTIONS,
+    CheckResult,
+    _up_down_symmetric,
+    fd_distances,
+    probe_nodes,
+    run_validation,
+    trace_check,
+)
 
 
 @pytest.mark.parametrize("cell, symmetric", [
@@ -44,3 +55,75 @@ def test_alpha1_mirror_check_reads_the_moments_as_computed(disk128_dec):
     check = _far_field_checks(disk128_dec)[0]
     assert check.name == "alpha1_mirror_symmetry" and check.passed
     assert 0.0 < check.residual < 1e-12
+
+
+@pytest.mark.parametrize("n", [96, 128, 256, 384])
+def test_trace_check_passes_on_the_ellipse(n):
+    # a ladder fixed in length reached 0.22 of the ellipse's smallest radius of
+    # curvature and failed at n = 96, 256 and 384, where node 17 sat near it
+    results = {r.name: r for r in run_validation(make_ellipse_cell(0.35, 0.22, 1.0, n))}
+    trace = results["trace_formulae_fd"]
+    assert trace.passed and trace.residual < 1e-7
+
+
+def _wider_mirrored_curve(rng):
+    """Real coefficients c_1, c_2, c_3, c_-1, c_-2 in FFT order, 0.05 inside the strip."""
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    k = np.rint(np.fft.fftfreq(8) * 8)
+    while True:
+        coeffs = np.zeros(8)
+        coeffs[[1, 2, 3, 7, 6]] = rng.uniform([0.25, -0.04, -0.02, -0.06, -0.03],
+                                              [0.4, 0.04, 0.02, 0.06, 0.03])
+        period = rng.uniform(1.0, 1.6)
+        if np.abs((np.exp(1j * np.outer(t, k)) @ coeffs).real).max() < period / 2.0 - 0.05:
+            return coeffs, period
+
+
+def test_trace_check_passes_on_wider_mirrored_curves():
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        coeffs, period = _wider_mirrored_curve(rng)
+        check = trace_check(assemble_np_adjoint(make_smooth_cell(coeffs, period, 256)))
+        assert check.passed and check.residual < 1e-7, (coeffs, period, check.residual)
+
+
+@pytest.mark.parametrize("n", [96, 128, 256, 384])
+def test_probes_sit_at_fixed_parameter_fractions(n):
+    cell = make_ellipse_cell(0.35, 0.22, 1.0, n)
+    assert np.allclose(cell.t[probe_nodes(n)], [2.0 * np.pi * f for f in PROBE_FRACTIONS],
+                       rtol=0.0, atol=1e-15)
+
+
+def test_fd_ladder_scales_with_the_radius_of_curvature():
+    disk = make_disk_cell(0.45, 1.0, 64)
+    ellipse = make_ellipse_cell(0.35, 0.22, 1.0, 64)
+    # the ellipse bends tightest at node 0 (radius b^2/a) and least at n/4 (a^2/b),
+    # where the ladder is capped by P/(2 pi), as it is everywhere on the disk
+    ratio = fd_distances(ellipse, 0) / fd_distances(disk, 0)
+    assert np.allclose(ratio, 0.22**2 / 0.35 / 0.45, rtol=1e-12)
+    assert np.allclose(fd_distances(ellipse, 16) / fd_distances(disk, 0),
+                       ellipse.perimeter / disk.perimeter, rtol=1e-12)
+
+
+def test_tight_bend_at_a_probe_bounds_the_upsampling(monkeypatch):
+    # a thin ellipse (radius b^2/a = 7e-5 at its tips) turned so that a tip
+    # lands on the first probe: an unfloored ladder would upsample 256 nodes
+    # about 7e4-fold per evaluation; the floored one fails at a bounded cost
+    a, b, t0 = 0.35, 0.005, 2.0 * np.pi * PROBE_FRACTIONS[0]
+    cell = make_smooth_cell([0.0, (a + b) / 2.0 * np.exp(-1j * t0),
+                             (a - b) / 2.0 * np.exp(1j * t0)], 1.0, 256)
+    tip = probe_nodes(256)[0]
+    assert abs(cell.curvatures[tip]) == pytest.approx(a / b**2, rel=1e-9)
+    assert np.allclose(fd_distances(cell, tip),
+                       FD_LADDER * FD_MIN_RADIUS_SPACINGS * cell.perimeter / 256, rtol=1e-15)
+    factors = []
+    evaluate = validate.evaluate_single_layer_off_surface
+
+    def recording(*args, upsample):
+        factors.append(upsample)
+        return evaluate(*args, upsample=upsample)
+
+    monkeypatch.setattr(validate, "evaluate_single_layer_off_surface", recording)
+    check = trace_check(assemble_np_adjoint(cell))
+    assert max(factors) <= np.ceil(900.0 / FD_MIN_RADIUS_SPACINGS)
+    assert not check.passed and np.isfinite(check.residual)
