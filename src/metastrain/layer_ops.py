@@ -216,20 +216,25 @@ def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):
 
 def evaluate_single_layer_off_surface(cell: CellGeometry, density: np.ndarray, xi,
                                       upsample: int = 4):
-    """Plain quadrature of G against the density at a point off the boundary.
+    """Plain quadrature of G against the density at points off the boundary.
 
-    The kernel is smooth off-surface, so accuracy is set by the distance to the
-    boundary relative to the (upsampled) node spacing; points closer than one
-    effective node spacing are rejected.
+    ``xi`` is one point (shape (2,)), which gives one value, or a sequence of
+    points (shape (m, 2)), which gives an array of m values from one
+    upsampling of the curve and density.  The kernel is smooth off-surface,
+    so accuracy is set by the distance to the boundary relative to the
+    (upsampled) node spacing; points closer than one effective node spacing
+    are rejected.
     """
-    xi = np.asarray(xi, dtype=float)
+    points = np.asarray(xi, dtype=float)
     z, weights, dens = _upsampled(cell, density, upsample)
-    point = xi[0] + 1j * xi[1]
-    delta = point - z
     spacing = weights.max()
-    if np.abs(delta).min() < spacing:
-        raise EvaluationDistanceError(
-            f"evaluation point within one node spacing ({spacing:.3g}) of the boundary"
-        )
-    kern = value_from_delta(delta, cell.period_ratio)
-    return (weights * kern * dens).sum()
+    values = []
+    for x in points.reshape(-1, 2):
+        delta = (x[0] + 1j * x[1]) - z
+        if np.abs(delta).min() < spacing:
+            raise EvaluationDistanceError(
+                f"evaluation point within one node spacing ({spacing:.3g}) of the boundary"
+            )
+        kern = value_from_delta(delta, cell.period_ratio)
+        values.append((weights * kern * dens).sum())
+    return values[0] if points.ndim == 1 else np.array(values)

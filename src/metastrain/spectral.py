@@ -16,13 +16,27 @@ that test to a relative defect of eps * n^2 / 4, the problem splits over the
 orthonormal orbit basis into an even sector (e_0, e_{n/2} and
 (e_j + e_{n-j}) / sqrt 2, which holds the constant and the zero-mean
 constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2): two generalized
-eigh calls of about n/2 instead of one of n - 1.  Every other cell takes the
-whole space as its one sector.  Which normal moments vanish on a sector is
-read off the moment vectors W S nu_l, not assumed: the mirror parallel to the
+eigh calls of about n/2 instead of one of n - 1.  A cell symmetric under the
+second lattice mirror j -> n/2 - j as well (the disk and the ellipse) splits
+once more: on the half coordinates that mirror is the reversal
+k -> m - 1 - k, so each half block folds into a + and a - quarter of about
+n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the constant in the first).  The
+quarters are taken when n is a multiple of 4 and all four half blocks of G
+and K* commute with the reversal to the same tolerance; the half blocks are
+built once for that test and the solve.  Every other cell takes the whole
+space as its one sector.  Which normal moments vanish on a sector is read
+off the moment vectors W S nu_l, not assumed: the mirror parallel to the
 grating makes nu1 even and nu2 odd, the one normal to it the reverse.
 
+A sector that neither moment vector reaches (two of the four quarters) is
+solved for its eigenvalues only: the sweep, the calibration, the extinction
+spectrum and ``eigs`` read the eigenvalues and the moments alone.  Its
+densities are solved from blocks rebuilt from ``gram`` and ``np_adjoint`` on
+the first read of ``eigendensities``, which ``shape_deriv``, ``validate`` and
+Gram-overlap mode tracking make; the eigenvalues never change.
+
 The equilibrium mode (eigenvalue 1/2, non-zero mean) is found by shifted
-inverse iteration in the sector of the constant: one LU of
+inverse iteration in the sector of the constant, at construction: one LU of
 K* - (1/2 + 1e-10) I there, a few solves and the Rayleigh quotient, with a
 residual check on the full K*.
 
@@ -73,17 +87,21 @@ class SpectralDecomposition:
     ``eigenvalues[0]`` is the equilibrium eigenvalue (1/2 up to quadrature
     error); the remaining entries are the zero-mean modes sorted in descending
     order.  Columns of ``eigendensities`` are the matching nodal densities,
-    orthonormal in the Gram inner product for j >= 1.
+    orthonormal in the Gram inner product for j >= 1.  The densities of a
+    sector that carries no normal moment are solved on the first read of
+    ``eigendensities``; until then their columns of ``_densities`` are 0, and
+    ``_deferred`` names each such sector with its columns.
     """
 
     eigenvalues: np.ndarray
-    eigendensities: np.ndarray
     moments_nu1: np.ndarray
     moments_nu2: np.ndarray
     gram: np.ndarray
     cell: CellGeometry
     single_layer: np.ndarray
     np_adjoint: np.ndarray
+    _densities: np.ndarray
+    _deferred: tuple
 
     @property
     def mode_count(self) -> int:
@@ -91,7 +109,17 @@ class SpectralDecomposition:
 
     @property
     def equilibrium_density(self) -> np.ndarray:
-        return self.eigendensities[:, 0]
+        return self._densities[:, 0]
+
+    @cached_property
+    def eigendensities(self) -> np.ndarray:
+        """The nodal densities, the deferred sectors solved on first read and kept."""
+        w = self.cell.weights
+        for sector, columns in self._deferred:
+            _, densities = _solve_sector(sector, sector.block(self.gram),
+                                         sector.block(self.np_adjoint), w, vectors=True)
+            self._densities[:, columns] = densities
+        return self._densities
 
     def dominant_mode(self) -> int:
         """Index of the mode with the heaviest nu2 coupling weight."""
@@ -229,17 +257,40 @@ _EQUILIBRIUM_RESIDUAL = 1e-10
 
 @dataclass(frozen=True)
 class _Sector:
-    """An invariant subspace of the node mirror P: j -> -j mod n, by its orthonormal basis Q.
+    """An invariant subspace of the cell's node mirrors, by its orthonormal basis Q.
 
-    ``parity`` +1 is the even sector (e_0, (e_j + e_{n-j}) / sqrt 2 for
-    0 < j < n/2, e_{n/2}, in that order), -1 the odd one
-    ((e_j - e_{n-j}) / sqrt 2) and 0 the whole space (Q = I).
+    ``parity`` +1 is the even sector of the mirror P: j -> -j mod n (e_0,
+    (e_j + e_{n-j}) / sqrt 2 for 0 < j < n/2, e_{n/2}, in that order), -1 the
+    odd one ((e_j - e_{n-j}) / sqrt 2) and 0 the whole space (Q = I).
+    ``fold`` +1 or -1 splits a half further by the second mirror
+    j -> n/2 - j, which on the m half coordinates is the reversal
+    k -> m - 1 - k with sign +: the + side holds the pairs
+    (x_k + x_{m-1-k}) / sqrt 2 and then the middle coordinate, the - side the
+    pairs (x_k - x_{m-1-k}) / sqrt 2.  ``fold`` 0 keeps the half whole.
     """
 
     parity: int
+    fold: int = 0
+
+    @property
+    def holds_constant(self) -> bool:
+        return self.parity >= 0 and self.fold >= 0
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """Q^T x along the first axis."""
+        x = self._restrict_half(x)
+        return _fold(x, self.fold) if self.fold else x
+
+    def extend(self, y: np.ndarray) -> np.ndarray:
+        """Q y along the first axis."""
+        return self._extend_half(_unfold(y, self.fold) if self.fold else y)
+
+    def block(self, A: np.ndarray) -> np.ndarray:
+        """Q^T A Q: the block of the half, folded."""
+        half = self._restrict_half(self._restrict_half(A).T).T
+        return _fold_block(half, self.fold) if self.fold else half
+
+    def _restrict_half(self, x: np.ndarray) -> np.ndarray:
         if self.parity == 0:
             return x
         h = x.shape[0] // 2
@@ -250,8 +301,7 @@ class _Sector:
         out[0], out[1:h], out[h] = x[0], pairs, x[h]
         return out
 
-    def extend(self, y: np.ndarray) -> np.ndarray:
-        """Q y along the first axis."""
+    def _extend_half(self, y: np.ndarray) -> np.ndarray:
         if self.parity == 0:
             return y
         h = y.shape[0] - self.parity
@@ -263,13 +313,36 @@ class _Sector:
         out[:h:-1] = self.parity * pairs
         return out
 
-    def block(self, A: np.ndarray) -> np.ndarray:
-        """Q^T A Q."""
-        return self.restrict(self.restrict(A).T).T
+
+def _fold(x: np.ndarray, sign: int) -> np.ndarray:
+    """The reversal fold of an odd number m of coordinates along the first axis."""
+    k = x.shape[0] // 2
+    pairs = (x[:k] + sign * x[:k:-1]) * _SQRT_HALF
+    if sign < 0:
+        return pairs
+    out = np.empty((k + 1,) + x.shape[1:])
+    out[:k], out[k] = pairs, x[k]
+    return out
+
+
+def _unfold(y: np.ndarray, sign: int) -> np.ndarray:
+    """The inverse map of :func:`_fold` on its side of the reversal."""
+    k = y.shape[0] - (sign > 0)
+    out = np.zeros((2 * k + 1,) + y.shape[1:])
+    pairs = y[:k] * _SQRT_HALF
+    out[:k] = pairs
+    out[:k:-1] = sign * pairs
+    if sign > 0:
+        out[k] = y[k]
+    return out
+
+
+def _fold_block(A: np.ndarray, sign: int) -> np.ndarray:
+    return _fold(_fold(A, sign).T, sign).T
 
 
 _SQRT_HALF = np.sqrt(0.5)
-_WHOLE = (_Sector(0),)
+_WHOLE = _Sector(0)
 _MIRRORED = (_Sector(1), _Sector(-1))
 
 
@@ -287,6 +360,11 @@ def _mirror_defect(A: np.ndarray) -> float:
     return max(float(np.abs(a - b).max()) for a, b in pairs) / float(np.abs(A).max())
 
 
+def _reversal_defect(A: np.ndarray) -> float:
+    """max |A - J A J| / max |A| for the reversal J: k -> m - 1 - k of a half block."""
+    return float(np.abs(A - A[::-1, ::-1]).max()) / float(np.abs(A).max())
+
+
 def _mirror_tolerance(n: int) -> float:
     """Relative mirror defect up to which a cell of n nodes is solved as mirrored.
 
@@ -297,30 +375,38 @@ def _mirror_tolerance(n: int) -> float:
     cell's is 1e-2 or more.  A cell asymmetric by
     less than this (1.5e-11 at n = 256, 5.8e-11 at n = 1024) is solved as
     mirrored: its cross-sector couplings of that relative size are dropped.
+    The same tolerance certifies the second mirror on the half blocks.
     """
     return 0.25 * np.finfo(float).eps * n * n
 
 
-def _sectors(gram: np.ndarray, K: np.ndarray) -> tuple:
-    """The mirror sectors when gram and K* both commute with P, else the whole space."""
-    tolerance = _mirror_tolerance(gram.shape[0])
-    if _mirror_defect(gram) <= tolerance and _mirror_defect(K) <= tolerance:
-        return _MIRRORED
-    return _WHOLE
+def _sector_blocks(gram: np.ndarray, K: np.ndarray) -> list:
+    """The cell's sectors, each with its blocks of gram and K*.
+
+    The whole space unless gram and K* both commute with P; then the two
+    halves, and when n is a multiple of 4 and all four half blocks commute
+    with the reversal too, the four quarters folded from those half blocks.
+    """
+    n = gram.shape[0]
+    tolerance = _mirror_tolerance(n)
+    if not (_mirror_defect(gram) <= tolerance and _mirror_defect(K) <= tolerance):
+        return [(_WHOLE, gram, K)]
+    halves = [(sector, sector.block(gram), sector.block(K)) for sector in _MIRRORED]
+    if n % 4 or not all(_reversal_defect(A) <= tolerance
+                        for _, G, K_half in halves for A in (G, K_half)):
+        return halves
+    return [(_Sector(sector.parity, fold), _fold_block(G, fold), _fold_block(K_half, fold))
+            for sector, G, K_half in halves for fold in (1, -1)]
 
 
-def _clear_vanishing_moments(moments: np.ndarray, parity: np.ndarray, sectors: tuple,
-                             vector: np.ndarray) -> None:
-    """Set to exactly 0 the moments <phi_j, vector> of every sector that vector misses.
+def _reached(sectors: list, vector: np.ndarray) -> np.ndarray:
+    """Whether each sector's projection Q^T vector exceeds the mirror tolerance of max |vector|.
 
-    A sector is missed when the projection Q^T vector is below the mirror
-    tolerance of max |vector|; the moments there are then round-off.  The
-    whole space is never missed by a non-zero vector.
+    The moments <phi_j, vector> of a sector it does not reach are round-off.
+    The whole space is reached by every non-zero vector.
     """
     scale = _mirror_tolerance(vector.size) * np.abs(vector).max()
-    for sector in sectors:
-        if np.abs(sector.restrict(vector)).max() <= scale:
-            moments[parity == sector.parity] = 0.0
+    return np.array([np.abs(sector.restrict(vector)).max() > scale for sector in sectors])
 
 
 def _equilibrium_mode(K: np.ndarray, K_sector: np.ndarray, sector: _Sector,
@@ -358,6 +444,44 @@ def _reflected_block(A: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
     return A[1:, 1:] - np.outer(h[1:], q[1:]) - np.outer(q[1:], h[1:])
 
 
+def _solve_sector(sector: _Sector, G: np.ndarray, K_sector: np.ndarray, w: np.ndarray,
+                  vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sector's zero-mean eigenvalues in descending order and, if asked, their densities.
+
+    The densities are nodal, sign-fixed and in the same order; without them
+    the generalized ``eigh`` computes eigenvalues only.
+    """
+    import scipy.linalg
+
+    B = G @ K_sector
+    B = 0.5 * (B + B.T)
+    if sector.holds_constant:
+        # columns 1.. of a Householder reflector H = I - beta h h^T with
+        # H w = -|w| e_0 (the weights are positive) span w^T x = 0 in the sector
+        w_sector = sector.restrict(w)
+        norm_w = np.linalg.norm(w_sector)
+        h = w_sector.copy()
+        h[0] += norm_w
+        beta = 1.0 / (norm_w * h[0])
+        G, B = _reflected_block(G, h, beta), _reflected_block(B, h, beta)
+    try:
+        if not vectors:
+            return scipy.linalg.eigh(B, G, eigvals_only=True)[::-1], None  # ascending
+        vals, vecs = scipy.linalg.eigh(B, G)
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
+        raise QuadratureFailure(
+            "Gram matrix -W S is not positive definite on the zero-mean sector"
+        ) from exc
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    if sector.holds_constant:
+        reflected = np.zeros((h.size, vecs.shape[1]))
+        reflected[1:] = vecs
+        reflected -= np.outer(beta * h, h[1:] @ vecs)
+        vecs = reflected
+    return vals, _fix_signs(sector.extend(vecs))
+
+
 def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
                    ) -> SpectralDecomposition:
     """Diagonalise K* in the -S inner product on the zero-mean sector.
@@ -365,9 +489,12 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     Each mirror sector of the cell (or the whole space, on a cell that is
     not mirror-symmetric) is solved on its own; the eigenvalues are merged in
     descending order.  On mirrored cells the moments of a normal component
-    on the sector its moment vector misses are exactly 0: the nu2 moments of
-    the even modes and the nu1 moments of the odd ones when the mirror is
-    parallel to the grating, the other way round when it is normal to it.
+    on a sector its moment vector misses are exactly 0: with one mirror
+    parallel to the grating the nu2 moments of the even modes and the nu1
+    moments of the odd ones, the other way round when it is normal to it.
+    A sector that neither moment vector reaches is solved for its
+    eigenvalues only; its densities wait for the first read of
+    ``eigendensities``.
 
     Raises :class:`QuadratureFailure` if the Gram matrix is not positive
     definite there or the equilibrium mode cannot be resolved, either of
@@ -377,7 +504,6 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
         single_layer.cell.weights, np_adjoint.cell.weights
     ):
         raise DomainError("operators were assembled from different cells")
-    import scipy.linalg
 
     cell = single_layer.cell
     w = cell.weights
@@ -386,66 +512,49 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
 
     gram = -(w[:, None] * S)
     gram = 0.5 * (gram + gram.T)
-    values, densities, parities = [], [], []
-    sectors = _sectors(gram, K)
-    for sector in sectors:
-        G = sector.block(gram)
-        K_sector = sector.block(K)
-        B = G @ K_sector
-        B = 0.5 * (B + B.T)
-        if sector.parity >= 0:
-            # the sector of the constant: columns 1.. of a Householder reflector
-            # H = I - beta h h^T with H w = -|w| e_0 (the weights are positive)
-            # span w^T x = 0 within it
-            w_sector = sector.restrict(w)
-            norm_w = np.linalg.norm(w_sector)
-            h = w_sector.copy()
-            h[0] += norm_w
-            beta = 1.0 / (norm_w * h[0])
-            G, B = _reflected_block(G, h, beta), _reflected_block(B, h, beta)
-            constant_sector, K_constant = sector, K_sector
-        try:
-            vals, vecs = scipy.linalg.eigh(B, G)
-        except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
-            raise QuadratureFailure(
-                "Gram matrix -W S is not positive definite on the zero-mean sector"
-            ) from exc
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        if sector.parity >= 0:
-            reflected = np.zeros((h.size, vecs.shape[1]))
-            reflected[1:] = vecs
-            reflected -= np.outer(beta * h, h[1:] @ vecs)
-            vecs = reflected
-        values.append(vals)
-        densities.append(sector.extend(vecs))
-        parities.append(np.full(vals.size, sector.parity))
-    # a stable merge of the descending sector spectra; take() keeps the
-    # densities in C order (a fancy column index gives F order, and the last
-    # bits of the moments below follow the layout)
-    order = np.argsort(-np.concatenate(values), kind="stable")
-    vals = np.concatenate(values)[order]
-    densities = _fix_signs(np.take(np.hstack(densities), order, axis=1))
-
-    lam0, psi0 = _equilibrium_mode(K, K_constant, constant_sector, w)
-    eigenvalues = np.concatenate([[lam0], vals])
-    eigendensities = np.column_stack([psi0, densities])
-    parity = np.concatenate([[constant_sector.parity], np.concatenate(parities)[order]])
     nu1 = gram @ cell.normals[:, 0]
     nu2 = gram @ cell.normals[:, 1]
+    blocks = _sector_blocks(gram, K)
+    sectors = [sector for sector, _, _ in blocks]
+    reach1, reach2 = _reached(sectors, nu1), _reached(sectors, nu2)
+    values, densities = [], []
+    for i, (sector, G, K_sector) in enumerate(blocks):
+        vals, dens = _solve_sector(sector, G, K_sector, w, reach1[i] or reach2[i])
+        if sector.holds_constant:
+            constant, K_constant = i, K_sector
+        values.append(vals)
+        densities.append(dens)
+    # a stable merge of the descending sector spectra; each sector's densities
+    # go to their merged columns of one C-order matrix (the last bits of the
+    # moments below follow the layout), those of a deferred sector stay 0
+    order = np.argsort(-np.concatenate(values), kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(1, order.size + 1)
+    columns = np.split(column, np.cumsum([vals.size for vals in values])[:-1])
+    lam0, psi0 = _equilibrium_mode(K, K_constant, sectors[constant], w)
+    eigenvalues = np.concatenate([[lam0], np.concatenate(values)[order]])
+    eigendensities = np.zeros((w.size, w.size))
+    eigendensities[:, 0] = psi0
+    label = np.full(w.size, constant)
+    for i, (dens, cols) in enumerate(zip(densities, columns)):
+        label[cols] = i
+        if dens is not None:
+            eigendensities[:, cols] = dens
     moments_nu1 = eigendensities.T @ nu1
     moments_nu2 = eigendensities.T @ nu2
-    _clear_vanishing_moments(moments_nu1, parity, sectors, nu1)
-    _clear_vanishing_moments(moments_nu2, parity, sectors, nu2)
+    moments_nu1[~reach1[label]] = 0.0
+    moments_nu2[~reach2[label]] = 0.0
+    deferred = tuple((sectors[i], cols) for i, cols in enumerate(columns) if densities[i] is None)
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
-        eigendensities=eigendensities,
         moments_nu1=moments_nu1,
         moments_nu2=moments_nu2,
         gram=gram,
         cell=cell,
         single_layer=S,
         np_adjoint=K,
+        _densities=eigendensities,
+        _deferred=deferred,
     )
 
 
@@ -605,15 +714,13 @@ def resolvent_density(decomposition: SpectralDecomposition, lam: complex,
     error.  Real lam too close to the spectrum is rejected with the offending
     mode index.
     """
-    import scipy.linalg
-
     lam = complex(lam)
     _check_off_spectrum(decomposition, lam)
     adjoint = decomposition.np_adjoint
     system = lam * np.eye(adjoint.shape[0]) - adjoint
     rhs = np.asarray(rhs, dtype=complex if lam.imag != 0.0 else float)
     try:
-        return scipy.linalg.solve(system, rhs)
+        return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"resolvent system singular at contrast {lam}") from exc
 

@@ -119,16 +119,12 @@ def off_surface_normal_derivative(cell: CellGeometry, density: np.ndarray, node:
     upsample = max(32, needed)
     x0 = cell.nodes[node]
     nu = cell.normals[node]
-    values = []
-    for d in distances:
-        h = d / 4.0
-        stencil = [
-            evaluate_single_layer_off_surface(cell, density, x0 + side * (d + s * h) * nu,
-                                              upsample=upsample)
-            for s in (-2, -1, 1, 2)
-        ]
-        values.append(side * (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3])
-                      / (12.0 * h))
+    steps = distances / 4.0
+    points = [x0 + side * (d + s * h) * nu
+              for d, h in zip(distances, steps) for s in (-2, -1, 1, 2)]
+    stencils = evaluate_single_layer_off_surface(cell, density, points, upsample=upsample)
+    values = [side * (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12.0 * h)
+              for f, h in zip(stencils.reshape(-1, 4), steps)]
     return neville_to_zero(distances, values)
 
 

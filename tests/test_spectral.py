@@ -238,6 +238,22 @@ def test_resolvent_zero_mean_and_expansion(disk256_dec, disk256):
     assert np.abs(psi - recon).max() < 1e-6
 
 
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("lam", [PROBE, 0.31, 0.3 + 0.05j, -2.0 + 1e-3j],
+                         ids=["real", "real_near_spectrum", "complex", "complex_far"])
+def test_resolvent_matches_scipy_solve(n, lam):
+    # numpy.linalg.solve against scipy.linalg.solve on the same system; the
+    # two link different OpenBLAS builds, whose LU round-off can differ in
+    # the last bits (2e-14 relative at lam = 0.31), so they agree to round-off
+    dec = decompose(make_disk_cell(0.45, 1.0, n))
+    rhs = dec.cell.normals[:, 1]
+    psi = resolvent_density(dec, lam, rhs)
+    system = lam * np.eye(n) - dec.np_adjoint
+    expected = scipy.linalg.solve(system, rhs.astype(psi.dtype))
+    assert psi.dtype == expected.dtype
+    assert np.abs(psi - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_resolvent_neumann_limit(disk256_dec, disk256):
     rhs = disk256.normals[:, 1]
     lam = 1e8
@@ -411,17 +427,21 @@ BENCH_CURVE = [0.0, 0.33, 0.012, -0.006, 0.0, 0.0, 0.008, -0.015]
 
 
 @pytest.fixture
-def eigh_sizes(monkeypatch):
-    """Orders of the generalized eigh calls made while the test runs."""
-    sizes = []
+def eigh_calls(monkeypatch):
+    """(order, eigenvalues only) of each generalized eigh call made while the test runs."""
+    calls = []
     original = scipy.linalg.eigh
 
     def recorded(a, b=None, **kwargs):
-        sizes.append(a.shape[0])
+        calls.append((a.shape[0], bool(kwargs.get("eigvals_only", False))))
         return original(a, b, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", recorded)
-    return sizes
+    return calls
+
+
+def sizes(calls):
+    return [size for size, _ in calls]
 
 
 def shifted_origin(cell):
@@ -449,18 +469,26 @@ MIRRORED_CELLS = {
     "disk_node0_on_top": lambda: make_smooth_cell([0.0, 0.45j, 0.0], 1.0, 256),
     "fourier_left_right": lambda: make_smooth_cell(1j * np.array(BENCH_CURVE), 1.3, 128),
 }
+# symmetric under both lattice mirrors, so solved on quarters; BENCH_CURVE has
+# even-order coefficients and only the mirror through node 0
+QUARTERED = {"disk", "ellipse", "gap_0.01_n512", "disk_node0_on_top"}
 
 
-@pytest.mark.parametrize("make_cell", MIRRORED_CELLS.values(), ids=MIRRORED_CELLS.keys())
-def test_mirror_sectors_match_whole_space_oracle(make_cell, water_gold, eigh_sizes):
+def quarter_sizes(n):
+    return [n // 4, n // 4, n // 4, n // 4 - 1]
+
+
+@pytest.mark.parametrize("name", MIRRORED_CELLS)
+def test_mirror_sectors_match_whole_space_oracle(name, water_gold, eigh_calls):
     from metastrain.spectral import alpha2_plus_batch
 
-    cell = make_cell()
+    cell = MIRRORED_CELLS[name]()
     n = cell.node_count
     dec = decompose(cell)
-    assert eigh_sizes == [n // 2, n // 2 - 1]
+    expected = quarter_sizes(n) if name in QUARTERED else [n // 2, n // 2 - 1]
+    assert sizes(eigh_calls) == expected
     oracle = decompose(shifted_origin(cell))
-    assert eigh_sizes[2:] == [n - 1]
+    assert sizes(eigh_calls)[len(expected):] == [n - 1]
     radius = np.abs(oracle.eigenvalues).max()
     assert np.abs(dec.eigenvalues - oracle.eigenvalues).max() <= 1e-13 * radius
     lams = default_window(water_gold)
@@ -472,39 +500,90 @@ def test_mirror_sectors_match_whole_space_oracle(make_cell, water_gold, eigh_siz
     assert abs(dec.moments_nu2[j]) == pytest.approx(abs(oracle.moments_nu2[j]), rel=1e-13)
 
 
-@pytest.mark.parametrize("coefficient, empty_on_even, empty_on_odd", [
-    (0.45, "moments_nu2", "moments_nu1"),
-    (0.45j, "moments_nu1", "moments_nu2"),
+def mirror_parities(dens, image):
+    """+1 or -1 per column where the column is exactly even or odd under the node map image."""
+    even = np.all(dens[image] == dens, axis=0)
+    odd = np.all(dens[image] == -dens, axis=0)
+    assert np.all(even ^ odd)
+    return np.where(even, 1, -1)
+
+
+@pytest.mark.parametrize("coefficient, nu2_parities, nu1_parities", [
+    (0.45, (-1, 1), (1, -1)),
+    (0.45j, (1, -1), (-1, 1)),
 ], ids=["parallel_to_grating", "normal_to_grating"])
-def test_mirror_sectors_give_parity_exact_moments(coefficient, empty_on_even, empty_on_odd,
-                                                  eigh_sizes):
-    # node 0 on the right, the mirror j -> -j is xi2 -> -xi2: the equilibrium
-    # mode and the 128 even zero-mean modes carry no nu2 moment, the 127 odd
-    # ones no nu1 moment; node 0 on top (xi1 -> -xi1) the other way round.
-    # Exact zeros, not round-off
+def test_mirror_sectors_give_parity_exact_moments(coefficient, nu2_parities, nu1_parities,
+                                                  eigh_calls):
+    # under j -> -j and j -> n/2 - j each mode is exactly even or odd; node 0
+    # on the right, nu2 lives on the modes odd under the first mirror and even
+    # under the second, nu1 on the modes even and odd, and every other mode
+    # carries exact zeros; node 0 on top the other way round.  The two
+    # sectors without a moment are solved for eigenvalues only, and their
+    # densities on the first read
     dec = decompose(make_smooth_cell([0.0, coefficient, 0.0], 1.0, 256))
     n = dec.mode_count
-    assert eigh_sizes == [n // 2, n // 2 - 1]
-    even = getattr(dec, empty_on_even) == 0.0
-    assert even.sum() == n // 2 + 1 and even[0]
-    assert np.array_equal(getattr(dec, empty_on_odd) == 0.0, ~even)
+    assert eigh_calls == list(zip(quarter_sizes(n), [True, False, False, True]))
+    nodes = np.arange(n)
     dens = dec.eigendensities
-    mirrored = dens[(-np.arange(n)) % n]
-    assert np.array_equal(mirrored[:, even], dens[:, even])
-    assert np.array_equal(mirrored[:, ~even], -dens[:, ~even])
+    assert eigh_calls[4:] == [(n // 4, False), (n // 4 - 1, False)]
+    parities = np.column_stack([mirror_parities(dens, -nodes % n),
+                                mirror_parities(dens, (n // 2 - nodes) % n)])
+    assert tuple(parities[0]) == (1, 1)
+    for moments, sector in ((dec.moments_nu2, nu2_parities), (dec.moments_nu1, nu1_parities)):
+        lives = np.all(parities == sector, axis=1)
+        assert lives.sum() == n // 4
+        assert np.all(moments[lives] != 0.0) and np.all(moments[~lives] == 0.0)
 
 
-def test_asymmetric_cell_takes_the_whole_space(eigh_sizes):
+def test_disk_off_a_multiple_of_four_takes_the_halves(eigh_calls):
+    dec = decompose(make_disk_cell(0.45, 1.0, 130))
+    assert eigh_calls == [(65, False), (64, False)]
+    assert (dec.moments_nu2 == 0.0).sum() == 66
+    assert dec._deferred == ()
+
+
+def test_deferred_densities_on_first_read(disk256_ops, disk256):
+    dec = eigendecompose(*disk256_ops)
+    n = disk256.node_count
+    kept = [a.copy() for a in (dec.eigenvalues, dec.moments_nu1, dec.moments_nu2)]
+    deferred = np.concatenate([columns for _, columns in dec._deferred])
+    assert deferred.size == n // 2 - 1
+    assert np.all(dec._densities[:, deferred] == 0.0)
+    dens = dec.eigendensities
+    assert dec.eigendensities is dens
+    for a, b in zip(kept, (dec.eigenvalues, dec.moments_nu1, dec.moments_nu2)):
+        assert np.array_equal(a, b)
+    zero_mean = dens[:, 1:]
+    assert np.abs(zero_mean.T @ dec.gram @ zero_mean - np.eye(n - 1)).max() < 1e-8
+    assert np.abs(disk256.weights @ zero_mean).max() < 1e-8
+    # against the whole-space oracle (its node j is node j + 1 here), up to
+    # sign, on the modes outside the round-off cluster: the error of a
+    # density is round-off over its eigenvalue's gap
+    oracle = decompose(shifted_origin(disk256))
+    ours = dens[(np.arange(n) + 1) % n][:, deferred]
+    theirs = oracle.eigendensities[:, deferred]
+    lam = dec.eigenvalues
+    radius = np.abs(lam).max()
+    gap = np.array([np.abs(np.delete(lam, j) - lam[j]).min() for j in deferred])
+    signs = np.sign(np.sum(ours * theirs, axis=0))
+    error = np.abs(ours - signs * theirs).max(axis=0) / np.abs(theirs).max(axis=0)
+    isolated = np.abs(lam[deferred]) > 1e-7
+    assert isolated.sum() >= 20
+    assert np.all(error[isolated] <= 1e-12 * radius / gap[isolated])
+
+
+def test_asymmetric_cell_takes_the_whole_space(eigh_calls):
     cell = make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128)
     dec = decompose(cell)
-    assert eigh_sizes == [127]
+    assert eigh_calls == [(127, False)]
     assert np.all(dec.moments_nu2[1:] != 0.0)
 
 
 @pytest.mark.parametrize("parity", [1, -1], ids=["even", "odd"])
-def test_gram_failure_in_one_sector_reported(parity, eigh_sizes):
+def test_gram_failure_in_one_sector_reported(parity, eigh_calls):
     # a mirror-invariant rank-one update along (e_1 +- e_{n-1}) / sqrt 2 that
-    # makes the Gram matrix indefinite in that sector only
+    # makes the Gram matrix indefinite in that sector only; it breaks the
+    # second mirror, so the cell is solved on halves
     cell = make_disk_cell(0.45, 1.0, 64)
     n = cell.node_count
     single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
@@ -515,7 +594,24 @@ def test_gram_failure_in_one_sector_reported(parity, eigh_sizes):
     broken = dataclasses.replace(single, matrix=-gram / cell.weights[:, None])
     with pytest.raises(QuadratureFailure, match="not positive definite"):
         eigendecompose(broken, adjoint)
-    assert eigh_sizes == ([n // 2] if parity > 0 else [n // 2, n // 2 - 1])
+    assert sizes(eigh_calls) == ([n // 2] if parity > 0 else [n // 2, n // 2 - 1])
+
+
+def test_gram_failure_in_a_values_only_quarter_reported(eigh_calls):
+    # an update along (e_1 - e_{n-1} - e_{n/2-1} + e_{n/2+1}) / 2, odd under
+    # both mirrors: indefinite only in the last quarter, which carries no
+    # normal moment and is solved for eigenvalues only
+    cell = make_disk_cell(0.45, 1.0, 64)
+    n = cell.node_count
+    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
+    gram = -(cell.weights[:, None] * single.matrix)
+    u = np.zeros(n)
+    u[[1, n - 1, n // 2 - 1, n // 2 + 1]] = 0.5, -0.5, -0.5, 0.5
+    gram = gram - 1e3 * np.abs(gram).max() * np.outer(u, u)
+    broken = dataclasses.replace(single, matrix=-gram / cell.weights[:, None])
+    with pytest.raises(QuadratureFailure, match="not positive definite"):
+        eigendecompose(broken, adjoint)
+    assert eigh_calls == list(zip(quarter_sizes(n), [True, False, False, True]))
 
 
 # ------------------------------------------------------------ memory guard

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metastrain import assemble_np_adjoint, make_disk_cell, make_ellipse_cell, make_smooth_cell
-from metastrain import validate
+from metastrain import layer_ops, validate
 from metastrain.validate import (
     FD_LADDER,
     FD_MIN_RADIUS_SPACINGS,
@@ -10,6 +10,7 @@ from metastrain.validate import (
     CheckResult,
     _up_down_symmetric,
     fd_distances,
+    off_surface_normal_derivative,
     probe_nodes,
     run_validation,
     trace_check,
@@ -127,3 +128,32 @@ def test_tight_bend_at_a_probe_bounds_the_upsampling(monkeypatch):
     check = trace_check(assemble_np_adjoint(cell))
     assert max(factors) <= np.ceil(900.0 / FD_MIN_RADIUS_SPACINGS)
     assert not check.passed and np.isfinite(check.residual)
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["exterior", "interior"])
+def test_normal_derivative_upsamples_once(monkeypatch, side):
+    # one upsampling of the curve and density serves all 20 stencil points;
+    # the limit is the same number as from one evaluation per point
+    cell = make_ellipse_cell(0.35, 0.22, 1.0, 128)
+    density = cell.normals[:, 1] + 0.3j * cell.normals[:, 0]
+    node = probe_nodes(cell.node_count)[0]
+    factors = []
+    upsampled = layer_ops._upsampled
+
+    def counted(cell, density, factor):
+        factors.append(factor)
+        return upsampled(cell, density, factor)
+
+    monkeypatch.setattr(layer_ops, "_upsampled", counted)
+    limit = off_surface_normal_derivative(cell, density, node, side)
+    assert len(factors) == 1
+    x0, nu = cell.nodes[node], cell.normals[node]
+    values = []
+    for d in fd_distances(cell, node):
+        h = d / 4.0
+        f = [layer_ops.evaluate_single_layer_off_surface(
+                 cell, density, x0 + side * (d + s * h) * nu, upsample=factors[0])
+             for s in (-2, -1, 1, 2)]
+        values.append(side * (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12.0 * h))
+    assert len(factors) == 21
+    assert limit == validate.neville_to_zero(fd_distances(cell, node), values)
