@@ -52,7 +52,6 @@ from .strain import (
     deformation_index,
     invert_peak_to_deformation,
     perimeter,
-    stretch_ratio,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "resolvent_density",
     "resonance_frequency",
     "shape_derivative",
-    "stretch_ratio",
     "sweep",
     "validate_shape_derivative",
 ]

@@ -48,19 +48,14 @@ The eigenpairs feed two downstream quantities:
 * point values of the corrector fields alpha^(l) = S (lam I - K*)^{-1}[nu_l],
   via a direct dense resolvent solve and off-surface quadrature.
 
-alpha2_plus is -(1/2L) times the Stieltjes transform of the positive measure
-mu = sum_j c_j delta(lam_j), c_j = <phi_j, nu2>^2 / (1/2 - lam_j), which is
-numerically carried by a handful of points.  A decomposition keeps the Gauss
-rules of mu with k = 4, 6, 8, 10, 12, 16, 24 and 32 nodes, each built on
-first use from the first k steps of one Lanczos run on diag(lam_j).  Each
-contrast takes the first rule whose truncation error is certified below
-2^-53 of its value by the bound
-mass * prod beta_i^2 / (prod |lam - node_i|^2 * dist(lam, hull)), and whose
-node rounding (eps times the spectral radius per node) moves the value by at
-most 2^-46 of it.  A contrast that no rule certifies, such as a real
-contrast inside the spectral hull or one at a pole, takes the full sum over
-all modes.  The first corrector's cross sum has signed weights and always
-takes the full sum.
+Each mode sum runs over the modes whose weight
+c_j = <phi_j, nu_l> <phi_j, nu2> / (1/2 - lam_j) is non-zero, which is exact:
+the moments on a sector that the moment vector misses are exactly 0, so a
+quarter-sector disk sums 64 of its 255 zero-mean modes for alpha2_plus, a
+half-sector cell about n/2 and an asymmetric cell all of them; on a mirrored
+cell the cross sum of the first component has no term at all.  A zero-mean
+eigenvalue at or above 1/2, which only an unresolved discretisation gives,
+has no positive nu2 weight and is reported as a QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -126,11 +121,6 @@ class SpectralDecomposition:
         weights = self.moments_nu2[1:] ** 2 / (0.5 - self.eigenvalues[1:])
         return 1 + int(np.argmax(weights))
 
-    @cached_property
-    def nu2_gauss_rule(self) -> "GaussRule":
-        """Gauss rules of the nu2 coupling measure, built on first use and kept."""
-        return _gauss_rule(self.eigenvalues, self.moments_nu2)
-
 
 @dataclass(frozen=True)
 class BoundaryLayerLimits:
@@ -140,96 +130,6 @@ class BoundaryLayerLimits:
     alpha1_minus: complex
     alpha2_plus: complex
     alpha2_minus: complex
-
-
-# Gauss rules of the nu2 coupling measure: Lanczos steps, the node counts
-# tried per contrast, the log of the relative bound on a rule's truncation
-# error, and the relative bound on the error of nodes rounded by about eps
-# times the spectral radius, which grows near a pole (at 1e-7 from the
-# dominant eigenvalue of the default disk a rule was 5.5e-10 off)
-_LANCZOS_STEPS = 32
-_RULE_RUNGS = (4, 6, 8, 10, 12, 16, 24, 32)
-_RULE_LOG_TOLERANCE = np.log(2.0**-53)
-_RULE_ROUNDING = 2.0**-46
-
-
-class GaussRule:
-    """Gauss rules of the measure mu = sum_j c_j delta(lam_j), c_j = m_j^2 / (1/2 - lam_j).
-
-    Lanczos runs on diag(lam_j) from sqrt(c / sum c) with full
-    reorthogonalisation (Golub & Meurant 2010, ch. 6-7), only as many steps as
-    the rules asked for so far need.  The Jacobi matrix of its first k steps
-    gives the k-node Gauss rule (Golub & Welsch 1969): the nodes are its
-    eigenvalues, the weights the mass times the squared first components of
-    its eigenvectors.  ``weights`` are the c_j of the full sum and ``hull``
-    is [min lam_j, max lam_j].
-    """
-
-    def __init__(self, eigenvalues: np.ndarray, weights: np.ndarray):
-        self.eigenvalues = eigenvalues
-        self.weights = weights
-        self.hull = (float(eigenvalues.min()), float(eigenvalues.max()))
-        self.mass = float(weights.sum())
-        self._basis = np.zeros((min(_LANCZOS_STEPS, eigenvalues.size), eigenvalues.size))
-        self._q = np.sqrt(weights / self.mass)
-        self._alpha: list[float] = []
-        self._beta: list[float] = []
-        self._rungs: dict = {}
-
-    def _step(self) -> bool:
-        """One Lanczos step; False once the recurrence is exhausted."""
-        i = len(self._alpha)
-        if i == self._basis.shape[0] or (self._beta and self._beta[-1] == 0.0):
-            return False
-        q = self._basis[i] = self._q
-        v = self.eigenvalues * q
-        basis = self._basis[:i + 1]
-        h = basis @ v
-        v -= h @ basis
-        v -= (basis @ v) @ basis  # a second Gram-Schmidt pass keeps the basis orthonormal
-        self._alpha.append(float(h[i]))
-        self._beta.append(float(np.sqrt(v @ v)))
-        if self._beta[-1] > 0.0:
-            self._q = v / self._beta[-1]
-        return True
-
-    def rung(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Nodes, weights and log(mass * prod_{i<=k} beta_i^2) of the k-node rule.
-
-        The last entry is the log of the integral of the squared monic node
-        polynomial against mu: the rule's error for sum_j c_j / (lam - lam_j)
-        is at most its exponential over prod_i |lam - node_i|^2 * dist(lam, hull).
-        Past the end of the recurrence the longest rule is returned.
-        """
-        while len(self._alpha) < k and self._step():
-            pass
-        k = min(k, len(self._alpha))
-        if k not in self._rungs:
-            beta = np.array(self._beta[:k])
-            # eigh reads the lower triangle of the symmetric tridiagonal matrix
-            nodes, vectors = np.linalg.eigh(np.diag(self._alpha[:k]) + np.diag(beta[:-1], -1))
-            with np.errstate(divide="ignore"):  # a zero beta makes the rule exact
-                log_moment = np.log(self.mass) + 2.0 * np.log(beta).sum()
-            self._rungs[k] = (nodes, self.mass * vectors[0] ** 2, float(log_moment))
-        return self._rungs[k]
-
-
-def _gauss_rule(eigenvalues: np.ndarray, moments: np.ndarray) -> GaussRule:
-    """The Gauss rules of the zero-mean modes' nu2 coupling measure.
-
-    A zero-mean eigenvalue at or above 1/2 has no positive weight; only an
-    unresolved discretisation produces one, and it is reported as a
-    :class:`QuadratureFailure` naming the mode.
-    """
-    above = np.flatnonzero(eigenvalues[1:] >= 0.5)
-    if above.size:
-        j = 1 + int(above[0])
-        raise QuadratureFailure(
-            f"zero-mean eigenvalue lambda_{j} = {eigenvalues[j]:.6g} is not below 1/2, "
-            "so its nu2 coupling weight is not positive: the discretisation does not resolve the cell"
-        )
-    lj, m = eigenvalues[1:], moments[1:]
-    return GaussRule(lj, m * m / (0.5 - lj))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -277,41 +177,25 @@ class _Sector:
         return self.parity >= 0 and self.fold >= 0
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
-        """Q^T x along the first axis."""
-        x = self._restrict_half(x)
+        """Q^T x along the first axis: P keeps node 0 and reverses nodes 1..n-1."""
+        if self.parity:
+            pairs = _fold(x[1:], self.parity)
+            x = np.concatenate((x[:1], pairs)) if self.parity > 0 else pairs
         return _fold(x, self.fold) if self.fold else x
 
     def extend(self, y: np.ndarray) -> np.ndarray:
         """Q y along the first axis."""
-        return self._extend_half(_unfold(y, self.fold) if self.fold else y)
+        if self.fold:
+            y = _unfold(y, self.fold)
+        if self.parity < 0:  # node 0 is fixed by P, so odd densities vanish there
+            y = np.concatenate((np.zeros((1,) + y.shape[1:]), y))
+        return np.concatenate((y[:1], _unfold(y[1:], self.parity))) if self.parity else y
 
     def block(self, A: np.ndarray) -> np.ndarray:
         """Q^T A Q: the block of the half, folded."""
-        half = self._restrict_half(self._restrict_half(A).T).T
-        return _fold_block(half, self.fold) if self.fold else half
-
-    def _restrict_half(self, x: np.ndarray) -> np.ndarray:
-        if self.parity == 0:
-            return x
-        h = x.shape[0] // 2
-        pairs = (x[1:h] + self.parity * x[:h:-1]) * _SQRT_HALF
-        if self.parity < 0:
-            return pairs
-        out = np.empty((h + 1,) + x.shape[1:])
-        out[0], out[1:h], out[h] = x[0], pairs, x[h]
-        return out
-
-    def _extend_half(self, y: np.ndarray) -> np.ndarray:
-        if self.parity == 0:
-            return y
-        h = y.shape[0] - self.parity
-        out = np.zeros((2 * h,) + y.shape[1:])
-        pairs = (y[1:h] if self.parity > 0 else y) * _SQRT_HALF
-        if self.parity > 0:
-            out[0], out[h] = y[0], y[h]
-        out[1:h] = pairs
-        out[:h:-1] = self.parity * pairs
-        return out
+        half = _Sector(self.parity).restrict
+        block = half(half(A).T).T
+        return _fold_block(block, self.fold) if self.fold else block
 
 
 def _fold(x: np.ndarray, sign: int) -> np.ndarray:
@@ -626,65 +510,15 @@ def _mode_sums(decomposition: SpectralDecomposition, lams, moments: np.ndarray
                ) -> np.ndarray:
     """-(1/2L) sum_j c_j / (lam - lam_j) for each lam, c_j = m_j <phi_j, nu2> / (1/2 - lam_j).
 
-    The full sum over the zero-mean modes: with m = moments_nu2 it is
-    alpha2_plus, with m = moments_nu1 alpha1_plus.  The equilibrium mode
-    carries no normal moment.
+    The sum over the zero-mean modes whose weight is non-zero; the others
+    add exactly nothing.  With m = moments_nu2 it is alpha2_plus, with
+    m = moments_nu1 alpha1_plus.  The equilibrium mode carries no normal
+    moment.
     """
     lj = decomposition.eigenvalues[1:]
     c = moments[1:] * decomposition.moments_nu2[1:] / (0.5 - lj)
-    return -_row_sums(lj, c, lams) / (2.0 * decomposition.cell.period_ratio)
-
-
-def _hull_distance(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Distance of each complex lam from the real segment [lo, hi]."""
-    gap = np.maximum(np.maximum(lo - lam.real, lam.real - hi), 0.0)
-    return np.hypot(gap, lam.imag)
-
-
-def _nu2_sums(decomposition: SpectralDecomposition, lams) -> tuple[np.ndarray, np.ndarray]:
-    """sum_j c_j / (lam - lam_j) of alpha2_plus, and the number of terms summed per lam.
-
-    Each lam takes the first certified rung of the Gauss rule of the nu2
-    coupling measure; a lam that no rung certifies (a real lam inside the
-    spectral hull, or a measure that needs more nodes) takes the full mode
-    sum.  The choice is made per lam, so no value depends on the batch.
-    """
-    rule = decomposition.nu2_gauss_rule
-    lam = np.asarray(lams, dtype=complex)
-    sums = np.empty(lam.shape, dtype=complex)
-    sizes = np.zeros(lam.shape, dtype=int)
-    dist = _hull_distance(lam, *rule.hull)
-    node_error = np.finfo(float).eps * max(-rule.hull[0], rule.hull[1])
-    pending = np.flatnonzero(dist > 0.0)
-    size = 0
-    for k in _RULE_RUNGS:
-        if pending.size == 0:
-            break
-        nodes, weights, log_moment = rule.rung(k)
-        if nodes.size == size:  # the recurrence ended before k steps
-            break
-        size = nodes.size
-        sub = lam[pending]
-        f = _row_sums(nodes, weights, sub)
-        d = sub.real[:, None] - nodes
-        denominator = d * d + (sub.imag**2)[:, None]
-        # a product that underflows to 0 leaves its lam uncertified; one that
-        # overflows puts the bound far below 2^-53 of the value
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_truncation = (log_moment - np.log(denominator.prod(axis=1))
-                              - np.log(dist[pending]))
-            rounding = node_error * (weights / denominator).sum(axis=1)
-            certified = ((log_truncation <= _RULE_LOG_TOLERANCE + np.log(np.abs(f)))
-                         & (rounding <= _RULE_ROUNDING * np.abs(f)))
-        done = pending[certified]
-        sums[done] = f[certified]
-        sizes[done] = nodes.size
-        pending = pending[~certified]
-    rest = np.flatnonzero(sizes == 0)
-    lj = decomposition.eigenvalues[1:]
-    sums[rest] = _row_sums(lj, rule.weights, lam[rest])
-    sizes[rest] = lj.size
-    return sums, sizes
+    carried = c != 0.0
+    return -_row_sums(lj[carried], c[carried], lams) / (2.0 * decomposition.cell.period_ratio)
 
 
 def alpha_infinity(decomposition: SpectralDecomposition, lam: complex) -> BoundaryLayerLimits:
@@ -701,9 +535,21 @@ def alpha_infinity(decomposition: SpectralDecomposition, lam: complex) -> Bounda
 
 
 def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray) -> np.ndarray:
-    """Vectorised alpha2_plus over an array of (complex) contrasts."""
-    sums, _ = _nu2_sums(decomposition, lams)
-    return -sums / (2.0 * decomposition.cell.period_ratio)
+    """Vectorised alpha2_plus over an array of (complex) contrasts.
+
+    A zero-mean eigenvalue at or above 1/2 has no positive nu2 coupling
+    weight; only an unresolved discretisation produces one, and it is
+    reported as a :class:`QuadratureFailure` naming the mode.
+    """
+    eigenvalues = decomposition.eigenvalues
+    above = np.flatnonzero(eigenvalues[1:] >= 0.5)
+    if above.size:
+        j = 1 + int(above[0])
+        raise QuadratureFailure(
+            f"zero-mean eigenvalue lambda_{j} = {eigenvalues[j]:.6g} is not below 1/2, "
+            "so its nu2 coupling weight is not positive: the discretisation does not resolve the cell"
+        )
+    return _mode_sums(decomposition, lams, decomposition.moments_nu2)
 
 
 def resolvent_density(decomposition: SpectralDecomposition, lam: complex,

@@ -63,13 +63,6 @@ def perimeter(L1: float, L2: float) -> float:
     return np.pi * np.sqrt(2.0) * np.hypot(L1, L2)
 
 
-def stretch_ratio(r: float, L1: float) -> float:
-    """Perimeter ratio of the area-conserving ellipse with major axis L1 to the circle."""
-    if L1 < r:
-        raise DomainError("major axis cannot be smaller than the undeformed radius")
-    return perimeter(L1, r**2 / L1) / (2.0 * np.pi * r)
-
-
 def axes_from_perimeter(r: float, P_target: float) -> tuple[float, float]:
     """Invert the perimeter approximation under area conservation.
 

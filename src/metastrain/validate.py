@@ -155,7 +155,7 @@ def _far_field_checks(dec: SpectralDecomposition) -> list[CheckResult]:
     cell = dec.cell
     try:
         limits = alpha_infinity(dec, PROBE_CONTRAST)
-    except MetastrainError as exc:  # e.g. a mode above 1/2 has no Gauss rule
+    except MetastrainError as exc:  # e.g. a zero-mean mode at or above 1/2
         return [CheckResult("alpha_far_field_limits", False, np.inf, 0.0, detail=str(exc))]
     results = []
     if _up_down_symmetric(cell):

@@ -22,7 +22,6 @@ from metastrain import (
     make_disk_cell,
     make_ellipse_cell,
     peak_vs_period,
-    stretch_ratio,
     validate_shape_derivative,
 )
 from metastrain.dispersion import (
@@ -35,6 +34,7 @@ from metastrain.spectral import alpha2_plus_batch
 from metastrain.validate import off_surface_normal_derivative, run_validation
 
 from modal_oracle import ModalSolution
+from test_strain import stretch_ratio
 
 GRATING_PERIODS = (1.0, 1.25, 1.5, 1.75, 2.0)
 WINDOW = (6.5e-7, 1.7e-6)

@@ -361,40 +361,48 @@ def default_window(material, samples=400):
     lambda: make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128),
     lambda: make_disk_cell(0.45, 0.92, 256),
 ], ids=["disk", "ellipse", "fourier", "gap_0.02"])
-def test_gauss_rule_alpha2_matches_complex_formula(make_cell, water_gold):
+def test_alpha2_matches_complex_formula(make_cell, water_gold):
     from metastrain.spectral import alpha2_plus_batch
 
     dec = decompose(make_cell())
     j = dec.dominant_mode()
-    # the last two sit 1e-7 from the dominant pole and 1e-5 from the round-off
-    # cluster, where a node one ulp off would show unless the rounding test
-    # sends them to the full sum
+    lo, hi = dec.eigenvalues[1:].min(), dec.eigenvalues[1:].max()
+    # after the default window and points far off the spectrum: 1e-7 from the
+    # dominant pole, 1e-5 from the round-off cluster, and real contrasts
+    # inside the hull of the zero-mean spectrum
     lams = np.concatenate([default_window(water_gold),
                            [PROBE, -0.3, 3.0, 0.7 + 0.02j, -2.0 + 1e-3j, 1e3 + 1e3j, 1e4,
-                            dec.eigenvalues[j] + 1e-7j, 1e-5j]])
+                            dec.eigenvalues[j] + 1e-7j, 1e-5j,
+                            0.5 * (lo + hi) + 1e-3, 0.9 * lo, 0.9 * hi]])
     expected, _ = complex_mode_sums(dec, lams, dec.moments_nu2)
     assert np.max(np.abs(alpha2_plus_batch(dec, lams) - expected) / np.abs(expected)) < 1e-14
 
 
-def test_gauss_rule_nodes_on_default_window(disk256_dec, water_gold):
-    from metastrain.spectral import _nu2_sums
+@pytest.mark.parametrize("make_cell, carried, crossed", [
+    (lambda: make_disk_cell(0.45, 1.0, 256), 64, 0),
+    (lambda: make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128), 127, 127),
+], ids=["disk", "fourier"])
+def test_mode_sums_read_only_carried_modes(make_cell, carried, crossed, monkeypatch):
+    # the nu2 moments of 191 of the disk's 255 zero-mean modes are exactly 0,
+    # and no mode carries both normal moments; the asymmetric curve's all do
+    from metastrain import spectral
 
-    _, sizes = _nu2_sums(disk256_dec, default_window(water_gold))
-    assert sizes.max() <= 10  # of 255 modes, for every one of the 400 contrasts
+    dec = decompose(make_cell())
+    sizes = []
+    row_sums = spectral._row_sums
+
+    def recording(nodes, weights, lams):
+        sizes.append(nodes.size)
+        return row_sums(nodes, weights, lams)
+
+    monkeypatch.setattr(spectral, "_row_sums", recording)
+    spectral.alpha2_plus_batch(dec, [PROBE, 0.7 + 0.02j])
+    limits = alpha_infinity(dec, PROBE)
+    assert sizes == [carried, carried, crossed]
+    assert (limits.alpha1_plus == 0.0) == (crossed == 0)
 
 
-def test_gauss_rule_fallback_inside_hull_is_the_full_sum(disk256_dec):
-    from metastrain.spectral import _mode_sums, _nu2_sums, alpha2_plus_batch
-
-    lo, hi = disk256_dec.nu2_gauss_rule.hull
-    lams = np.array([0.5 * (lo + hi) + 1e-3, 0.9 * lo, 0.9 * hi])
-    _, sizes = _nu2_sums(disk256_dec, lams)
-    assert np.all(sizes == disk256_dec.mode_count - 1)
-    full = _mode_sums(disk256_dec, lams, disk256_dec.moments_nu2)
-    assert np.array_equal(alpha2_plus_batch(disk256_dec, lams), full)
-
-
-def test_gauss_rule_scalar_and_batch_identical(disk256_dec, water_gold):
+def test_alpha2_scalar_and_batch_identical(disk256_dec, water_gold):
     from metastrain.spectral import alpha2_plus_batch
 
     lams = default_window(water_gold)

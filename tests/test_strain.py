@@ -8,13 +8,19 @@ from metastrain import (
     invert_peak_to_deformation,
     peak_vs_period,
     perimeter,
-    stretch_ratio,
 )
 from metastrain.errors import CalibrationError, DomainError, MetastrainError, OutOfRangeError
 from metastrain.resonance_sweep import CalibrationRow, CalibrationTable
 from metastrain.strain import _peak_to_period
 
 R = 1e-6
+
+
+def stretch_ratio(r: float, L1: float) -> float:
+    """Perimeter ratio of the area-conserving ellipse with major axis L1 to the circle."""
+    if L1 < r:
+        raise DomainError("major axis cannot be smaller than the undeformed radius")
+    return perimeter(L1, r**2 / L1) / (2.0 * np.pi * r)
 
 
 def test_deformation_index_values():
