@@ -38,6 +38,13 @@ runs that same pass, so K* has one assembly path.  The free-space split cancels 
 
 Beyond |v| = 30 the lattice terms have reached their far field to within
 exp(-60), and v is clipped there so that sinh^2 v cannot overflow.
+
+On node data symmetric under the mirror j -> -j (and j -> n/2 - j, n a
+multiple of 4), certified from those data, S and K* commute with the node
+mirrors and are evaluated only on the rows of the orbit representatives
+0 .. n/2 (0 .. n/4): their pairs as a triangle, the pairs from them to the
+other nodes as one broadcast block.  The other rows are copied from them as
+slices.  Without a mirror every node is a representative: one triangle.
 """
 
 from __future__ import annotations
@@ -83,11 +90,12 @@ class BoundaryOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def log_quadrature_matrix(n: int) -> np.ndarray:
+def log_quadrature_matrix(n: int, rows: int | None = None) -> np.ndarray:
     """Circulant rule for (1/2pi) * Int ln(4 sin^2((t-s)/2)) f(s) ds on n uniform nodes.
 
     Exact for trigonometric polynomials up to the grid's Nyquist frequency; the
     symbol of the continuous operator is -1/|m| on exp(i*m*t) and 0 on constants.
+    ``rows`` keeps only the first rows of the matrix.
     """
     if n % 2 != 0:
         raise DomainError("log quadrature requires an even node count")
@@ -99,21 +107,105 @@ def log_quadrature_matrix(n: int) -> np.ndarray:
     # taken twice, copied from a strided view rather than gathered by index
     rev = row[::-1]
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
-    return windows[::-1].copy()
+    return windows[::-1][:rows].copy()
 
 
-def _upper_pairs(cell: CellGeometry):
-    """Node pairs i < j and u + iv = pi*(z_i - z_j)/L, v clipped at the far-field guard.
+def _mirror_tolerance(n: int) -> float:
+    """Relative mirror defect up to which a cell of n nodes is treated as mirrored.
 
-    Also returns how far |v| exceeds the guard (0 inside it).
+    On mirrored disks, ellipses and Fourier curves and their normal
+    perturbations the defect of K* stays below about 0.15 eps * n^2 (0.18
+    once in 400 perturbed bench curves; its near-diagonal entries cancel to
+    that level) and that of the Gram matrix below 1e-14; an asymmetric
+    cell's is 1e-2 or more.  A cell asymmetric by
+    less than this (1.5e-11 at n = 256, 5.8e-11 at n = 1024) is treated as
+    mirrored: its cross-sector couplings of that relative size are dropped.
+    It certifies the node data here and the matrices in ``spectral``.
     """
-    i, j = np.triu_indices(cell.node_count, 1)
-    scale = np.pi / cell.period_ratio
-    x, y = cell.nodes[:, 0], cell.nodes[:, 1]
-    u = (x[i] - x[j]) * scale
-    v = (y[i] - y[j]) * scale
+    return 0.25 * np.finfo(float).eps * n * n
+
+
+def _node_defect(cell: CellGeometry, image: np.ndarray) -> float:
+    """First-order bound on the relative defect of S and K* under the node map ``image``.
+
+    The map is read as the mirror flipping xi2 or xi1, whichever the normals
+    follow.  Speeds scale columns and kappa w / 4pi is the K* diagonal (at
+    most max |K*|), so their relative defects count as they are.  Normals
+    enter K* linearly and nodes through the kernel, whose gradient moves by
+    the relative defect of neighbouring node offsets; both are weighted by
+    max w |grad G| / max |K*| <= 2 max w / (h max |kappa w|), h the smallest
+    node step.  Over the tolerance it reads 0.18-0.50 on disks and the
+    ellipse, 0.44-0.86 on bench-range Fourier curves and their normal
+    perturbations, 2e12 or more on asymmetric curves.
+    """
+    z, nu, s = cell.nodes_complex, cell.normals_complex, cell.speeds
+    kw = cell.curvatures * cell.weights
+    flip = min((1.0, -1.0), key=lambda f: np.abs(nu[image] - f * nu.conj()).max())
+    gap = z[image] - flip * z.conj()
+    step = np.abs(np.roll(z, -1) - z)
+    offset = np.abs(np.roll(gap, -1) - gap) / step
+    weight = 2.0 * cell.weights.max() / (step.min() * np.abs(kw).max())
+    return float(np.abs(s[image] / s - 1.0).max() + np.abs(kw[image] - kw).max() / np.abs(kw).max()
+                 + weight * (offset.max() + np.abs(nu[image] - flip * nu.conj()).max()))
+
+
+def _mirror_count(cell: CellGeometry) -> int:
+    """How many lattice mirrors the node data certify: 0, 1 (j -> -j) or 2 (j -> n/2 - j too).
+
+    A mirror is certified when the bound of :func:`_node_defect` is within
+    :func:`_mirror_tolerance`; the second only when n is a multiple of 4.
+    """
+    n = cell.node_count
+    j = np.arange(n)
+    tolerance = _mirror_tolerance(n)
+    if not _node_defect(cell, -j % n) <= tolerance:
+        return 0
+    if n % 4 or not _node_defect(cell, (n // 2 - j) % n) <= tolerance:
+        return 1
+    return 2
+
+
+def _pair_kernels(u, v, lag, period_ratio):
+    """S's smooth part and the two K* gradient components at pair offsets u + iv.
+
+    ``lag()`` gives 4 sin^2((t_i - t_j)/2) of the same pairs; it is called
+    once the other pair arrays are gone.  v is clipped at the far-field
+    guard, beyond which G keeps growing like |v|/(2pi).
+    """
     excess = np.maximum(np.abs(v) - _FAR_FIELD_GUARD, 0.0)
-    return i, j, u, np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD), excess
+    np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD, out=v)
+    sin_u, sinh_v = np.sin(u), np.sinh(v)
+    s2 = sin_u**2 + sinh_v**2
+    # grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd in the pair
+    den = 2.0 * period_ratio * s2
+    g1 = sin_u * np.cos(u)
+    g1 /= den
+    g2 = sinh_v * np.cosh(v)
+    g2 /= den
+    del u, v, sin_u, sinh_v, den
+    pair = np.log(s2 / lag()) / (4.0 * np.pi)
+    pair += excess / (2.0 * np.pi)
+    return pair, g1, g2
+
+
+def _mirrored(rows: np.ndarray, mirrors: int) -> np.ndarray:
+    """The n x n matrix that commutes with the node mirrors and has these first rows.
+
+    A[g(i), k] = A[i, g(k)]: rows n/4 + 1 .. n/2 by j -> n/2 - j from rows
+    n/4 - 1 .. 0, then rows beyond n/2 by j -> -j from rows n/2 - 1 .. 1.
+    """
+    if not mirrors:
+        return rows
+    n = rows.shape[1]
+    h, q = n // 2, n // 4
+    A = np.empty((n, n))
+    A[:rows.shape[0]] = rows
+    if mirrors == 2:
+        A[q + 1:h + 1, :h + 1] = A[q - 1::-1, h::-1]
+        A[q + 1:h + 1, h + 1:] = A[q - 1::-1, :h:-1]
+    A[h + 1:, 0] = A[h - 1:0:-1, 0]
+    A[h + 1:, 1:] = A[h - 1:0:-1, :0:-1]
+    return A
 
 
 # instance attribute under which a cell holds the K* built with its S until
@@ -128,51 +220,52 @@ def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     object for the next :func:`assemble_np_adjoint` call on it.
     """
     n = cell.node_count
+    L = cell.period_ratio
     s = cell.speeds
     nu = cell.normals
-    i, j, u, v, excess = _upper_pairs(cell)
-    sin_u, sinh_v = np.sin(u), np.sinh(v)
-    s2 = sin_u**2 + sinh_v**2
-
-    # K*: grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd
-    # in the pair, so entry (j, i) has nu_j and the opposite sign
-    den = 2.0 * cell.period_ratio * s2
-    g1 = sin_u * np.cos(u)
-    g1 /= den
-    g2 = sinh_v * np.cosh(v)
-    g2 /= den
-    # pair arrays go as soon as they are used, and the scalings below run in
-    # place, so building both matrices peaks lower than S alone did
-    del u, v, sin_u, sinh_v, den
-
-    # smooth part G - (1/4pi) ln(4 sin^2((t_i - t_j)/2)); t_j - t_i = 2pi (j - i)/n,
-    # and beyond the guard G keeps growing like |v|/(2pi)
+    mirrors = _mirror_count(cell)
+    r = (n, n // 2 + 1, n // 4 + 1)[mirrors]  # orbit representatives 0 .. r-1
+    scale = np.pi / L
+    x, y = cell.nodes[:, 0], cell.nodes[:, 1]
     canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    pair = np.log(s2 / canonical[j - i]) / (4.0 * np.pi)
-    pair += excess / (2.0 * np.pi)
-    del s2, excess
-    adjoint = np.empty((n, n))
+
+    # pairs i < j inside the representatives; entry (j, i) of K* has nu_j
+    # and the opposite sign, both gradient terms being odd.  Each pair array
+    # goes as soon as it is used, and the scalings below run in place
+    i, j = np.triu_indices(r, 1)
+    pair, g1, g2 = _pair_kernels((x[i] - x[j]) * scale, (y[i] - y[j]) * scale,
+                                 lambda: canonical[j - i], L)
+    adjoint = np.empty((r, n))
     adjoint[i, j] = nu[i, 0] * g1 + nu[i, 1] * g2
     adjoint[j, i] = -(nu[j, 0] * g1 + nu[j, 1] * g2)
     del g1, g2
-    np.fill_diagonal(adjoint, cell.curvatures / (4.0 * np.pi))
-    adjoint *= 2.0 * np.pi / n
-    adjoint *= s[None, :]
-    smooth = np.empty((n, n))
+    smooth = np.empty((r, n))
     smooth[i, j] = pair
     smooth[j, i] = pair
     del i, j, pair
-    np.fill_diagonal(smooth, np.log(s**2) / (4.0 * np.pi)
-                     + np.log(np.pi / cell.period_ratio) / (2.0 * np.pi))
+    if r < n:
+        # the representatives against every later node: one broadcast block
+        lag = np.lib.stride_tricks.sliding_window_view(canonical, n - r)[r:0:-1]
+        pair, g1, g2 = _pair_kernels((x[:r, None] - x[r:]) * scale,
+                                     (y[:r, None] - y[r:]) * scale, lambda: lag, L)
+        adjoint[:, r:] = nu[:r, :1] * g1 + nu[:r, 1:] * g2
+        smooth[:, r:] = pair
+        del pair, g1, g2
+    np.fill_diagonal(adjoint, cell.curvatures[:r] / (4.0 * np.pi))
+    adjoint *= 2.0 * np.pi / n
+    adjoint *= s[None, :]
+    np.fill_diagonal(smooth, (np.log(s**2) / (4.0 * np.pi)
+                              + np.log(np.pi / L) / (2.0 * np.pi))[:r])
 
     # (0.5 Q + (2pi/n) smooth) * s
-    matrix = log_quadrature_matrix(n)
+    matrix = log_quadrature_matrix(n, r)
     matrix *= 0.5
     smooth *= 2.0 * np.pi / n
     matrix += smooth
+    del smooth
     matrix *= s[None, :]
-    cell.__dict__[_PENDING_ADJOINT] = adjoint
-    return BoundaryOperator(matrix=matrix, cell=cell)
+    cell.__dict__[_PENDING_ADJOINT] = _mirrored(adjoint, mirrors)
+    return BoundaryOperator(matrix=_mirrored(matrix, mirrors), cell=cell)
 
 
 def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
@@ -194,24 +287,30 @@ def assemble_np(np_adjoint: BoundaryOperator) -> BoundaryOperator:
 
 
 def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):
-    """Trigonometric upsampling of nodes, weights and density (exact for resolved data)."""
-    if factor <= 1:
-        return cell.nodes_complex, cell.weights, np.asarray(density)
-    m = factor * cell.node_count
-    z = cell.parametrization.sample(m)
-    dz = cell.parametrization.sample(m, order=1)
-    weights = np.abs(dz) * (2.0 * np.pi / m)
+    """Nodes, weights and density on a grid ``factor`` times finer.
+
+    The nodes are sampled from the curve; the cell's weights and the density
+    are interpolated trigonometrically (exact for resolved data), so a defect
+    in the weights reaches the off-surface potential too.  The Nyquist bin
+    of the (even) node count is split evenly between frequencies +n/2 and
+    -n/2 of the fine grid.
+    """
     density = np.asarray(density)
-    # zero-pad the spectrum; the Nyquist bin of the (even) node count is split
-    # evenly between frequencies +n/2 and -n/2 of the fine grid
-    half = cell.node_count // 2
-    coeffs = np.fft.fft(density) * factor
-    padded = np.zeros(m, dtype=complex)
-    padded[:half] = coeffs[:half]
-    padded[m - half + 1:] = coeffs[half + 1:]
-    padded[half] = padded[m - half] = 0.5 * coeffs[half]
-    dens = np.fft.ifft(padded)
-    return z, weights, dens if np.iscomplexobj(density) else dens.real
+    if factor <= 1:
+        return cell.nodes_complex, cell.weights, density
+    n = cell.node_count
+    m, half = factor * n, n // 2
+    fine = []
+    for values in (cell.weights, density):
+        coeffs = np.fft.fft(values) * factor
+        padded = np.zeros(m, dtype=complex)
+        padded[:half] = coeffs[:half]
+        padded[m - half + 1:] = coeffs[half + 1:]
+        padded[half] = padded[m - half] = 0.5 * coeffs[half]
+        fine.append(np.fft.ifft(padded))
+    weights, dens = fine
+    return (cell.parametrization.sample(m), weights.real / factor,
+            dens if np.iscomplexobj(density) else dens.real)
 
 
 def evaluate_single_layer_off_surface(cell: CellGeometry, density: np.ndarray, xi,

@@ -18,15 +18,17 @@ orthonormal orbit basis into an even sector (e_0, e_{n/2} and
 constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2): two generalized
 eigh calls of about n/2 instead of one of n - 1.  A cell symmetric under the
 second lattice mirror j -> n/2 - j as well (the disk and the ellipse) splits
-once more: on the half coordinates that mirror is the reversal
-k -> m - 1 - k, so each half block folds into a + and a - quarter of about
-n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the constant in the first).  The
-quarters are taken when n is a multiple of 4 and all four half blocks of G
-and K* commute with the reversal to the same tolerance; the half blocks are
-built once for that test and the solve.  Every other cell takes the whole
-space as its one sector.  Which normal moments vanish on a sector is read
-off the moment vectors W S nu_l, not assumed: the mirror parallel to the
-grating makes nu1 even and nu2 odd, the one normal to it the reverse.
+over the four characters of the group {I, P, M, T} of both mirrors into
+quarters of about n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the constant in
+the first).  The quarters are taken when n is a multiple of 4 and G and K*
+commute with M to the same tolerance on the rows 0 .. n/4, which, given P,
+is enough.  Each sector block is gathered from the rows of the orbit
+representatives alone: one slice of those rows per group element, summed
+with the character's signs and scaled by the orbit sizes.  Every other cell
+takes the whole space as its one sector.  Which normal moments vanish on a
+sector is read off the moment vectors W S nu_l, not assumed: the mirror
+parallel to the grating makes nu1 even and nu2 odd, the one normal to it
+the reverse.
 
 A sector that neither moment vector reaches (two of the four quarters) is
 solved for its eigenvalues only: the sweep, the calibration, the extinction
@@ -69,6 +71,7 @@ from .errors import DomainError, OutOfRangeError, QuadratureFailure, ResonanceEr
 from .geometry import CellGeometry
 from .layer_ops import (
     BoundaryOperator,
+    _mirror_tolerance,
     assemble_np_adjoint,
     assemble_single_layer,
     evaluate_single_layer_off_surface,
@@ -157,18 +160,19 @@ _EQUILIBRIUM_RESIDUAL = 1e-10
 
 @dataclass(frozen=True)
 class _Sector:
-    """An invariant subspace of the cell's node mirrors, by its orthonormal basis Q.
+    """A character of the cell's node mirror group and the orthonormal basis Q it picks out.
 
-    ``parity`` +1 is the even sector of the mirror P: j -> -j mod n (e_0,
-    (e_j + e_{n-j}) / sqrt 2 for 0 < j < n/2, e_{n/2}, in that order), -1 the
-    odd one ((e_j - e_{n-j}) / sqrt 2) and 0 the whole space (Q = I).
-    ``fold`` +1 or -1 splits a half further by the second mirror
-    j -> n/2 - j, which on the m half coordinates is the reversal
-    k -> m - 1 - k with sign +: the + side holds the pairs
-    (x_k + x_{m-1-k}) / sqrt 2 and then the middle coordinate, the - side the
-    pairs (x_k - x_{m-1-k}) / sqrt 2.  ``fold`` 0 keeps the half whole.
+    The group of n nodes is {I} (``parity`` 0: the whole space, Q = I), or
+    {I, P} for P: j -> -j mod n, or {I, P, M, T} when M: j -> n/2 - j is in
+    it too (T = PM: j -> j + n/2).  ``parity`` is the character's value on
+    P and ``fold`` its value on M (0 when M is not in the group).  The orbit
+    representatives are nodes 0 .. n/2 under P alone and 0 .. n/4 under
+    both; Q has one column per representative r on whose stabiliser the
+    character is 1, in increasing r:
+    b_r = sum over the orbit of chi(g) e_g(r) / sqrt |orbit|.
     """
 
+    n: int
     parity: int
     fold: int = 0
 
@@ -176,62 +180,88 @@ class _Sector:
     def holds_constant(self) -> bool:
         return self.parity >= 0 and self.fold >= 0
 
+    def _orbits(self):
+        """The representatives, the positions among them of half orbits, and (chi(g), g(reps)).
+
+        An orbit has |group| nodes, but those of node 0 and of the last
+        representative (n/2 under P alone, n/4 under both), which P or M
+        fixes, have half as many; each is kept where the character is 1 on
+        that element.  The images are slices, but P's of a run from node 0.
+        Nothing here is kept on the sector: arrays held for the life of a
+        decomposition fragment the heap between the larger ones.
+        """
+        n, h = self.n, self.n // 2
+        last = n // 4 if self.fold else h
+        first = int(self.parity < 0)
+        stop = last + ((self.fold or self.parity) > 0)
+        halves = [0] * (first == 0) + [-1] * (stop > last)
+        mirror = np.arange(n, n - stop, -1) % n if first == 0 else slice(n - first, n - stop, -1)
+        images = [(1, slice(first, stop)), (self.parity, mirror)]
+        if self.fold:
+            images += [(self.fold, slice(h - first, h - stop, -1)),
+                       (self.parity * self.fold, slice(first + h, stop + h))]
+        return slice(first, stop), halves, images
+
+    @staticmethod
+    def _character_sum(images, take) -> np.ndarray:
+        """sum_g chi(g) take(g(representatives))."""
+        (_, identity), *rest = images
+        out = take(identity).copy()
+        for chi, image in rest:
+            (np.add if chi > 0 else np.subtract)(out, take(image), out=out)
+        return out
+
     def restrict(self, x: np.ndarray) -> np.ndarray:
-        """Q^T x along the first axis: P keeps node 0 and reverses nodes 1..n-1."""
-        if self.parity:
-            pairs = _fold(x[1:], self.parity)
-            x = np.concatenate((x[:1], pairs)) if self.parity > 0 else pairs
-        return _fold(x, self.fold) if self.fold else x
+        """Q^T x along the first axis: sqrt |orbit| / |group| * sum_g chi(g) x[g(r)]."""
+        if not self.parity:
+            return x
+        _, halves, images = self._orbits()
+        out = self._character_sum(images, lambda image: x[image])
+        out *= len(images) ** -0.5
+        for k in halves:
+            out[k] *= _SQRT_HALF
+        return out
 
     def extend(self, y: np.ndarray) -> np.ndarray:
-        """Q y along the first axis."""
-        if self.fold:
-            y = _unfold(y, self.fold)
-        if self.parity < 0:  # node 0 is fixed by P, so odd densities vanish there
-            y = np.concatenate((np.zeros((1,) + y.shape[1:]), y))
-        return np.concatenate((y[:1], _unfold(y[1:], self.parity))) if self.parity else y
+        """Q y along the first axis: x[g(r)] = chi(g) y_r / sqrt |orbit| for each g."""
+        if not self.parity:
+            return y
+        _, halves, images = self._orbits()
+        y = y * len(images) ** -0.5
+        for k in halves:
+            y[k] *= _SQRT_TWO
+        x = np.zeros((self.n,) + y.shape[1:])
+        for chi, image in images:
+            if chi > 0:
+                x[image] = y
+            else:  # the images with sign - are slices: views of x
+                np.negative(y, out=x[image])
+        return x
 
     def block(self, A: np.ndarray) -> np.ndarray:
-        """Q^T A Q: the block of the half, folded."""
-        half = _Sector(self.parity).restrict
-        block = half(half(A).T).T
-        return _fold_block(block, self.fold) if self.fold else block
+        """Q^T A Q of a matrix that commutes with the group, from its representatives' rows.
 
-
-def _fold(x: np.ndarray, sign: int) -> np.ndarray:
-    """The reversal fold of an odd number m of coordinates along the first axis."""
-    k = x.shape[0] // 2
-    pairs = (x[:k] + sign * x[:k:-1]) * _SQRT_HALF
-    if sign < 0:
-        return pairs
-    out = np.empty((k + 1,) + x.shape[1:])
-    out[:k], out[k] = pairs, x[k]
-    return out
-
-
-def _unfold(y: np.ndarray, sign: int) -> np.ndarray:
-    """The inverse map of :func:`_fold` on its side of the reversal."""
-    k = y.shape[0] - (sign > 0)
-    out = np.zeros((2 * k + 1,) + y.shape[1:])
-    pairs = y[:k] * _SQRT_HALF
-    out[:k] = pairs
-    out[:k:-1] = sign * pairs
-    if sign > 0:
-        out[k] = y[k]
-    return out
-
-
-def _fold_block(A: np.ndarray, sign: int) -> np.ndarray:
-    return _fold(_fold(A, sign).T, sign).T
+        sqrt(|orbit r| |orbit s|) / |group| * sum_g chi(g) A[r, g(s)]: one
+        gather of those rows per group element, and the factor is 1 but on
+        the rows and columns of half orbits.
+        """
+        if not self.parity:
+            return A
+        reps, halves, images = self._orbits()
+        rows = A[reps]
+        block = self._character_sum(images, lambda image: rows[:, image])
+        for k in halves:
+            block[k] *= _SQRT_HALF
+            block[:, k] *= _SQRT_HALF
+        return block
 
 
 _SQRT_HALF = np.sqrt(0.5)
-_WHOLE = _Sector(0)
-_MIRRORED = (_Sector(1), _Sector(-1))
+_SQRT_TWO = np.sqrt(2.0)
 
 
-def _mirror_defect(A: np.ndarray) -> float:
-    """max |A - P A P| / max |A| for the node mirror P: j -> -j mod n.
+def _mirror_gap(A: np.ndarray) -> float:
+    """max |A - P A P| for the node mirror P: j -> -j mod n.
 
     Compared on slice views: the interior block of nodes 1..n/2-1 against
     that of nodes n-1..n/2+1, the two cross blocks, and the rows and columns
@@ -241,46 +271,40 @@ def _mirror_defect(A: np.ndarray) -> float:
     lo, hi = slice(1, h), slice(None, h, -1)
     pairs = ((A[lo, lo], A[hi, hi]), (A[lo, hi], A[hi, lo]),
              (A[::h, lo], A[::h, hi]), (A[lo, ::h], A[hi, ::h]))
-    return max(float(np.abs(a - b).max()) for a, b in pairs) / float(np.abs(A).max())
+    return max(float(np.abs(a - b).max()) for a, b in pairs)
 
 
-def _reversal_defect(A: np.ndarray) -> float:
-    """max |A - J A J| / max |A| for the reversal J: k -> m - 1 - k of a half block."""
-    return float(np.abs(A - A[::-1, ::-1]).max()) / float(np.abs(A).max())
+def _second_mirror_gap(A: np.ndarray) -> float:
+    """max |A - M A M| over rows 0 .. n/4 for the mirror M: j -> n/2 - j.
 
-
-def _mirror_tolerance(n: int) -> float:
-    """Relative mirror defect up to which a cell of n nodes is solved as mirrored.
-
-    On mirrored disks, ellipses and Fourier curves and their normal
-    perturbations the defect of K* stays below about 0.15 eps * n^2 (0.18
-    once in 400 perturbed bench curves; its near-diagonal entries cancel to
-    that level) and that of the Gram matrix below 1e-14; an asymmetric
-    cell's is 1e-2 or more.  A cell asymmetric by
-    less than this (1.5e-11 at n = 256, 5.8e-11 at n = 1024) is solved as
-    mirrored: its cross-sector couplings of that relative size are dropped.
-    The same tolerance certifies the second mirror on the half blocks.
+    Row i is compared with row n/2 - i, its columns taken in the order
+    n/2 - k as slices.  Given P, these rows suffice: M and P generate the
+    group, and rows 0 .. n/2 meet every P orbit.
     """
-    return 0.25 * np.finfo(float).eps * n * n
+    n = A.shape[0]
+    h, q = n // 2, n // 4
+    rows, image = A[:q + 1], A[h:q - 1:-1]
+    return max(float(np.abs(rows[:, :h + 1] - image[:, h::-1]).max()),
+               float(np.abs(rows[:, h + 1:] - image[:, :h:-1]).max()))
 
 
 def _sector_blocks(gram: np.ndarray, K: np.ndarray) -> list:
     """The cell's sectors, each with its blocks of gram and K*.
 
-    The whole space unless gram and K* both commute with P; then the two
-    halves, and when n is a multiple of 4 and all four half blocks commute
-    with the reversal too, the four quarters folded from those half blocks.
+    The whole space unless gram and K* both commute with P, to a gap
+    within the mirror tolerance of their largest entry; then the two
+    halves, and when n is a multiple of 4 and both matrices commute with M
+    as well, the four quarters.
     """
     n = gram.shape[0]
-    tolerance = _mirror_tolerance(n)
-    if not (_mirror_defect(gram) <= tolerance and _mirror_defect(K) <= tolerance):
-        return [(_WHOLE, gram, K)]
-    halves = [(sector, sector.block(gram), sector.block(K)) for sector in _MIRRORED]
-    if n % 4 or not all(_reversal_defect(A) <= tolerance
-                        for _, G, K_half in halves for A in (G, K_half)):
-        return halves
-    return [(_Sector(sector.parity, fold), _fold_block(G, fold), _fold_block(K_half, fold))
-            for sector, G, K_half in halves for fold in (1, -1)]
+    bounds = [(A, _mirror_tolerance(n) * np.abs(A).max()) for A in (gram, K)]
+    if not all(_mirror_gap(A) <= bound for A, bound in bounds):
+        sectors = [_Sector(n, 0)]
+    elif n % 4 or not all(_second_mirror_gap(A) <= bound for A, bound in bounds):
+        sectors = [_Sector(n, 1), _Sector(n, -1)]
+    else:
+        sectors = [_Sector(n, parity, fold) for parity in (1, -1) for fold in (1, -1)]
+    return [(sector, sector.block(gram), sector.block(K)) for sector in sectors]
 
 
 def _reached(sectors: list, vector: np.ndarray) -> np.ndarray:
@@ -452,9 +476,10 @@ def decompose(cell: CellGeometry) -> SpectralDecomposition:
     return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
 
 
-# float64 arrays live at once: n x n ones in a decomposition (9 at the peak of
-# n = 512, by tracemalloc) and samples x (n - 1) ones in a full mode sum over a
-# batch of contrasts (3 measured); and the most bytes a run may ask for
+# float64 arrays live at once: n x n ones in a decomposition (by tracemalloc at
+# n = 256 and 512: 9.0 on a cell without a mirror, 6.6 with one, 5.1 on the
+# disk, whose assembly peaks at 2.5) and samples x (n - 1) ones in a full mode sum
+# over a batch of contrasts (3 measured); and the most bytes a run may ask for
 _DENSE_ARRAYS = 10
 _BATCH_ARRAYS = 4
 _WORKING_SET_BYTES_MAX = 2**32

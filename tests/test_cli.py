@@ -307,7 +307,10 @@ def test_validate_negative_control(tmp_path, capsys):
     code = main(["--config", str(cfg), "validate", "--break-quadrature"])
     printed = capsys.readouterr().out
     assert code == 4
-    assert any(line.startswith("FAIL") and "calderon" in line for line in printed.splitlines())
+    failed = [line.split()[1] for line in printed.splitlines() if line.startswith("FAIL")]
+    assert "calderon_identity" in failed
+    # the off-surface side integrates with the cell's own weights, interpolated
+    assert "trace_formulae_fd" in failed
 
 
 def test_validate_asymmetric_fourier_curve_passes(tmp_path, capsys):

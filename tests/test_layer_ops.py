@@ -11,6 +11,7 @@ from metastrain import (
     make_disk_cell,
     make_ellipse_cell,
     make_smooth_cell,
+    perturb_normal,
 )
 from metastrain.errors import DomainError, EvaluationDistanceError, MetastrainError
 from metastrain import layer_ops
@@ -99,6 +100,11 @@ def _row_relative_gap(matrix, oracle):
     return (np.abs(matrix - oracle).max(axis=1) / np.abs(oracle).max(axis=1)).max()
 
 
+def _representative_rows(cell):
+    n = cell.node_count
+    return (n, n // 2 + 1, n // 4 + 1)[layer_ops._mirror_count(cell)]
+
+
 @pytest.mark.parametrize("make_cell", [
     lambda: make_disk_cell(0.45, 1.0, 256),
     lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128),
@@ -108,12 +114,18 @@ def _row_relative_gap(matrix, oracle):
     lambda: make_ellipse_cell(0.3, 60.0, 1.0, 256),
 ], ids=["disk", "ellipse", "fourier", "tall_ellipse"])
 def test_real_lattice_kernels_match_complex_split(make_cell):
+    # the kernels are evaluated on the rows of the orbit representatives
+    # (every row on a cell without a certified mirror); the other rows are
+    # their mirror images, as far from the oracle as the cell is from its mirror
     cell = make_cell()
+    rows = _representative_rows(cell)
     single = assemble_single_layer(cell).matrix
     adjoint = assemble_np_adjoint(cell).matrix
     assert np.all(np.isfinite(single)) and np.all(np.isfinite(adjoint))
-    assert _row_relative_gap(single, complex_single_layer(cell)) < 1e-13
-    assert _row_relative_gap(adjoint, complex_np_adjoint(cell)) < 1e-13
+    for matrix, oracle in ((single, complex_single_layer(cell)),
+                           (adjoint, complex_np_adjoint(cell))):
+        assert _row_relative_gap(matrix[:rows], oracle[:rows]) < 1e-13
+        assert _row_relative_gap(matrix, oracle) <= layer_ops._mirror_tolerance(cell.node_count)
 
 
 def test_tall_ellipse_reaches_the_far_field_branch():
@@ -130,9 +142,19 @@ SHARED_PASS_CELLS = {
 }
 
 
+def _matches_per_call(cell, matrix, oracle):
+    """Bit for bit on the rows where the kernels are evaluated, every row on a
+    cell without a certified mirror; the others are mirror images, within the
+    mirror tolerance of the oracle."""
+    rows = _representative_rows(cell)
+    return (np.array_equal(matrix[:rows], oracle[:rows])
+            and np.abs(matrix - oracle).max()
+            <= layer_ops._mirror_tolerance(cell.node_count) * np.abs(oracle).max())
+
+
 def _same_as_per_call(cell, single, adjoint):
-    return (np.array_equal(single.matrix, per_call_single_layer(cell))
-            and np.array_equal(adjoint.matrix, per_call_np_adjoint(cell)))
+    return (_matches_per_call(cell, single.matrix, per_call_single_layer(cell))
+            and _matches_per_call(cell, adjoint.matrix, per_call_np_adjoint(cell)))
 
 
 @pytest.mark.parametrize("make_cell", SHARED_PASS_CELLS.values(), ids=SHARED_PASS_CELLS.keys())
@@ -178,10 +200,99 @@ def test_replaced_cell_gets_its_own_matrices():
     broken = dataclasses.replace(cell, weights=cell.weights * (1.0 + 0.03 * (-1.0) ** np.arange(64)))
     assemble_single_layer(cell)
     adjoint = assemble_np_adjoint(broken)
-    assert np.array_equal(adjoint.matrix, per_call_np_adjoint(broken))
-    assert not np.array_equal(adjoint.matrix, per_call_np_adjoint(cell))
+    assert _matches_per_call(broken, adjoint.matrix, per_call_np_adjoint(broken))
+    assert not _matches_per_call(broken, adjoint.matrix, per_call_np_adjoint(cell))
     single = assemble_single_layer(broken)
     assert _same_as_per_call(broken, single, assemble_np_adjoint(broken))
+
+
+# ------------------------------------------------------------ mirror group
+
+# a mirror-symmetric curve in the range of the benchmark's shape workload
+BENCH_CURVE = [0.0, 0.33, 0.012, -0.006, 0.0, 0.0, 0.008, -0.015]
+
+# cell and the number of lattice mirrors its node data certify
+GROUP_CELLS = {
+    **{f"disk{n}": (lambda n=n: make_disk_cell(0.45, 1.0, n), 2) for n in (128, 256, 512, 1024)},
+    "ellipse": (lambda: make_ellipse_cell(0.35, 0.22, 1.0, 256), 2),
+    "gap_0.01_n512": (lambda: make_disk_cell(0.45, 0.91, 512), 2),
+    "disk_node0_on_top": (lambda: make_smooth_cell([0.0, 0.45j, 0.0], 1.0, 256), 2),
+    "disk130": (lambda: make_disk_cell(0.45, 1.0, 130), 1),
+    "bench_curve": (lambda: make_smooth_cell(BENCH_CURVE, 1.3, 128), 1),
+    "bench_curve+1e-2": (lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), 1e-2), 1),
+    "bench_curve-1e-2": (lambda: perturb_normal(make_smooth_cell(BENCH_CURVE, 1.3, 128), -1e-2), 1),
+}
+
+
+def _trivial_group_pass(cell, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(layer_ops, "_mirror_count", lambda cell: 0)
+        return assemble_single_layer(cell).matrix, assemble_np_adjoint(cell).matrix
+
+
+@pytest.mark.parametrize("name", GROUP_CELLS)
+def test_group_path_matches_the_trivial_group_pass(name, monkeypatch):
+    make_cell, mirrors = GROUP_CELLS[name]
+    cell = make_cell()
+    n = cell.node_count
+    assert layer_ops._mirror_count(cell) == mirrors
+    single, adjoint = assemble_single_layer(cell).matrix, assemble_np_adjoint(cell).matrix
+    tolerance = layer_ops._mirror_tolerance(n)
+    for matrix, oracle in zip((single, adjoint), _trivial_group_pass(cell, monkeypatch)):
+        assert np.abs(matrix - oracle).max() <= tolerance * np.abs(oracle).max()
+        # rows past the representatives are exact mirror images of theirs
+        j = np.arange(n)
+        h, q = n // 2, n // 4
+        assert np.array_equal(matrix[h + 1:], matrix[h - 1:0:-1][:, -j % n])
+        if mirrors == 2:
+            assert np.array_equal(matrix[q + 1:h + 1], matrix[q - 1::-1][:, (h - j) % n])
+
+
+def _shifted_disk(n):
+    return make_smooth_cell([0.0, 0.45 * np.exp(2j * np.pi / n), 0.0], 1.0, n)
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: make_smooth_cell(FOURIER_COEFFS, 1.2, 128),
+    lambda: _shifted_disk(256),
+], ids=["fourier", "disk_shifted_by_one_node"])
+def test_cells_without_a_mirror_keep_the_triangle_pass(make_cell):
+    cell = make_cell()
+    assert layer_ops._mirror_count(cell) == 0
+    assert np.array_equal(assemble_single_layer(cell).matrix, per_call_single_layer(cell))
+    assert np.array_equal(assemble_np_adjoint(cell).matrix, per_call_np_adjoint(cell))
+
+
+def _moved_node(cell, delta):
+    nodes = cell.nodes.copy()
+    nodes[1, 0] += delta
+    return dataclasses.replace(cell, nodes=nodes)
+
+
+def test_node_asymmetry_just_above_the_bound_falls_back():
+    # moving node 1 along xi1 breaks both mirrors; bisect for the shift at
+    # which the node bound reaches the tolerance
+    cell = make_disk_cell(0.45, 1.0, 256)
+    n = cell.node_count
+    tolerance = layer_ops._mirror_tolerance(n)
+    image = -np.arange(n) % n
+    lo, hi = 0.0, 1e-9
+    assert layer_ops._node_defect(_moved_node(cell, hi), image) > tolerance
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if layer_ops._node_defect(_moved_node(cell, mid), image) <= tolerance:
+            lo = mid
+        else:
+            hi = mid
+    # the bound trips at a shift of about 1e-13 of the node spacing
+    spacing = np.abs(np.diff(cell.nodes_complex)).min()
+    assert 1e-15 < hi / spacing < 1e-11
+    below, above = _moved_node(cell, 0.99 * hi), _moved_node(cell, 1.01 * hi)
+    assert layer_ops._mirror_count(below) == 2
+    assert layer_ops._mirror_count(above) == 0
+    single, adjoint = assemble_single_layer(above), assemble_np_adjoint(above)
+    assert np.array_equal(single.matrix, per_call_single_layer(above))
+    assert np.array_equal(adjoint.matrix, per_call_np_adjoint(above))
 
 
 def test_log_quadrature_symbol_exact():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from metastrain import (
     alpha_field,
@@ -541,6 +542,77 @@ def test_mirror_sectors_give_parity_exact_moments(coefficient, nu2_parities, nu1
         lives = np.all(parities == sector, axis=1)
         assert lives.sum() == n // 4
         assert np.all(moments[lives] != 0.0) and np.all(moments[~lives] == 0.0)
+
+
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def _fold(x, sign):
+    """The reversal fold k -> m - 1 - k of an odd number m of coordinates (first axis)."""
+    k = x.shape[0] // 2
+    pairs = (x[:k] + sign * x[:k:-1]) * _SQRT_HALF
+    if sign < 0:
+        return pairs
+    return np.concatenate((pairs, x[k:k + 1]))
+
+
+def _half_restrict(x, parity):
+    """Q^T x for the even or odd half of j -> -j: node 0, then nodes 1..n-1 folded."""
+    pairs = _fold(x[1:], parity)
+    return np.concatenate((x[:1], pairs)) if parity > 0 else pairs
+
+
+def folded_block(A, parity, fold):
+    """The sector block by restricting both sides to the half, then folding by j -> n/2 - j."""
+    block = _half_restrict(_half_restrict(A, parity).T, parity).T
+    return _fold(_fold(block, fold).T, fold).T if fold else block
+
+
+@pytest.mark.parametrize("make_cell, count", [
+    (lambda: make_disk_cell(0.45, 1.0, 256), 4),
+    (lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128), 4),
+    (lambda: make_disk_cell(0.45, 1.0, 130), 2),
+    (lambda: make_smooth_cell(BENCH_CURVE, 1.3, 128), 2),
+], ids=["disk", "ellipse", "disk130", "bench_curve"])
+def test_sector_blocks_from_gathers_match_the_folded_halves(make_cell, count):
+    from metastrain.spectral import _sector_blocks
+
+    cell = make_cell()
+    dec = decompose(cell)
+    blocks = _sector_blocks(dec.gram, dec.np_adjoint)
+    assert len(blocks) == count
+    x = np.random.default_rng(5).standard_normal(cell.node_count)
+    for sector, G, K in blocks:
+        for block, A in ((G, dec.gram), (K, dec.np_adjoint)):
+            oracle = folded_block(A, sector.parity, sector.fold)
+            assert np.abs(block - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        oracle = _half_restrict(x, sector.parity)
+        if sector.fold:
+            oracle = _fold(oracle, sector.fold)
+        assert np.abs(sector.restrict(x) - oracle).max() <= 1e-15 * np.abs(x).max()
+        # extend is Q, with orthonormal columns, and restrict its transpose
+        basis = sector.extend(np.eye(oracle.size))
+        assert np.abs(basis.T @ basis - np.eye(oracle.size)).max() <= 1e-15
+        assert np.abs(sector.restrict(basis) - np.eye(oracle.size)).max() <= 1e-15
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(half_n=st.integers(32, 128), c1=st.floats(0.25, 0.35),
+       odd=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
+       even=st.one_of(st.just((0.0, 0.0)),
+                      st.tuples(st.floats(-0.015, 0.015), st.floats(-0.015, 0.015))))
+def test_group_path_eigenvalues_on_real_fourier_curves(half_n, c1, odd, even):
+    # real coefficients mirror the curve about the grating's direction
+    # (j -> -j); with no even orders, about the normal too (j -> n/2 - j);
+    # n = 2 half_n covers both n % 4 cases.  The same curve with its node
+    # origin moved by one node has no mirror: the trivial-group path
+    n = 2 * half_n
+    coeffs = np.zeros(8)
+    coeffs[[1, 7, 3, 2, 6]] = c1, *odd, *even
+    cell = make_smooth_cell(coeffs, 1.2, n)
+    oracle = decompose(shifted_origin(cell))
+    radius = np.abs(oracle.eigenvalues).max()
+    assert np.abs(decompose(cell).eigenvalues - oracle.eigenvalues).max() <= 1e-13 * radius
 
 
 def test_disk_off_a_multiple_of_four_takes_the_halves(eigh_calls):
