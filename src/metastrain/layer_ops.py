@@ -41,10 +41,11 @@ exp(-60), and v is clipped there so that sinh^2 v cannot overflow.
 
 On node data symmetric under the mirror j -> -j (and j -> n/2 - j, n a
 multiple of 4), certified from those data, S and K* commute with the node
-mirrors and are evaluated only on the rows of the orbit representatives
-0 .. n/2 (0 .. n/4): their pairs as a triangle, the pairs from them to the
-other nodes as one broadcast block.  The other rows are copied from them as
-slices.  Without a mirror every node is a representative: one triangle.
+mirrors, carry that group, and are evaluated only on the rows of the orbit
+representatives 0 .. n/2 (0 .. n/4): their pairs as a triangle, the pairs
+from them to the other nodes as one broadcast block.  The other rows are
+copied from them as slices.  Without a mirror every node is a
+representative: one triangle.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class BoundaryOperator:
 
     matrix: np.ndarray
     cell: CellGeometry
+    mirrors: int = 0  # lattice mirrors it commutes with (_mirror_count); 0 when built by hand
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -120,7 +122,6 @@ def _mirror_tolerance(n: int) -> float:
     cell's is 1e-2 or more.  A cell asymmetric by
     less than this (1.5e-11 at n = 256, 5.8e-11 at n = 1024) is treated as
     mirrored: its cross-sector couplings of that relative size are dropped.
-    It certifies the node data here and the matrices in ``spectral``.
     """
     return 0.25 * np.finfo(float).eps * n * n
 
@@ -129,24 +130,28 @@ def _node_defect(cell: CellGeometry, image: np.ndarray) -> float:
     """First-order bound on the relative defect of S and K* under the node map ``image``.
 
     The map is read as the mirror flipping xi2 or xi1, whichever the normals
-    follow.  Speeds scale columns and kappa w / 4pi is the K* diagonal (at
-    most max |K*|), so their relative defects count as they are.  Normals
-    enter K* linearly and nodes through the kernel, whose gradient moves by
-    the relative defect of neighbouring node offsets; both are weighted by
-    max w |grad G| / max |K*| <= 2 max w / (h max |kappa w|), h the smallest
-    node step.  Over the tolerance it reads 0.18-0.50 on disks and the
-    ellipse, 0.44-0.86 on bench-range Fourier curves and their normal
+    follow.  Speeds scale columns, so their relative defect counts as it is,
+    and the K* diagonal kappa w / 4pi is at most max |K*|.  An entry off it,
+    w_k nu_i . grad G(x_i - x_k), moves with nu_i and with the relative defect
+    of the offset x_i - x_k, both weighted by 2 w_k / (|x_i - x_k| max |kappa w|)
+    >= w_k |grad G| / max |K*|: largest on neighbouring nodes, so each
+    neighbour pair's own weight multiplies its offset defect and its nodes'
+    larger normal defect.  Over the tolerance it reads 0.06-0.41 on disks and
+    ellipses, 0.18-1.44 on bench-range Fourier curves and their normal
     perturbations, 2e12 or more on asymmetric curves.
     """
-    z, nu, s = cell.nodes_complex, cell.normals_complex, cell.speeds
-    kw = cell.curvatures * cell.weights
+    z, nu, w = cell.nodes_complex, cell.normals_complex, cell.weights
+    kw = cell.curvatures * w
     flip = min((1.0, -1.0), key=lambda f: np.abs(nu[image] - f * nu.conj()).max())
     gap = z[image] - flip * z.conj()
+    normal = np.abs(nu[image] - flip * nu.conj())
+    # neighbour pair (k, k + 1)
     step = np.abs(np.roll(z, -1) - z)
+    weight = 2.0 * np.maximum(w, np.roll(w, -1)) / (step * np.abs(kw).max())
     offset = np.abs(np.roll(gap, -1) - gap) / step
-    weight = 2.0 * cell.weights.max() / (step.min() * np.abs(kw).max())
-    return float(np.abs(s[image] / s - 1.0).max() + np.abs(kw[image] - kw).max() / np.abs(kw).max()
-                 + weight * (offset.max() + np.abs(nu[image] - flip * nu.conj()).max()))
+    pairs = weight * (offset + np.maximum(normal, np.roll(normal, -1)))
+    return float(np.abs(w[image] / w - 1.0).max()
+                 + max(np.abs(kw[image] - kw).max() / np.abs(kw).max(), pairs.max()))
 
 
 def _mirror_count(cell: CellGeometry) -> int:
@@ -264,19 +269,19 @@ def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     matrix += smooth
     del smooth
     matrix *= s[None, :]
-    cell.__dict__[_PENDING_ADJOINT] = _mirrored(adjoint, mirrors)
-    return BoundaryOperator(matrix=_mirrored(matrix, mirrors), cell=cell)
+    cell.__dict__[_PENDING_ADJOINT] = BoundaryOperator(_mirrored(adjoint, mirrors), cell, mirrors)
+    return BoundaryOperator(_mirrored(matrix, mirrors), cell, mirrors)
 
 
 def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
     """Matrix of K*, the periodic Neumann-Poincare operator.
 
-    Takes the matrix that :func:`assemble_single_layer` left on this cell
+    Takes the operator that :func:`assemble_single_layer` left on this cell
     object, so the cell keeps no copy; without one, runs that pass first.
     """
     if _PENDING_ADJOINT not in cell.__dict__:
         assemble_single_layer(cell)
-    return BoundaryOperator(matrix=cell.__dict__.pop(_PENDING_ADJOINT), cell=cell)
+    return cell.__dict__.pop(_PENDING_ADJOINT)
 
 
 def assemble_np(np_adjoint: BoundaryOperator) -> BoundaryOperator:

@@ -11,24 +11,22 @@ back with one rank-1 update.
 A cell mirror-symmetric about a line through node 0 parallel or normal to
 the grating (the disk, the ellipse, real-coefficient curves; purely imaginary
 ones) gives G and K* that commute with the node mirror P: j -> -j mod n,
-because the lattice kernel is even in both offsets.  When both matrices pass
-that test to a relative defect of eps * n^2 / 4, the problem splits over the
-orthonormal orbit basis into an even sector (e_0, e_{n/2} and
-(e_j + e_{n-j}) / sqrt 2, which holds the constant and the zero-mean
-constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2): two generalized
-eigh calls of about n/2 instead of one of n - 1.  A cell symmetric under the
-second lattice mirror j -> n/2 - j as well (the disk and the ellipse) splits
-over the four characters of the group {I, P, M, T} of both mirrors into
-quarters of about n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the constant in
-the first).  The quarters are taken when n is a multiple of 4 and G and K*
-commute with M to the same tolerance on the rows 0 .. n/4, which, given P,
-is enough.  Each sector block is gathered from the rows of the orbit
-representatives alone: one slice of those rows per group element, summed
-with the character's signs and scaled by the orbit sizes.  Every other cell
-takes the whole space as its one sector.  Which normal moments vanish on a
-sector is read off the moment vectors W S nu_l, not assumed: the mirror
-parallel to the grating makes nu1 even and nu2 odd, the one normal to it
-the reverse.
+because the lattice kernel is even in both offsets.  The group comes with
+S and K*, which ``layer_ops`` certifies from the node data at assembly.
+Under P the problem splits over the orthonormal orbit basis into an even
+sector (e_0, e_{n/2} and (e_j + e_{n-j}) / sqrt 2, which holds the constant
+and the zero-mean constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2):
+two generalized eigh calls of about n/2 instead of one of n - 1.  Under the
+second lattice mirror j -> n/2 - j as well (the disk and the ellipse, n a
+multiple of 4) it splits over the four characters of the group {I, P, M, T}
+into quarters of about n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the
+constant in the first).  Each sector block is gathered from the rows of the
+orbit representatives alone: one slice of those rows per group element,
+summed with the character's signs and scaled by the orbit sizes.  Operators
+without a group take the whole space as their one sector.  Which normal
+moments vanish on a sector is read off the moment vectors W S nu_l, not
+assumed: the mirror parallel to the grating makes nu1 even and nu2 odd, the
+one normal to it the reverse.
 
 A sector that neither moment vector reaches (two of the four quarters) is
 solved for its eigenvalues only: the sweep, the calibration, the extinction
@@ -260,51 +258,11 @@ _SQRT_HALF = np.sqrt(0.5)
 _SQRT_TWO = np.sqrt(2.0)
 
 
-def _mirror_gap(A: np.ndarray) -> float:
-    """max |A - P A P| for the node mirror P: j -> -j mod n.
-
-    Compared on slice views: the interior block of nodes 1..n/2-1 against
-    that of nodes n-1..n/2+1, the two cross blocks, and the rows and columns
-    of the fixed nodes 0 and n/2.
-    """
-    h = A.shape[0] // 2
-    lo, hi = slice(1, h), slice(None, h, -1)
-    pairs = ((A[lo, lo], A[hi, hi]), (A[lo, hi], A[hi, lo]),
-             (A[::h, lo], A[::h, hi]), (A[lo, ::h], A[hi, ::h]))
-    return max(float(np.abs(a - b).max()) for a, b in pairs)
-
-
-def _second_mirror_gap(A: np.ndarray) -> float:
-    """max |A - M A M| over rows 0 .. n/4 for the mirror M: j -> n/2 - j.
-
-    Row i is compared with row n/2 - i, its columns taken in the order
-    n/2 - k as slices.  Given P, these rows suffice: M and P generate the
-    group, and rows 0 .. n/2 meet every P orbit.
-    """
-    n = A.shape[0]
-    h, q = n // 2, n // 4
-    rows, image = A[:q + 1], A[h:q - 1:-1]
-    return max(float(np.abs(rows[:, :h + 1] - image[:, h::-1]).max()),
-               float(np.abs(rows[:, h + 1:] - image[:, :h:-1]).max()))
-
-
-def _sector_blocks(gram: np.ndarray, K: np.ndarray) -> list:
-    """The cell's sectors, each with its blocks of gram and K*.
-
-    The whole space unless gram and K* both commute with P, to a gap
-    within the mirror tolerance of their largest entry; then the two
-    halves, and when n is a multiple of 4 and both matrices commute with M
-    as well, the four quarters.
-    """
-    n = gram.shape[0]
-    bounds = [(A, _mirror_tolerance(n) * np.abs(A).max()) for A in (gram, K)]
-    if not all(_mirror_gap(A) <= bound for A, bound in bounds):
-        sectors = [_Sector(n, 0)]
-    elif n % 4 or not all(_second_mirror_gap(A) <= bound for A, bound in bounds):
-        sectors = [_Sector(n, 1), _Sector(n, -1)]
-    else:
-        sectors = [_Sector(n, parity, fold) for parity in (1, -1) for fold in (1, -1)]
-    return [(sector, sector.block(gram), sector.block(K)) for sector in sectors]
+def _sectors(n: int, mirrors: int) -> list:
+    """The characters of the mirror group (whole space, halves, quarters), the constant's first."""
+    parities = (1, -1) if mirrors else (0,)
+    folds = (1, -1) if mirrors == 2 else (0,)
+    return [_Sector(n, parity, fold) for parity in parities for fold in folds]
 
 
 def _reached(sectors: list, vector: np.ndarray) -> np.ndarray:
@@ -394,8 +352,8 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
                    ) -> SpectralDecomposition:
     """Diagonalise K* in the -S inner product on the zero-mean sector.
 
-    Each mirror sector of the cell (or the whole space, on a cell that is
-    not mirror-symmetric) is solved on its own; the eigenvalues are merged in
+    Each sector of the mirror group the operators carry (the whole space
+    when they carry none) is solved on its own; the eigenvalues are merged in
     descending order.  On mirrored cells the moments of a normal component
     on a sector its moment vector misses are exactly 0: with one mirror
     parallel to the grating the nu2 moments of the even modes and the nu1
@@ -404,16 +362,18 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     eigenvalues only; its densities wait for the first read of
     ``eigendensities``.
 
-    Raises :class:`QuadratureFailure` if the Gram matrix is not positive
-    definite there or the equilibrium mode cannot be resolved, either of
-    which indicates a broken discretisation.
+    Raises :class:`DomainError` if the operators differ in cell or group,
+    and :class:`QuadratureFailure` if the Gram matrix is not positive
+    definite or the equilibrium mode cannot be resolved, either of which
+    indicates a broken discretisation.
     """
-    if single_layer.cell is not np_adjoint.cell and not np.array_equal(
-        single_layer.cell.weights, np_adjoint.cell.weights
-    ):
+    cell, other = single_layer.cell, np_adjoint.cell
+    if cell is not other and not all(np.array_equal(getattr(cell, name), getattr(other, name))
+                                     for name in ("period_ratio", "nodes", "normals", "weights")):
         raise DomainError("operators were assembled from different cells")
+    if single_layer.mirrors != np_adjoint.mirrors:
+        raise DomainError("operators carry different mirror groups")
 
-    cell = single_layer.cell
     w = cell.weights
     S = single_layer.matrix
     K = np_adjoint.matrix
@@ -422,14 +382,12 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     gram = 0.5 * (gram + gram.T)
     nu1 = gram @ cell.normals[:, 0]
     nu2 = gram @ cell.normals[:, 1]
-    blocks = _sector_blocks(gram, K)
-    sectors = [sector for sector, _, _ in blocks]
+    sectors = _sectors(w.size, single_layer.mirrors)
     reach1, reach2 = _reached(sectors, nu1), _reached(sectors, nu2)
+    K_blocks = [sector.block(K) for sector in sectors]
     values, densities = [], []
-    for i, (sector, G, K_sector) in enumerate(blocks):
-        vals, dens = _solve_sector(sector, G, K_sector, w, reach1[i] or reach2[i])
-        if sector.holds_constant:
-            constant, K_constant = i, K_sector
+    for i, (sector, K_sector) in enumerate(zip(sectors, K_blocks)):
+        vals, dens = _solve_sector(sector, sector.block(gram), K_sector, w, reach1[i] or reach2[i])
         values.append(vals)
         densities.append(dens)
     # a stable merge of the descending sector spectra; each sector's densities
@@ -439,11 +397,11 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     column = np.empty_like(order)
     column[order] = np.arange(1, order.size + 1)
     columns = np.split(column, np.cumsum([vals.size for vals in values])[:-1])
-    lam0, psi0 = _equilibrium_mode(K, K_constant, sectors[constant], w)
+    lam0, psi0 = _equilibrium_mode(K, K_blocks[0], sectors[0], w)
     eigenvalues = np.concatenate([[lam0], np.concatenate(values)[order]])
     eigendensities = np.zeros((w.size, w.size))
     eigendensities[:, 0] = psi0
-    label = np.full(w.size, constant)
+    label = np.zeros(w.size, dtype=int)
     for i, (dens, cols) in enumerate(zip(densities, columns)):
         label[cols] = i
         if dens is not None:

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metastrain import (
     assemble_np,
@@ -213,8 +214,10 @@ BENCH_CURVE = [0.0, 0.33, 0.012, -0.006, 0.0, 0.0, 0.008, -0.015]
 
 # cell and the number of lattice mirrors its node data certify
 GROUP_CELLS = {
-    **{f"disk{n}": (lambda n=n: make_disk_cell(0.45, 1.0, n), 2) for n in (128, 256, 512, 1024)},
+    **{f"disk{n}": (lambda n=n: make_disk_cell(0.45, 1.0, n), 2) for n in (64, 128, 256, 512, 1024)},
     "ellipse": (lambda: make_ellipse_cell(0.35, 0.22, 1.0, 256), 2),
+    "tall_ellipse": (lambda: make_ellipse_cell(0.3, 60.0, 1.0, 256), 2),
+    "flat_ellipse": (lambda: make_ellipse_cell(0.3, 0.005, 1.0, 256), 2),
     "gap_0.01_n512": (lambda: make_disk_cell(0.45, 0.91, 512), 2),
     "disk_node0_on_top": (lambda: make_smooth_cell([0.0, 0.45j, 0.0], 1.0, 256), 2),
     "disk130": (lambda: make_disk_cell(0.45, 1.0, 130), 1),
@@ -224,21 +227,23 @@ GROUP_CELLS = {
 }
 
 
-def _trivial_group_pass(cell, monkeypatch):
-    with monkeypatch.context() as patch:
+def _trivial_group_pass(cell):
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layer_ops, "_mirror_count", lambda cell: 0)
         return assemble_single_layer(cell).matrix, assemble_np_adjoint(cell).matrix
 
 
 @pytest.mark.parametrize("name", GROUP_CELLS)
-def test_group_path_matches_the_trivial_group_pass(name, monkeypatch):
+def test_group_path_matches_the_trivial_group_pass(name):
     make_cell, mirrors = GROUP_CELLS[name]
     cell = make_cell()
     n = cell.node_count
     assert layer_ops._mirror_count(cell) == mirrors
-    single, adjoint = assemble_single_layer(cell).matrix, assemble_np_adjoint(cell).matrix
+    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
+    assert single.mirrors == adjoint.mirrors == mirrors
+    single, adjoint = single.matrix, adjoint.matrix
     tolerance = layer_ops._mirror_tolerance(n)
-    for matrix, oracle in zip((single, adjoint), _trivial_group_pass(cell, monkeypatch)):
+    for matrix, oracle in zip((single, adjoint), _trivial_group_pass(cell)):
         assert np.abs(matrix - oracle).max() <= tolerance * np.abs(oracle).max()
         # rows past the representatives are exact mirror images of theirs
         j = np.arange(n)
@@ -246,6 +251,43 @@ def test_group_path_matches_the_trivial_group_pass(name, monkeypatch):
         assert np.array_equal(matrix[h + 1:], matrix[h - 1:0:-1][:, -j % n])
         if mirrors == 2:
             assert np.array_equal(matrix[q + 1:h + 1], matrix[q - 1::-1][:, (h - j) % n])
+
+
+def _mirror_images(cell):
+    """P: j -> -j, and M: j -> n/2 - j where the node data certify it."""
+    n = cell.node_count
+    j = np.arange(n)
+    return [-j % n, (n // 2 - j) % n][:max(layer_ops._mirror_count(cell), 1)]
+
+
+def _bound_covers_the_matrices(cell):
+    """The node bound against the measured max |A - g A g| / max |A| of the whole-pass S and K*."""
+    matrices = _trivial_group_pass(cell)
+    return all(np.abs(A - A[np.ix_(g, g)]).max() / np.abs(A).max() <= layer_ops._node_defect(cell, g)
+               for g in _mirror_images(cell) for A in matrices)
+
+
+@pytest.mark.parametrize("name", GROUP_CELLS)
+def test_node_bound_covers_the_matrix_defect(name):
+    # the node bound is the one certificate of the group: it must hold over
+    # the defect the matrices it spares from assembly actually have
+    assert _bound_covers_the_matrices(GROUP_CELLS[name][0]())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([64, 96, 128, 256]), c1=st.floats(0.25, 0.35),
+       odd=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
+       even=st.one_of(st.just((0.0, 0.0)),
+                      st.tuples(st.floats(-0.015, 0.015), st.floats(-0.015, 0.015))))
+def test_node_bound_covers_the_matrix_defect_on_real_fourier_curves(n, c1, odd, even):
+    # real coefficients mirror the curve about the grating's direction, and
+    # without even orders about its normal too; the normal perturbations
+    # resample the curve, which leaves round-off in both mirrors
+    coeffs = np.zeros(8)
+    coeffs[[1, 7, 3, 2, 6]] = c1, *odd, *even
+    cell = make_smooth_cell(coeffs, 1.3, n)
+    for eta in (0.0, 1e-2, -1e-2):
+        assert _bound_covers_the_matrices(perturb_normal(cell, eta) if eta else cell)
 
 
 def _shifted_disk(n):
@@ -258,7 +300,9 @@ def _shifted_disk(n):
 ], ids=["fourier", "disk_shifted_by_one_node"])
 def test_cells_without_a_mirror_keep_the_triangle_pass(make_cell):
     cell = make_cell()
+    n = cell.node_count
     assert layer_ops._mirror_count(cell) == 0
+    assert layer_ops._node_defect(cell, -np.arange(n) % n) >= 1e6 * layer_ops._mirror_tolerance(n)
     assert np.array_equal(assemble_single_layer(cell).matrix, per_call_single_layer(cell))
     assert np.array_equal(assemble_np_adjoint(cell).matrix, per_call_np_adjoint(cell))
 

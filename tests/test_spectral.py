@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from metastrain import (
+    BoundaryOperator,
     alpha_field,
     alpha_infinity,
     assemble_np_adjoint,
@@ -110,9 +111,11 @@ def _synthetic_adjoint(cell, kind):
                                            ("zero_mass", "zero mass")],
                          ids=["complex_pair", "zero_mass"])
 def test_unresolved_equilibrium_mode_reported(kind, message):
+    # the synthetic K* commutes with no mirror: both operators are taken
+    # on the whole space
     cell = make_disk_cell(0.45, 1.0, 32)
-    single = assemble_single_layer(cell)
-    broken = dataclasses.replace(assemble_np_adjoint(cell), matrix=_synthetic_adjoint(cell, kind))
+    single = dataclasses.replace(assemble_single_layer(cell), mirrors=0)
+    broken = BoundaryOperator(_synthetic_adjoint(cell, kind), cell, mirrors=0)
     with pytest.raises(QuadratureFailure, match=message):
         eigendecompose(single, broken)
 
@@ -419,6 +422,22 @@ def test_mode_above_one_half_reported():
         alpha_infinity(dec, PROBE)
 
 
+def test_operators_of_two_periods_rejected():
+    # equal weights, different lattices: K* of L = 1.25 in the S pairing of L = 1
+    single = assemble_single_layer(make_disk_cell(0.45, 1.0, 64))
+    with pytest.raises(DomainError, match="different cells"):
+        eigendecompose(single, assemble_np_adjoint(make_disk_cell(0.45, 1.25, 64)))
+    # an equal cell built twice is the same cell
+    dec = eigendecompose(single, assemble_np_adjoint(make_disk_cell(0.45, 1.0, 64)))
+    assert dec.eigenvalues[1] == pytest.approx(0.3585, abs=1e-4)
+
+
+def test_operators_of_two_groups_rejected(disk256_ops):
+    single, adjoint = disk256_ops
+    with pytest.raises(DomainError, match="different mirror groups"):
+        eigendecompose(dataclasses.replace(single, mirrors=0), adjoint)
+
+
 def test_mismatched_cells_rejected(disk256_ops):
     single, _ = disk256_ops
     other = decompose(make_disk_cell(0.45, 1.0, 128))
@@ -575,17 +594,18 @@ def folded_block(A, parity, fold):
     (lambda: make_smooth_cell(BENCH_CURVE, 1.3, 128), 2),
 ], ids=["disk", "ellipse", "disk130", "bench_curve"])
 def test_sector_blocks_from_gathers_match_the_folded_halves(make_cell, count):
-    from metastrain.spectral import _sector_blocks
+    from metastrain.spectral import _sectors
 
     cell = make_cell()
-    dec = decompose(cell)
-    blocks = _sector_blocks(dec.gram, dec.np_adjoint)
-    assert len(blocks) == count
+    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
+    dec = eigendecompose(single, adjoint)
+    sectors = _sectors(cell.node_count, single.mirrors)
+    assert len(sectors) == count
     x = np.random.default_rng(5).standard_normal(cell.node_count)
-    for sector, G, K in blocks:
-        for block, A in ((G, dec.gram), (K, dec.np_adjoint)):
+    for sector in sectors:
+        for A in (dec.gram, dec.np_adjoint):
             oracle = folded_block(A, sector.parity, sector.fold)
-            assert np.abs(block - oracle).max() <= 1e-14 * np.abs(oracle).max()
+            assert np.abs(sector.block(A) - oracle).max() <= 1e-14 * np.abs(oracle).max()
         oracle = _half_restrict(x, sector.parity)
         if sector.fold:
             oracle = _fold(oracle, sector.fold)
@@ -659,39 +679,46 @@ def test_asymmetric_cell_takes_the_whole_space(eigh_calls):
     assert np.all(dec.moments_nu2[1:] != 0.0)
 
 
-@pytest.mark.parametrize("parity", [1, -1], ids=["even", "odd"])
-def test_gram_failure_in_one_sector_reported(parity, eigh_calls):
-    # a mirror-invariant rank-one update along (e_1 +- e_{n-1}) / sqrt 2 that
-    # makes the Gram matrix indefinite in that sector only; it breaks the
-    # second mirror, so the cell is solved on halves
+@pytest.mark.parametrize("parity, fold", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                         ids=["even_even", "even_odd", "odd_even", "odd_odd"])
+def test_gram_failure_in_one_sector_reported(parity, fold, eigh_calls):
+    # a group-invariant rank-one update along the orbit of node 1 with the
+    # character's signs, (e_1 + chi(P) e_{n-1} + chi(M) e_{n/2-1} + chi(T) e_{n/2+1}) / 2,
+    # makes the Gram matrix indefinite in that quarter only.  The quarters
+    # are solved in order, the two without a normal moment for eigenvalues
+    # only, and the failing one is the last solved
     cell = make_disk_cell(0.45, 1.0, 64)
     n = cell.node_count
     single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
     gram = -(cell.weights[:, None] * single.matrix)
     u = np.zeros(n)
-    u[1], u[n - 1] = np.sqrt(0.5), parity * np.sqrt(0.5)
+    u[[1, n - 1, n // 2 - 1, n // 2 + 1]] = 0.5, 0.5 * parity, 0.5 * fold, 0.5 * parity * fold
     gram = gram - 1e3 * np.abs(gram).max() * np.outer(u, u)
     broken = dataclasses.replace(single, matrix=-gram / cell.weights[:, None])
     with pytest.raises(QuadratureFailure, match="not positive definite"):
         eigendecompose(broken, adjoint)
-    assert sizes(eigh_calls) == ([n // 2] if parity > 0 else [n // 2, n // 2 - 1])
+    solved = [(1, 1), (1, -1), (-1, 1), (-1, -1)].index((parity, fold)) + 1
+    assert eigh_calls == list(zip(quarter_sizes(n), [True, False, False, True]))[:solved]
 
 
-def test_gram_failure_in_a_values_only_quarter_reported(eigh_calls):
-    # an update along (e_1 - e_{n-1} - e_{n/2-1} + e_{n/2+1}) / 2, odd under
-    # both mirrors: indefinite only in the last quarter, which carries no
-    # normal moment and is solved for eigenvalues only
+def test_hand_built_operators_take_the_whole_space(disk256_ops, disk256_dec, eigh_calls):
+    single, adjoint = (BoundaryOperator(op.matrix, op.cell) for op in disk256_ops)
+    dec = eigendecompose(single, adjoint)
+    n = dec.mode_count
+    assert eigh_calls == [(n - 1, False)]
+    radius = np.abs(dec.eigenvalues).max()
+    assert np.abs(dec.eigenvalues - disk256_dec.eigenvalues).max() <= 1e-13 * radius
+
+
+def test_the_group_is_certified_once_per_assembly(monkeypatch):
+    from metastrain import layer_ops
+
+    calls = []
+    certify = layer_ops._mirror_count
+    monkeypatch.setattr(layer_ops, "_mirror_count", lambda cell: calls.append(cell) or certify(cell))
     cell = make_disk_cell(0.45, 1.0, 64)
-    n = cell.node_count
-    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
-    gram = -(cell.weights[:, None] * single.matrix)
-    u = np.zeros(n)
-    u[[1, n - 1, n // 2 - 1, n // 2 + 1]] = 0.5, -0.5, -0.5, 0.5
-    gram = gram - 1e3 * np.abs(gram).max() * np.outer(u, u)
-    broken = dataclasses.replace(single, matrix=-gram / cell.weights[:, None])
-    with pytest.raises(QuadratureFailure, match="not positive definite"):
-        eigendecompose(broken, adjoint)
-    assert eigh_calls == list(zip(quarter_sizes(n), [True, False, False, True]))
+    eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
+    assert calls == [cell]
 
 
 # ------------------------------------------------------------ memory guard
