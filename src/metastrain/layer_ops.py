@@ -43,14 +43,16 @@ On node data symmetric under the mirror j -> -j (and j -> n/2 - j, n a
 multiple of 4), certified from those data, S and K* commute with the node
 mirrors, carry that group, and are evaluated only on the rows of the orbit
 representatives 0 .. n/2 (0 .. n/4): their pairs as a triangle, the pairs
-from them to the other nodes as one broadcast block.  The other rows are
-copied from them as slices.  Without a mirror every node is a
-representative: one triangle.
+from them to the other nodes as one broadcast block.  The operators keep
+those rows; the other rows are copied from them as slices on the first read
+of the n x n ``matrix``.  Without a mirror every node is a representative:
+one triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,16 +82,36 @@ def value_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """Dense boundary operator on the nodal densities of a cell (read-only matrix)."""
+    """Dense boundary operator on a cell's nodal densities, kept as its representatives' rows.
 
-    matrix: np.ndarray
+    ``rows``: all n without a mirror, 0 .. n/2 with one, 0 .. n/4 with two.
+    The n x n ``matrix`` is expanded from them on first read; both are read-only.
+    """
+
+    rows: np.ndarray
     cell: CellGeometry
     mirrors: int = 0  # lattice mirrors it commutes with (_mirror_count); 0 when built by hand
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        rows = np.asarray(self.rows, dtype=float)
+        n = self.cell.node_count
+        if (self.mirrors not in (0, 1, 2) or self.mirrors == 2 and n % 4
+                or rows.shape != (_representatives(n, self.mirrors), n)):
+            raise DomainError(f"operator rows of shape {rows.shape} do not fit {n} nodes "
+                              f"under {self.mirrors} lattice mirrors")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = _mirrored(self.rows, self.mirrors)
+        matrix.setflags(write=False)
+        return matrix
+
+
+def _representatives(n: int, mirrors: int) -> int:
+    """How many orbit representatives (nodes 0 .. r-1) n nodes have under that many mirrors."""
+    return (n, n // 2 + 1, n // 4 + 1)[mirrors]
 
 
 def log_quadrature_matrix(n: int, rows: int | None = None) -> np.ndarray:
@@ -229,7 +251,7 @@ def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     s = cell.speeds
     nu = cell.normals
     mirrors = _mirror_count(cell)
-    r = (n, n // 2 + 1, n // 4 + 1)[mirrors]  # orbit representatives 0 .. r-1
+    r = _representatives(n, mirrors)
     scale = np.pi / L
     x, y = cell.nodes[:, 0], cell.nodes[:, 1]
     canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
@@ -269,8 +291,8 @@ def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     matrix += smooth
     del smooth
     matrix *= s[None, :]
-    cell.__dict__[_PENDING_ADJOINT] = BoundaryOperator(_mirrored(adjoint, mirrors), cell, mirrors)
-    return BoundaryOperator(_mirrored(matrix, mirrors), cell, mirrors)
+    cell.__dict__[_PENDING_ADJOINT] = BoundaryOperator(adjoint, cell, mirrors)
+    return BoundaryOperator(matrix, cell, mirrors)
 
 
 def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
@@ -288,7 +310,7 @@ def assemble_np(np_adjoint: BoundaryOperator) -> BoundaryOperator:
     """K as the weighted transpose of K*, exact in the discrete arclength pairing."""
     w = np_adjoint.cell.weights
     matrix = np_adjoint.matrix.T * (w[None, :] / w[:, None])
-    return BoundaryOperator(matrix=matrix, cell=np_adjoint.cell)
+    return BoundaryOperator(matrix, np_adjoint.cell)
 
 
 def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):

@@ -21,24 +21,28 @@ second lattice mirror j -> n/2 - j as well (the disk and the ellipse, n a
 multiple of 4) it splits over the four characters of the group {I, P, M, T}
 into quarters of about n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the
 constant in the first).  Each sector block is gathered from the rows of the
-orbit representatives alone: one slice of those rows per group element,
-summed with the character's signs and scaled by the orbit sizes.  Operators
-without a group take the whole space as their one sector.  Which normal
-moments vanish on a sector is read off the moment vectors W S nu_l, not
+orbit representatives alone, the rows S and K* carry: one slice of those
+rows per group element, summed with the character's signs and scaled by the
+orbit sizes.  The Gram block is gathered from the rows of -W S and made
+symmetric at sector size, and the moment vectors Q^T G nu_l are G_s Q^T nu_l.
+Operators without a group take the whole space as their one sector.  Which
+normal moments vanish on a sector is read off the moment vectors, not
 assumed: the mirror parallel to the grating makes nu1 even and nu2 odd, the
 one normal to it the reverse.
 
+The eigenvectors stay in sector coordinates, where the moments are taken.
 A sector that neither moment vector reaches (two of the four quarters) is
 solved for its eigenvalues only: the sweep, the calibration, the extinction
-spectrum and ``eigs`` read the eigenvalues and the moments alone.  Its
-densities are solved from blocks rebuilt from ``gram`` and ``np_adjoint`` on
-the first read of ``eigendensities``, which ``shape_deriv``, ``validate`` and
-Gram-overlap mode tracking make; the eigenvalues never change.
+spectrum and ``eigs`` read the eigenvalues and the moments alone.  The n x n
+S, K*, Gram matrix and densities are built on the first read, which
+``shape_deriv``, ``validate``, ``resolvent_density`` and Gram-overlap mode
+tracking make; the eigenvalues never change.  On the whole space the moments
+are taken from the n x n densities, which are then built at construction.
 
 The equilibrium mode (eigenvalue 1/2, non-zero mean) is found by shifted
 inverse iteration in the sector of the constant, at construction: one LU of
 K* - (1/2 + 1e-10) I there, a few solves and the Rayleigh quotient, with a
-residual check on the full K*.
+residual check in the sector.
 
 The eigenpairs feed two downstream quantities:
 
@@ -83,39 +87,42 @@ class SpectralDecomposition:
     ``eigenvalues[0]`` is the equilibrium eigenvalue (1/2 up to quadrature
     error); the remaining entries are the zero-mean modes sorted in descending
     order.  Columns of ``eigendensities`` are the matching nodal densities,
-    orthonormal in the Gram inner product for j >= 1.  The densities of a
-    sector that carries no normal moment are solved on the first read of
-    ``eigendensities``; until then their columns of ``_densities`` are 0, and
-    ``_deferred`` names each such sector with its columns.
+    orthonormal in the Gram inner product for j >= 1.  It keeps the rows of S
+    and K* and each sector with its merged columns and its eigenvectors in
+    sector coordinates (None where no normal moment lives); ``single_layer``,
+    ``np_adjoint``, ``gram`` and ``eigendensities`` are built on first read.
     """
 
     eigenvalues: np.ndarray
     moments_nu1: np.ndarray
     moments_nu2: np.ndarray
-    gram: np.ndarray
+    equilibrium_density: np.ndarray
     cell: CellGeometry
-    single_layer: np.ndarray
-    np_adjoint: np.ndarray
-    _densities: np.ndarray
-    _deferred: tuple
+    _operators: tuple[BoundaryOperator, BoundaryOperator]
+    _sectors: tuple
 
     @property
     def mode_count(self) -> int:
         return self.eigenvalues.size
 
     @property
-    def equilibrium_density(self) -> np.ndarray:
-        return self._densities[:, 0]
+    def single_layer(self) -> np.ndarray:
+        return self._operators[0].matrix
+
+    @property
+    def np_adjoint(self) -> np.ndarray:
+        return self._operators[1].matrix
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The Gram matrix -W S, made symmetric."""
+        gram = -(self.cell.weights[:, None] * self.single_layer)
+        return 0.5 * (gram + gram.T)
 
     @cached_property
     def eigendensities(self) -> np.ndarray:
-        """The nodal densities, the deferred sectors solved on first read and kept."""
-        w = self.cell.weights
-        for sector, columns in self._deferred:
-            _, densities = _solve_sector(sector, sector.block(self.gram),
-                                         sector.block(self.np_adjoint), w, vectors=True)
-            self._densities[:, columns] = densities
-        return self._densities
+        """The nodal densities, the sectors without eigenvectors solved from the rows."""
+        return _nodal_densities(self.equilibrium_density, self._sectors, *self._operators)
 
     def dominant_mode(self) -> int:
         """Index of the mode with the heaviest nu2 coupling weight."""
@@ -133,17 +140,19 @@ class BoundaryLayerLimits:
     alpha2_minus: complex
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's reference entry positive.
+def _fix_signs(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Flip each column of ``vectors`` so that its reference among ``entries`` is positive.
 
-    The reference is the lowest-index entry whose magnitude is within 1e-8
-    relative of the column maximum: on mirror-symmetric cells the largest |v|
-    is tied between mirrored nodes (up to round-off where the cell's mirror
-    does not fix node 0), so a plain argmax would let round-off choose the sign.
+    ``entries`` are the columns' nodal entries, at the representatives for
+    sector coordinates.  The reference is the lowest-index entry whose
+    magnitude is within 1e-8 relative of the column maximum: on
+    mirror-symmetric cells the largest |v| is tied between mirrored nodes (up
+    to round-off where the cell's mirror does not fix node 0), so a plain
+    argmax would let round-off choose the sign.
     """
-    mag = np.abs(vectors)
+    mag = np.abs(entries)
     idx = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    signs = np.sign(entries[idx, np.arange(entries.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
 
@@ -220,14 +229,22 @@ class _Sector:
             out[k] *= _SQRT_HALF
         return out
 
-    def extend(self, y: np.ndarray) -> np.ndarray:
-        """Q y along the first axis: x[g(r)] = chi(g) y_r / sqrt |orbit| for each g."""
+    def at_representatives(self, y: np.ndarray) -> np.ndarray:
+        """(Q y)[r] = y_r / sqrt |orbit| along the first axis: its orbit's lowest-index entry."""
         if not self.parity:
             return y
         _, halves, images = self._orbits()
         y = y * len(images) ** -0.5
         for k in halves:
             y[k] *= _SQRT_TWO
+        return y
+
+    def extend(self, y: np.ndarray) -> np.ndarray:
+        """Q y along the first axis: x[g(r)] = chi(g) y_r / sqrt |orbit| for each g."""
+        if not self.parity:
+            return y
+        _, _, images = self._orbits()
+        y = self.at_representatives(y)
         x = np.zeros((self.n,) + y.shape[1:])
         for chi, image in images:
             if chi > 0:
@@ -265,22 +282,23 @@ def _sectors(n: int, mirrors: int) -> list:
     return [_Sector(n, parity, fold) for parity in parities for fold in folds]
 
 
-def _reached(sectors: list, vector: np.ndarray) -> np.ndarray:
-    """Whether each sector's projection Q^T vector exceeds the mirror tolerance of max |vector|.
+def _reached(vectors: list) -> np.ndarray:
+    """Whether each sector's Q^T G nu_l exceeds the mirror tolerance of the largest entry of all.
 
-    The moments <phi_j, vector> of a sector it does not reach are round-off.
+    The moments <phi_j, nu_l> of a sector it does not reach are round-off.
     The whole space is reached by every non-zero vector.
     """
-    scale = _mirror_tolerance(vector.size) * np.abs(vector).max()
-    return np.array([np.abs(sector.restrict(vector)).max() > scale for sector in sectors])
+    n = sum(vector.size for vector in vectors)
+    scale = _mirror_tolerance(n) * max(np.abs(vector).max() for vector in vectors)
+    return np.array([np.abs(vector).max() > scale for vector in vectors])
 
 
-def _equilibrium_mode(K: np.ndarray, K_sector: np.ndarray, sector: _Sector,
-                      w: np.ndarray) -> tuple[float, np.ndarray]:
+def _equilibrium_mode(K_sector: np.ndarray, sector: _Sector, w: np.ndarray
+                      ) -> tuple[float, np.ndarray]:
     """Eigenpair of K* nearest 1/2, by inverse iteration in the sector of the constant.
 
-    The density comes back at unit mass; the residual and mass checks use
-    the full K*.
+    The density comes back in sector coordinates at unit mass.  The residual
+    is the full K*'s for an operator that commutes with the group.
     """
     import scipy.linalg  # deferred, like scipy.special: importing the package stays scipy-free
 
@@ -289,16 +307,16 @@ def _equilibrium_mode(K: np.ndarray, K_sector: np.ndarray, sector: _Sector,
     for _ in range(_EQUILIBRIUM_SOLVES):
         psi = scipy.linalg.lu_solve(lu, psi)
         psi /= np.linalg.norm(psi)
-    psi = sector.extend(psi)
-    k_psi = K @ psi
+    k_psi = K_sector @ psi
     lam0 = float(psi @ k_psi)
     residual = float(np.linalg.norm(k_psi - lam0 * psi))
     if not residual <= _EQUILIBRIUM_RESIDUAL:
         raise QuadratureFailure(
             f"equilibrium mode did not converge: |K* psi - lambda psi| = {residual:.3g}"
         )
-    mass = w @ psi
-    if abs(mass) < 1e-13 * np.abs(psi).max():
+    nodal = sector.extend(psi)
+    mass = w @ nodal
+    if abs(mass) < 1e-13 * np.abs(nodal).max():
         raise QuadratureFailure("equilibrium density has numerically zero mass")
     return lam0, psi / mass
 
@@ -310,11 +328,24 @@ def _reflected_block(A: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
     return A[1:, 1:] - np.outer(h[1:], q[1:]) - np.outer(q[1:], h[1:])
 
 
+def _sector_blocks(sectors: list, single_layer: BoundaryOperator,
+                   np_adjoint: BoundaryOperator) -> list:
+    """Each sector's blocks of -W S, made symmetric at sector size, and of K*, from their rows."""
+    rows = single_layer.rows
+    gram_rows = -(single_layer.cell.weights[:rows.shape[0], None] * rows)
+    blocks = []
+    for sector in sectors:
+        G = sector.block(gram_rows)
+        blocks.append((0.5 * (G + G.T), sector.block(np_adjoint.rows)))
+    return blocks
+
+
 def _solve_sector(sector: _Sector, G: np.ndarray, K_sector: np.ndarray, w: np.ndarray,
                   vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sector's zero-mean eigenvalues in descending order and, if asked, their densities.
+    """The sector's zero-mean eigenvalues in descending order and, if asked, their eigenvectors.
 
-    The densities are nodal, sign-fixed and in the same order; without them
+    The eigenvectors are in sector coordinates, in the same order, with the
+    signs that :func:`_fix_signs` gives their nodal densities; without them
     the generalized ``eigh`` computes eigenvalues only.
     """
     import scipy.linalg
@@ -345,7 +376,21 @@ def _solve_sector(sector: _Sector, G: np.ndarray, K_sector: np.ndarray, w: np.nd
         reflected[1:] = vecs
         reflected -= np.outer(beta * h, h[1:] @ vecs)
         vecs = reflected
-    return vals, _fix_signs(sector.extend(vecs))
+    return vals, _fix_signs(vecs, sector.at_representatives(vecs))
+
+
+def _nodal_densities(psi0: np.ndarray, sectors: tuple, single_layer: BoundaryOperator,
+                     np_adjoint: BoundaryOperator) -> np.ndarray:
+    """psi0, then each sector's extended eigenvectors (solved from the rows if None) in its columns."""
+    w = single_layer.cell.weights
+    dens = np.zeros((w.size, w.size))
+    dens[:, 0] = psi0
+    for sector, columns, vectors in sectors:
+        if vectors is None:
+            (blocks,) = _sector_blocks([sector], single_layer, np_adjoint)
+            vectors = _solve_sector(sector, *blocks, w, vectors=True)[1]
+        dens[:, columns] = sector.extend(vectors)
+    return dens
 
 
 def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
@@ -353,14 +398,14 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     """Diagonalise K* in the -S inner product on the zero-mean sector.
 
     Each sector of the mirror group the operators carry (the whole space
-    when they carry none) is solved on its own; the eigenvalues are merged in
-    descending order.  On mirrored cells the moments of a normal component
-    on a sector its moment vector misses are exactly 0: with one mirror
-    parallel to the grating the nu2 moments of the even modes and the nu1
-    moments of the odd ones, the other way round when it is normal to it.
-    A sector that neither moment vector reaches is solved for its
-    eigenvalues only; its densities wait for the first read of
-    ``eigendensities``.
+    when they carry none) is solved on its own, from blocks gathered from
+    the operators' rows; the eigenvalues are merged in descending order.
+    On mirrored cells the moments of a normal component on a sector its
+    moment vector misses are exactly 0: with one mirror parallel to the
+    grating the nu2 moments of the even modes and the nu1 moments of the odd
+    ones, the other way round when it is normal to it.  A sector that
+    neither moment vector reaches is solved for its eigenvalues only; its
+    densities wait for the first read of ``eigendensities``.
 
     Raises :class:`DomainError` if the operators differ in cell or group,
     and :class:`QuadratureFailure` if the Gram matrix is not positive
@@ -375,53 +420,50 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
         raise DomainError("operators carry different mirror groups")
 
     w = cell.weights
-    S = single_layer.matrix
-    K = np_adjoint.matrix
-
-    gram = -(w[:, None] * S)
-    gram = 0.5 * (gram + gram.T)
-    nu1 = gram @ cell.normals[:, 0]
-    nu2 = gram @ cell.normals[:, 1]
     sectors = _sectors(w.size, single_layer.mirrors)
-    reach1, reach2 = _reached(sectors, nu1), _reached(sectors, nu2)
-    K_blocks = [sector.block(K) for sector in sectors]
-    values, densities = [], []
-    for i, (sector, K_sector) in enumerate(zip(sectors, K_blocks)):
-        vals, dens = _solve_sector(sector, sector.block(gram), K_sector, w, reach1[i] or reach2[i])
-        values.append(vals)
-        densities.append(dens)
-    # a stable merge of the descending sector spectra; each sector's densities
-    # go to their merged columns of one C-order matrix (the last bits of the
-    # moments below follow the layout), those of a deferred sector stay 0
+    blocks = _sector_blocks(sectors, single_layer, np_adjoint)
+    # Q^T G nu_l = G_s Q^T nu_l, per normal component and sector
+    moment_vectors = [[G @ sector.restrict(cell.normals[:, l])
+                       for sector, (G, _) in zip(sectors, blocks)] for l in (0, 1)]
+    reached = [_reached(vectors) for vectors in moment_vectors]
+    values, vectors = zip(*(_solve_sector(sector, *block, w, reach1 or reach2)
+                            for sector, block, reach1, reach2 in zip(sectors, blocks, *reached)))
+    # a stable merge of the descending sector spectra
     order = np.argsort(-np.concatenate(values), kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(1, order.size + 1)
     columns = np.split(column, np.cumsum([vals.size for vals in values])[:-1])
-    lam0, psi0 = _equilibrium_mode(K, K_blocks[0], sectors[0], w)
+    lam0, psi0 = _equilibrium_mode(blocks[0][1], sectors[0], w)
     eigenvalues = np.concatenate([[lam0], np.concatenate(values)[order]])
-    eigendensities = np.zeros((w.size, w.size))
-    eigendensities[:, 0] = psi0
-    label = np.zeros(w.size, dtype=int)
-    for i, (dens, cols) in enumerate(zip(densities, columns)):
-        label[cols] = i
-        if dens is not None:
-            eigendensities[:, cols] = dens
-    moments_nu1 = eigendensities.T @ nu1
-    moments_nu2 = eigendensities.T @ nu2
-    moments_nu1[~reach1[label]] = 0.0
-    moments_nu2[~reach2[label]] = 0.0
-    deferred = tuple((sectors[i], cols) for i, cols in enumerate(columns) if densities[i] is None)
-    return SpectralDecomposition(
+    records = tuple(zip(sectors, columns, vectors))
+    equilibrium_density = sectors[0].extend(psi0)
+    if single_layer.mirrors:
+        # from the sector vectors, <Q v, G nu_l> = v . Q^T G nu_l, on the reached sectors only
+        moments = [np.zeros(w.size), np.zeros(w.size)]
+        for l in (0, 1):
+            if reached[l][0]:
+                moments[l][0] = psi0 @ moment_vectors[l][0]
+            for (_, cols, vecs), vector, reach in zip(records, moment_vectors[l], reached[l]):
+                if reach:
+                    moments[l][cols] = vecs.T @ vector
+    else:
+        # from the C-order n x n density matrix, whose layout the moments' last bits
+        # follow; it is kept as ``eigendensities``, its columns 1.. as the vectors
+        densities = _nodal_densities(equilibrium_density, records, single_layer, np_adjoint)
+        moments = [densities.T @ vectors[0] for vectors in moment_vectors]
+        records = ((sectors[0], columns[0], densities[:, 1:]),)
+    decomposition = SpectralDecomposition(
         eigenvalues=eigenvalues,
-        moments_nu1=moments_nu1,
-        moments_nu2=moments_nu2,
-        gram=gram,
+        moments_nu1=moments[0],
+        moments_nu2=moments[1],
+        equilibrium_density=equilibrium_density,
         cell=cell,
-        single_layer=S,
-        np_adjoint=K,
-        _densities=eigendensities,
-        _deferred=deferred,
+        _operators=(single_layer, np_adjoint),
+        _sectors=records,
     )
+    if not single_layer.mirrors:
+        decomposition.__dict__["eigendensities"] = densities  # the cached_property's slot
+    return decomposition
 
 
 def decompose(cell: CellGeometry) -> SpectralDecomposition:
@@ -434,9 +476,9 @@ def decompose(cell: CellGeometry) -> SpectralDecomposition:
     return eigendecompose(assemble_single_layer(cell), assemble_np_adjoint(cell))
 
 
-# float64 arrays live at once: n x n ones in a decomposition (by tracemalloc at
-# n = 256 and 512: 9.0 on a cell without a mirror, 6.6 with one, 5.1 on the
-# disk, whose assembly peaks at 2.5) and samples x (n - 1) ones in a full mode sum
+# float64 arrays live at once: n x n ones in a decomposition (tracemalloc peaks
+# at n = 256 and 512: 9.0 without a mirror, 3.7 with one, 2.4 with both; 9.0,
+# 5.7, 4.8 with validate's reads) and samples x (n - 1) ones in a full mode sum
 # over a batch of contrasts (3 measured); and the most bytes a run may ask for
 _DENSE_ARRAYS = 10
 _BATCH_ARRAYS = 4

@@ -114,8 +114,8 @@ def test_unresolved_equilibrium_mode_reported(kind, message):
     # the synthetic K* commutes with no mirror: both operators are taken
     # on the whole space
     cell = make_disk_cell(0.45, 1.0, 32)
-    single = dataclasses.replace(assemble_single_layer(cell), mirrors=0)
-    broken = BoundaryOperator(_synthetic_adjoint(cell, kind), cell, mirrors=0)
+    single = BoundaryOperator(assemble_single_layer(cell).matrix, cell)
+    broken = BoundaryOperator(_synthetic_adjoint(cell, kind), cell)
     with pytest.raises(QuadratureFailure, match=message):
         eigendecompose(single, broken)
 
@@ -147,7 +147,7 @@ def test_moment_identity(disk256_dec, disk256):
 def test_gram_failure_reported(disk256_ops):
     single, adjoint = disk256_ops
     # flipping the sign of S makes the Gram negative definite
-    broken = dataclasses.replace(single, matrix=-single.matrix)
+    broken = dataclasses.replace(single, rows=-single.rows)
     with pytest.raises(QuadratureFailure):
         eigendecompose(broken, adjoint)
 
@@ -167,7 +167,7 @@ def test_eigenvector_signs_survive_round_off(disk256_dec, disk256_ops):
     # the disk is mirror symmetric, so the largest |v| of many modes is tied
     # between mirrored nodes; a one-ulp rescaling of S must not flip any sign
     single, adjoint = disk256_ops
-    scaled = dataclasses.replace(single, matrix=single.matrix * (1.0 + 2.0**-52))
+    scaled = dataclasses.replace(single, rows=single.rows * (1.0 + 2.0**-52))
     v1 = disk256_dec.eigendensities[:, 1:]
     v2 = eigendecompose(scaled, adjoint).eigendensities[:, 1:]
     assert np.all(_reference_entries(v2) > 0.0)
@@ -435,7 +435,7 @@ def test_operators_of_two_periods_rejected():
 def test_operators_of_two_groups_rejected(disk256_ops):
     single, adjoint = disk256_ops
     with pytest.raises(DomainError, match="different mirror groups"):
-        eigendecompose(dataclasses.replace(single, mirrors=0), adjoint)
+        eigendecompose(BoundaryOperator(single.matrix, single.cell), adjoint)
 
 
 def test_mismatched_cells_rejected(disk256_ops):
@@ -639,16 +639,16 @@ def test_disk_off_a_multiple_of_four_takes_the_halves(eigh_calls):
     dec = decompose(make_disk_cell(0.45, 1.0, 130))
     assert eigh_calls == [(65, False), (64, False)]
     assert (dec.moments_nu2 == 0.0).sum() == 66
-    assert dec._deferred == ()
+    assert all(vectors is not None for _, _, vectors in dec._sectors)
 
 
 def test_deferred_densities_on_first_read(disk256_ops, disk256):
     dec = eigendecompose(*disk256_ops)
     n = disk256.node_count
     kept = [a.copy() for a in (dec.eigenvalues, dec.moments_nu1, dec.moments_nu2)]
-    deferred = np.concatenate([columns for _, columns in dec._deferred])
+    deferred = np.concatenate([columns for _, columns, vectors in dec._sectors if vectors is None])
     assert deferred.size == n // 2 - 1
-    assert np.all(dec._densities[:, deferred] == 0.0)
+    assert "eigendensities" not in dec.__dict__
     dens = dec.eigendensities
     assert dec.eigendensities is dens
     for a, b in zip(kept, (dec.eigenvalues, dec.moments_nu1, dec.moments_nu2)):
@@ -694,7 +694,7 @@ def test_gram_failure_in_one_sector_reported(parity, fold, eigh_calls):
     u = np.zeros(n)
     u[[1, n - 1, n // 2 - 1, n // 2 + 1]] = 0.5, 0.5 * parity, 0.5 * fold, 0.5 * parity * fold
     gram = gram - 1e3 * np.abs(gram).max() * np.outer(u, u)
-    broken = dataclasses.replace(single, matrix=-gram / cell.weights[:, None])
+    broken = dataclasses.replace(single, rows=(-gram / cell.weights[:, None])[:n // 4 + 1])
     with pytest.raises(QuadratureFailure, match="not positive definite"):
         eigendecompose(broken, adjoint)
     solved = [(1, 1), (1, -1), (-1, 1), (-1, -1)].index((parity, fold)) + 1
@@ -708,6 +708,93 @@ def test_hand_built_operators_take_the_whole_space(disk256_ops, disk256_dec, eig
     assert eigh_calls == [(n - 1, False)]
     radius = np.abs(dec.eigenvalues).max()
     assert np.abs(dec.eigenvalues - disk256_dec.eigenvalues).max() <= 1e-13 * radius
+
+
+def test_rows_off_the_group_rejected(disk256_ops):
+    # a copy of a two-mirror S with a full edited matrix in place of its rows
+    # would be solved on the group's sectors, dropping the edit's couplings
+    single, _ = disk256_ops
+    edited = single.matrix.copy()
+    edited[1, 2] += 1e-3
+    with pytest.raises(DomainError, match="do not fit 256 nodes under 2 lattice mirrors"):
+        dataclasses.replace(single, rows=edited)
+    for mirrors in (-1, 3):
+        with pytest.raises(DomainError, match="do not fit"):
+            BoundaryOperator(edited, single.cell, mirrors)
+    cell = make_disk_cell(0.45, 1.0, 130)
+    with pytest.raises(DomainError, match="do not fit 130 nodes under 2"):
+        BoundaryOperator(np.zeros((33, 130)), cell, 2)
+
+
+def test_calibrate_path_expands_nothing(monkeypatch, water_gold):
+    from metastrain import layer_ops
+    from metastrain.resonance_sweep import dominant_peak, sweep
+
+    expanded = []
+    mirrored = layer_ops._mirrored
+    monkeypatch.setattr(layer_ops, "_mirrored",
+                        lambda rows, mirrors: expanded.append(mirrors) or mirrored(rows, mirrors))
+    dec = decompose(make_disk_cell(0.45, 1.0, 256))
+    assert dominant_peak(sweep(dec, water_gold, 6.5e-7, 1.7e-6, 400)) is not None
+    assert expanded == []
+    assert not {"gram", "eigendensities"} & dec.__dict__.keys()
+    dec.gram
+    assert expanded == [2]
+
+
+def test_two_mirror_decomposition_holds_no_n_by_n_matrix():
+    import tracemalloc
+
+    n = 512
+    cell = make_disk_cell(0.45, 1.0, n)
+    decompose(make_disk_cell(0.45, 1.0, 64))  # imports made before the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dec = decompose(cell)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.mode_count == n
+    # in n x n float64 arrays: the rows of S and K* and two quarters' vectors
+    # (0.64), at most 2.21 at the peak
+    assert (held - start) / (8 * n * n) <= 1.0
+    assert (peak - start) / (8 * n * n) <= 2.5
+
+
+@pytest.mark.parametrize("make_cell, mirrors", [
+    (lambda: make_disk_cell(0.45, 1.0, 256), 2),
+    (lambda: make_disk_cell(0.45, 1.0, 130), 1),
+    (lambda: make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], 1.2, 128), 0),
+], ids=["disk", "disk130", "fourier"])
+def test_expansions_on_first_read_equal_the_eager_formulas(make_cell, mirrors):
+    from metastrain.layer_ops import _mirrored
+
+    cell = make_cell()
+    single, adjoint = assemble_single_layer(cell), assemble_np_adjoint(cell)
+    assert single.mirrors == mirrors
+    dec = eigendecompose(single, adjoint)
+    assert np.array_equal(dec.single_layer, _mirrored(single.rows, mirrors))
+    assert np.array_equal(dec.np_adjoint, _mirrored(adjoint.rows, mirrors))
+    gram = -(cell.weights[:, None] * dec.single_layer)
+    assert np.array_equal(dec.gram, 0.5 * (gram + gram.T))
+    assert dec.single_layer is dec.single_layer and dec.gram is dec.gram
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: make_disk_cell(0.45, 1.0, 256),
+    lambda: make_smooth_cell([0.0, 0.45j, 0.0], 1.0, 256),
+    lambda: make_ellipse_cell(0.35, 0.22, 1.0, 128),
+    lambda: make_disk_cell(0.45, 1.0, 130),
+], ids=["disk", "disk_node0_on_top", "ellipse", "disk130"])
+def test_sector_signs_match_the_nodal_rule(make_cell):
+    from metastrain.spectral import _fix_signs
+
+    dec = decompose(make_cell())
+    deferred = [vectors is None for _, _, vectors in dec._sectors]
+    dens = dec.eigendensities[:, 1:]
+    assert np.array_equal(_fix_signs(dens, dens), dens)
+    assert deferred.count(True) == (2 if len(deferred) == 4 else 0)
 
 
 def test_the_group_is_certified_once_per_assembly(monkeypatch):
