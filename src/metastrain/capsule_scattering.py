@@ -18,42 +18,30 @@ exp(-i n theta_inc) from the Jacobi-Anger expansion of the incident wave.
 Only the widths are computed, from the orders |n| <= N = ceil(k r) + 16; the
 coefficients themselves are formed in the test oracle ``tests/modal_oracle.py``.
 
-J_n, Y_n and their derivatives come from one Bessel ladder on the orders
-n = 0..N+1, with H = J - iY; no ``jv`` or ``hankel2`` call is made.  Y comes
-from one ``y0`` and one ``y1`` call by the forward recurrence
+J_n' and Y_n' come from one Bessel ladder on the orders n = 0..N+1, with
+H = J - iY; no scipy function is called.  J_n, the minimal solution of
+f_{n-1} = (2n / z) f_n - f_{n+1}, comes from Miller's backward recurrence
+(Gautschi, SIAM Rev. 9, 1967) from f = 0, 1 at the orders start + 1, start,
+start = N + 21 + ceil(8 cbrt(z_max)) (the cube-root term is the width of
+the turning region n ~ z: with a fixed margin of 20 orders J is off by 2e-2
+at z = 2e4), normalised by J_0 + 2 sum J_2k = 1.  No order is divided by
+another, so the zeros of J_0 and J_1 cost nothing.  Y_0 and Y_1 come from
+the same f by the Neumann series (Abramowitz & Stegun 9.1.88-89),
 
-    Y_{n+1} = (2n) Y_n / z - Y_{n-1}
+    Y_0 = (2/pi) ((ln(z/2) + gamma) J_0 - 2 sum_{k>=1} (-1)^k J_2k / k),
+    Y_1 = -Y_0' = (2/pi) ((ln(z/2) + gamma - 1) J_1 - J_0 / z
+                          - sum_{k>=1} (-1)^k (2k + 1) / (k (k + 1)) J_{2k+1}),
 
-(Abramowitz & Stegun 9.1.27).  Y_n is the dominant solution of this
-recurrence (it grows like (n-1)! (2/z)^n once n > z, while J_n decays), so
-forward recurrence is stable for it (Gautschi, SIAM Rev. 9, 1967).  The
-expression is the one cephes ``yn`` evaluates, so Y agrees with
-``scipy.special.yn`` bit for bit.  Against 30-digit mpmath, H is within
-8e-16 relative at z = 11.6 (AMOS ``hankel2``: 9e-15); at larger z both carry
-errors of order z * eps, the conditioning of Y_n(z) in z.
-
-J_n is the minimal solution of the same recurrence, so it comes stably from
-the ratios r_n = J_n / J_{n-1} run backward,
-
-    r_n = 1 / (2n / z - r_{n+1}),
-
-from r = 0 at the order top + 20 + ceil(8 cbrt(z_max)), top = N + 1 (Gautschi,
-ibid.).  The cube-root term is the width of the turning region n ~ z: with a
-fixed margin of 20 orders J is off by 2e-2 at z = 2e4.  The Wronskian
-J_{n+1} Y_n - J_n Y_{n+1} = 2 / (pi z) with the Y ladder then fixes the scale
-without a normalisation sum (Steed's method: Barnett, Feng, Steed & Goldfarb,
-Comput. Phys. Commun. 8, 1974):
-
-    J_n = (2 / (pi z)) / (r_{n+1} Y_n - Y_{n+1})   (n < top),   J_top = r_top J_{top-1}.
-
-The closure inherits the absolute error of Y: against 40-digit mpmath, J is
-within 2.3e-15 of each row's maximum on 153 rows z in [0.05, 12.5] (``jv``:
-9.3e-16), and within 1.4e-16 when the exact Y is used instead.  The
-derivatives are the difference (F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1 (the
-formula scipy's ``jvp``/``h2vp`` use), and negative orders follow by
-reflection, F_{-n} = (-1)^n F_n.  For very small k r, Y_n overflows below the
-truncation and the capsule is rejected; so is a spectrum whose ladder would
-not fit the memory budget.
+and the higher orders by the forward recurrence Y_{n+1} = (2n) Y_n / z - Y_{n-1}
+(A&S 9.1.27), stable because Y_n is the dominant solution.  Against
+40-digit mpmath, on 153 rows z in [0.05, 12.5], J_n' is within 1.2e-15 of
+each row's maximum and Y_n' within 1.6e-15 of |H_n'|; up to z = 200 both
+are within 5.6e-15, errors of order z * eps, the conditioning of Y_n(z) in
+z, which AMOS ``hankel2`` carries too.  The derivatives are the difference
+(F_{n-1} - F_{n+1}) / 2 with F_0' = -F_1, and negative orders follow by
+reflection, F_{-n} = (-1)^n F_n.  For very small k r, Y_n overflows below
+the truncation and the capsule is rejected; so is a spectrum whose ladder
+would not fit the memory budget.
 
 The mode ratio s_n = beta*k * J_n'^2 / (W - beta*k * J_n' H_n') is even in n
 and b_n = c_n s_n with |c_n| = 1, so the widths fold onto n = 0..N with weight
@@ -64,7 +52,7 @@ and b_n = c_n s_n with |c_n| = 1, so the widths fold onto n = 0..N with weight
 The incidence angle enters only through the phases c_n, which cancel in both
 sums: for the circular capsule the widths do not depend on the direction of
 incidence.  ``extinction_spectrum`` evaluates the folded sums for all
-wavelengths at once on a (wavelength x order) grid, in real arithmetic.
+wavelengths at once on an (order x wavelength) grid, in real arithmetic.
 With beta*k = b_r + i b_i and w = 2 / (pi z), the denominator
 D = W - beta*k J_n' H_n' has
 
@@ -92,7 +80,7 @@ from .errors import DomainError, OutOfRangeError, QuadratureFailure
 from .spectral import SpectralDecomposition, alpha2_plus_batch
 
 
-# float64 (wavelength x order) arrays live at once in extinction_spectrum, and
+# float64 (order x wavelength) arrays live at once in extinction_spectrum, and
 # the most bytes they may take; larger spectra are refused before allocating
 _LADDER_ARRAYS = 8
 _LADDER_BYTES_MAX = 2**29
@@ -122,62 +110,61 @@ def _check_size_parameter(k, radius):
 
 def _derivative(ladder: np.ndarray) -> np.ndarray:
     """F_n' = (F_{n-1} - F_{n+1}) / 2 on orders 0..top-1, with F_{-1} = -F_1."""
-    prime = np.empty_like(ladder[:, :-1])
-    prime[:, 0] = -ladder[:, 1]
-    prime[:, 1:] = (ladder[:, :-2] - ladder[:, 2:]) / 2.0
+    prime = np.empty_like(ladder[:-1])
+    prime[0] = -ladder[1]
+    prime[1:] = (ladder[:-2] - ladder[2:]) / 2.0
     return prime
 
 
-def _real_ladder(z: np.ndarray, n_modes: np.ndarray):
-    """J_n, J_n', Y_n, Y_n' at orders n = 0..max(n_modes), one row per z.
+def _real_ladder(z: np.ndarray, n_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_n' and Y_n' at orders n = 0..max(n_modes), one column per z.
 
-    Y comes from one ``y0`` and one ``y1`` call by forward recurrence.  J, the
-    minimal solution, comes from the ratios r_n = J_n / J_{n-1} run backward
-    from r = 0 at order top + 20 + ceil(8 cbrt(max z)), top = max(n_modes) + 1
-    (the cube-root term is the width of the turning region n ~ z), closed by
-    the Wronskian: J_n = (2 / (pi z)) / (r_{n+1} Y_n - Y_{n+1}) for n < top and
-    J_top = r_top J_{top-1}.  Against 40-digit mpmath J is within 2.3e-15 of
-    each row's maximum for z <= 12.5 (``jv``: 9.3e-16; see the module
-    docstring).  Each order is one vectorised row over all z.  All four
-    arrays are zero above a row's own ``n_modes``.  Raises
-    :class:`OutOfRangeError` when k r is so small that Y overflows below a
-    row's truncation.
+    J by Miller's recurrence, Y_0 and Y_1 from its Neumann series and the
+    higher Y by forward recurrence (see the module docstring); each order is
+    one vectorised row over all z.  Both arrays are order-major and zero
+    above a column's own ``n_modes``.  Raises :class:`OutOfRangeError` when
+    k r is so small that Y overflows below a column's truncation.
     """
-    # imported here so that only the scattering path pays for scipy.special
-    from scipy.special import y0, y1
-
     top = int(n_modes.max(initial=0)) + 1
-    live = np.arange(top + 1) <= n_modes[:, None] + 1
-    # one contiguous row per order; above a row's own n_modes + 1 either
-    # recurrence may overflow, and those entries are dropped below
-    Y = np.empty((top + 1, z.size))
-    J = np.empty_like(Y)
-    Y[0] = y0(z)
-    Y[1] = y1(z)
-    wronskian = 2.0 / (np.pi * z)
-    ratio = np.zeros(z.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    start = top + 20 + int(np.ceil(8.0 * np.cbrt(z.max(initial=0.0))))
+    # a backward step grows max |f| at most 2 start / z + 1 times: rescaling
+    # by a power of two every `every` orders keeps it below 2^1000
+    every = max(1, int(500 // max(np.log2(2.0 * start / z.min(initial=np.inf) + 1.0), 1.0)))
+    two_over_z = 2.0 / z
+    f = np.zeros((start + 2, z.size))
+    f[start] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(start, 0, -1):
+            np.multiply(n * two_over_z, f[n], out=f[n - 1])
+            f[n - 1] -= f[n + 1]
+            if (start - n) % every == 0 and np.abs(f[n - 1:n + 1]).max(initial=0.0) > 2.0**500:
+                f[n - 1:] *= np.ldexp(1.0, -np.frexp(np.abs(f[n - 1:n + 1]).max(axis=0))[1])
+        # the sums over f_2k and f_2k+1, k = 1..start/2 (f_{start+1} = 0)
+        k = np.arange(1, start // 2 + 1)
+        sign = (-1.0) ** k
+        norm = f[0] + 2.0 * f[2:start + 1:2].sum(axis=0)
+        even = (sign / k) @ f[2:start + 1:2] / norm
+        odd = (sign * (2 * k + 1) / (k * (k + 1))) @ f[3:start + 2:2] / norm
+        J0, J1 = f[0] / norm, f[1] / norm
+        log_term = np.log(z / 2.0) + np.euler_gamma
+        Y = np.empty((top + 1, z.size))
+        Y[0] = 2.0 / np.pi * (log_term * J0 - 2.0 * even)
+        Y[1] = 2.0 / np.pi * ((log_term - 1.0) * J1 - J0 / z - odd)
         for n in range(1, top):
             Y[n + 1] = (2 * n) * Y[n] / z - Y[n - 1]
-        for n in range(top + 20 + int(np.ceil(8.0 * np.cbrt(z.max(initial=0.0)))), 0, -1):
-            ratio = 1.0 / ((2 * n) / z - ratio)
-            if n <= top:
-                J[n - 1] = wronskian / (ratio * Y[n - 1] - Y[n])
-            if n == top:
-                J[top] = ratio * J[top - 1]
-    Y = np.where(live, Y.T, 0.0)
-    J = np.where(live, J.T, 0.0)
-    finite = (np.isfinite(Y) & np.isfinite(J)).all(axis=1)
+        Jp = _derivative(f[:top + 1])
+        Jp /= norm
+        Yp = _derivative(Y)
+    # above a column's own n_modes either recurrence may overflow
+    for n in range(int(n_modes.min(initial=top)) + 1, top):
+        Jp[n, n_modes < n] = Yp[n, n_modes < n] = 0.0
+    finite = np.isfinite(Jp).all(axis=0) & np.isfinite(Yp).all(axis=0)
     if not finite.all():
         raise OutOfRangeError(
             f"size parameter k * r = {z[np.argmin(finite)]:.3g} is too small: "
             "Y_n overflows below the mode truncation"
         )
-    ladders = [J[:, :-1], _derivative(J), Y[:, :-1], _derivative(Y)]
-    beyond = np.arange(top) > n_modes[:, None]
-    for F in ladders:
-        F[beyond] = 0.0
-    return ladders
+    return Jp, Yp
 
 
 @dataclass(frozen=True)
@@ -213,25 +200,25 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     else:
         betas = np.full(lam_grid.shape, complex(beta_override))
 
-    _, Jp, _, Yp = _real_ladder(z, np.ceil(z).astype(int) + 16)
+    Jp, Yp = _real_ladder(z, np.ceil(z).astype(int) + 16)  # orders x wavelengths
     beta_k = betas * k
-    b_r, b_i = beta_k.real[:, None], beta_k.imag[:, None]
+    b_r, b_i = beta_k.real, beta_k.imag
     w = 2.0 / (np.pi * z)
     # -Re D and -Im D of D = W - beta*k J' H', and the size of its two terms
-    denom2 = (Jp * (b_r * Jp + b_i * Yp)) ** 2 + (w[:, None] + Jp * (b_i * Jp - b_r * Yp)) ** 2
-    size = w[:, None] + np.abs(beta_k)[:, None] * np.abs(Jp) * np.hypot(Jp, Yp)
+    denom2 = (Jp * (b_r * Jp + b_i * Yp)) ** 2 + (w + Jp * (b_i * Jp - b_r * Yp)) ** 2
+    size = w + np.abs(beta_k) * np.abs(Jp) * np.hypot(Jp, Yp)
     bad = denom2 < (1e-14 * size) ** 2
     if np.any(bad):
-        i = int(np.argmax(bad.any(axis=1)))
-        m = np.flatnonzero(bad[i])
+        i = int(np.argmax(bad.any(axis=0)))
+        m = np.flatnonzero(bad[:, i])
         orders = sorted({int(sign * n) for n in m for sign in (-1, 1)})
         raise QuadratureFailure(
             f"singular mode systems at orders {orders} for beta = {betas[i]} "
             f"at wavelength {lam_grid[i]} m"
         )
     q = Jp**2 / denom2
-    q[:, 1:] *= 2.0  # the folded orders -n and n
-    sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(q * Jp**2, axis=1)
-    ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=1)
+    q[1:] *= 2.0  # the folded orders -n and n
+    sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(q * Jp**2, axis=0)
+    ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=0)
     return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca,
                            radius=radius, delta_phys=delta_phys, material=material)

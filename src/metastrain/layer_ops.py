@@ -85,7 +85,8 @@ class BoundaryOperator:
     """Dense boundary operator on a cell's nodal densities, kept as its representatives' rows.
 
     ``rows``: all n without a mirror, 0 .. n/2 with one, 0 .. n/4 with two.
-    The n x n ``matrix`` is expanded from them on first read; both are read-only.
+    The n x n ``matrix`` is expanded from them on first read, and ``rows``
+    then becomes a view of its first rows; both are read-only.
     """
 
     rows: np.ndarray
@@ -106,6 +107,7 @@ class BoundaryOperator:
     def matrix(self) -> np.ndarray:
         matrix = _mirrored(self.rows, self.mirrors)
         matrix.setflags(write=False)
+        object.__setattr__(self, "rows", matrix[:self.rows.shape[0]])
         return matrix
 
 

@@ -16,7 +16,7 @@ S and K*, which ``layer_ops`` certifies from the node data at assembly.
 Under P the problem splits over the orthonormal orbit basis into an even
 sector (e_0, e_{n/2} and (e_j + e_{n-j}) / sqrt 2, which holds the constant
 and the zero-mean constraint) and an odd sector ((e_j - e_{n-j}) / sqrt 2):
-two generalized eigh calls of about n/2 instead of one of n - 1.  Under the
+two generalized eigensolves of about n/2 instead of one of n - 1.  Under the
 second lattice mirror j -> n/2 - j as well (the disk and the ellipse, n a
 multiple of 4) it splits over the four characters of the group {I, P, M, T}
 into quarters of about n/4 (sizes n/4 + 1, n/4, n/4 and n/4 - 1, the
@@ -39,10 +39,14 @@ S, K*, Gram matrix and densities are built on the first read, which
 tracking make; the eigenvalues never change.  On the whole space the moments
 are taken from the n x n densities, which are then built at construction.
 
+Each sector's B x = lam G x (B = G K* made symmetric) is solved by the
+Cholesky route: G = L L^T, then numpy's ``eigvalsh`` or ``eigh`` on
+C = L^-1 B L^-T, whose vectors y map back to G-orthonormal x = L^-T y.
+
 The equilibrium mode (eigenvalue 1/2, non-zero mean) is found by shifted
-inverse iteration in the sector of the constant, at construction: one LU of
-K* - (1/2 + 1e-10) I there, a few solves and the Rayleigh quotient, with a
-residual check in the sector.
+inverse iteration in the sector of the constant, at construction: one
+inverse of K* - (1/2 + 1e-10) I there, a few products and the Rayleigh
+quotient, with a residual check in the sector.
 
 The eigenpairs feed two downstream quantities:
 
@@ -157,7 +161,7 @@ def _fix_signs(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-# inverse iteration for the equilibrium mode: the shift keeps the LU regular
+# inverse iteration for the equilibrium mode: the shift keeps the inverse regular
 # when lambda_0 = 1/2 holds to round-off, and each solve damps every other
 # mode by shift / (its distance to 1/2)
 _EQUILIBRIUM_SHIFT = 1e-10
@@ -300,12 +304,16 @@ def _equilibrium_mode(K_sector: np.ndarray, sector: _Sector, w: np.ndarray
     The density comes back in sector coordinates at unit mass.  The residual
     is the full K*'s for an operator that commutes with the group.
     """
-    import scipy.linalg  # deferred, like scipy.special: importing the package stays scipy-free
-
-    lu = scipy.linalg.lu_factor(K_sector - (0.5 + _EQUILIBRIUM_SHIFT) * np.eye(K_sector.shape[0]))
+    try:
+        shifted_inverse = np.linalg.inv(
+            K_sector - (0.5 + _EQUILIBRIUM_SHIFT) * np.eye(K_sector.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureFailure(
+            "equilibrium mode did not converge: K* - (1/2 + shift) I is singular"
+        ) from exc
     psi = sector.restrict(np.ones(w.size))
     for _ in range(_EQUILIBRIUM_SOLVES):
-        psi = scipy.linalg.lu_solve(lu, psi)
+        psi = shifted_inverse @ psi
         psi /= np.linalg.norm(psi)
     k_psi = K_sector @ psi
     lam0 = float(psi @ k_psi)
@@ -340,16 +348,33 @@ def _sector_blocks(sectors: list, single_layer: BoundaryOperator,
     return blocks
 
 
+def _definite_eigh(B: np.ndarray, G: np.ndarray, vectors: bool
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of B x = lam G x and, if asked, x = L^-T y (module docstring)."""
+    try:
+        inverse = np.linalg.inv(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureFailure(
+            "Gram matrix -W S is not positive definite on the zero-mean sector"
+        ) from exc
+    C = inverse @ B @ inverse.T
+    try:
+        if not vectors:
+            return np.linalg.eigvalsh(C), None
+        vals, y = np.linalg.eigh(C)
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureFailure("sector eigensolve did not converge") from exc
+    return vals, inverse.T @ y
+
+
 def _solve_sector(sector: _Sector, G: np.ndarray, K_sector: np.ndarray, w: np.ndarray,
                   vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The sector's zero-mean eigenvalues in descending order and, if asked, their eigenvectors.
 
     The eigenvectors are in sector coordinates, in the same order, with the
     signs that :func:`_fix_signs` gives their nodal densities; without them
-    the generalized ``eigh`` computes eigenvalues only.
+    only the eigenvalues are computed.
     """
-    import scipy.linalg
-
     B = G @ K_sector
     B = 0.5 * (B + B.T)
     if sector.holds_constant:
@@ -361,14 +386,9 @@ def _solve_sector(sector: _Sector, G: np.ndarray, K_sector: np.ndarray, w: np.nd
         h[0] += norm_w
         beta = 1.0 / (norm_w * h[0])
         G, B = _reflected_block(G, h, beta), _reflected_block(B, h, beta)
-    try:
-        if not vectors:
-            return scipy.linalg.eigh(B, G, eigvals_only=True)[::-1], None  # ascending
-        vals, vecs = scipy.linalg.eigh(B, G)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
-        raise QuadratureFailure(
-            "Gram matrix -W S is not positive definite on the zero-mean sector"
-        ) from exc
+    vals, vecs = _definite_eigh(B, G, vectors)
+    if not vectors:
+        return vals[::-1], None  # ascending
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     if sector.holds_constant:
@@ -478,8 +498,9 @@ def decompose(cell: CellGeometry) -> SpectralDecomposition:
 
 # float64 arrays live at once: n x n ones in a decomposition (tracemalloc peaks
 # at n = 256 and 512: 9.0 without a mirror, 3.7 with one, 2.4 with both; 9.0,
-# 5.7, 4.8 with validate's reads) and samples x (n - 1) ones in a full mode sum
-# over a batch of contrasts (3 measured); and the most bytes a run may ask for
+# 5.5, 4.8 with validate's reads, which leave 4.0, 4.5 and 4.2 held) and
+# samples x (n - 1) ones in a full mode sum over a batch of contrasts (3
+# measured); and the most bytes a run may ask for
 _DENSE_ARRAYS = 10
 _BATCH_ARRAYS = 4
 _WORKING_SET_BYTES_MAX = 2**32

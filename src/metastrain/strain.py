@@ -4,6 +4,25 @@ An area-conserving uniaxial stretch turns the circular capsule of radius r
 into an ellipse with semi-axes L1 >= L2 = r^2/L1.  Its perimeter is taken as
 P = pi*sqrt(2)*sqrt(L1^2 + L2^2) (exact for the circle), the particles stay
 equally spaced so P = N*d, and the orientation angle is always zero.
+
+A measured peak maps back to a period through the monotone piecewise-cubic
+Hermite interpolant (PCHIP) of the calibration knots (Fritsch & Carlson,
+SIAM J. Numer. Anal. 17, 1980, with Fritsch & Butland's slopes), built as
+scipy's ``PchipInterpolator`` builds it.  With knot spacings h_k and secant
+slopes m_k, an interior slope is the weighted harmonic mean
+
+    1/d_k = (w1/m_{k-1} + w2/m_k) / (w1 + w2),   w1 = 2h_k + h_{k-1}, w2 = h_k + 2h_{k-1},
+
+or 0 where m_{k-1} and m_k differ in sign or either vanishes.  An end slope
+is the three-point ((2h_0 + h_1) m_0 - h_0 m_1) / (h_0 + h_1), set to 0 when
+its sign is not m_0's and to 3 m_0 when m_1 has the other sign and it
+exceeds 3 |m_0| (Moler, Numerical Computing with MATLAB, 3.6); two knots
+give a line.  With s = x - x_k and t = (d_k + d_{k+1} - 2 m_k) / h_k,
+
+    y_k + d_k s + ((m_k - d_k) / h_k - t) s^2 + (t / h_k) s^3
+
+on x_k <= x < x_{k+1}, summed in this order as scipy's ``PPoly`` sums it, so
+the map agrees with ``PchipInterpolator`` bit for bit.
 """
 
 from __future__ import annotations
@@ -97,6 +116,30 @@ def axes_from_perimeter(r: float, P_target: float) -> tuple[float, float]:
     return L1, L2
 
 
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """The PCHIP through the knots (x, y), x strictly ascending, as a function of x."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(x.size, m[0])
+    if x.size > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        clip = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(clip, 3.0 * m0, end))
+
+    def evaluate(at: float) -> float:
+        k = min(max(int(np.searchsorted(x, at, side="right")) - 1, 0), x.size - 2)
+        s, t = at - x[k], (d[k] + d[k + 1] - 2.0 * m[k]) / h[k]
+        return float(y[k] + d[k] * s + ((m[k] - d[k]) / h[k] - t) * (s * s)
+                     + t / h[k] * (s * s * s))
+
+    return evaluate
+
+
 @functools.lru_cache(maxsize=1)
 def _peak_to_period(calibration: CalibrationTable):
     """Knot peak wavelengths in ascending order and the monotone map peak -> period.
@@ -105,18 +148,18 @@ def _peak_to_period(calibration: CalibrationTable):
     sorts and interpolates it once.  A table that fails a check raises on
     every call, since exceptions are not cached.
     """
-    from scipy.interpolate import PchipInterpolator  # deferred: only inversion needs it
-
     if not calibration.complete():
         missing = [row.period for row in calibration.rows if row.peak_wavelength is None]
         raise CalibrationError(f"calibration rows without a peak at periods {missing}")
+    if len(calibration.rows) < 2:
+        raise CalibrationError("calibration table needs at least two periods")
     if not calibration.is_monotone():
         raise CalibrationError("calibration table is not strictly monotone in wavelength")
     lam = calibration.peak_wavelengths()
     per = calibration.periods()
     order = np.argsort(lam)
     lam, per = lam[order], per[order]
-    return lam, PchipInterpolator(lam, per)
+    return lam, _pchip(lam, per)
 
 
 def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationTable,
@@ -134,6 +177,6 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
             f"[{lam[0]:.6g}, {lam[-1]:.6g}] m",
             lo=float(lam[0]), hi=float(lam[-1]),
         )
-    ratio = float(period_of_peak(peak_wavelength))
+    ratio = period_of_peak(peak_wavelength)
     d_phys = ratio * delta_phys
     return CapsuleState.from_perimeter(r=r, N=N, P=N * d_phys)

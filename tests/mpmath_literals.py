@@ -1,68 +1,14 @@
 """Reference values from mpmath, rounded to double and committed as literals.
 
-mpmath is not a dependency of the package or its tests: running this file
-with mpmath installed prints the values again (mpmath 1.3.0 made these).
+Running this file with mpmath installed prints the values again (mpmath
+1.3.0 made these); at 60 digits they take about 2 s, so the tests read them here.
 
-* ``BESSEL_J[z]`` holds J_n(z) for n = 0..N at 40 digits, for the rows of
-  ``test_bessel_ladder_matches_scipy_bit_for_bit`` (z = 0.3, 4.4, 11.6 and the
-  doubles nearest the zeros j_{0,1} and j_{1,1}).
 * ``TINY_EXTINCTION`` holds, at 60 digits, the extinction width
   -(4/k) Re sum' beta k J_n'^2 / (W - beta k J_n' H_n') of a capsule of radius
   ``TINY_RADIUS`` with the fixed ``TINY_BETA`` at the wavelengths
   ``linspace(6.5e-7, 1.7e-6, 16)``, with k and z = k r taken as the doubles
   the package computes.
 """
-
-BESSEL_J = {
-    0.3: (
-        0.9776262465382961, 0.148318816273104, 0.011165861949063964,
-        0.000559343047748846, 2.099900591295837e-05, 6.304432633771071e-07,
-        1.5769532945203223e-08, 3.380544310218747e-10, 6.340502484263519e-12,
-        1.0570147217965365e-13, 1.5858465157002568e-15, 2.1628867030130906e-17,
-        2.7039984267648415e-19, 3.1203839878253216e-21, 3.34362683770835e-23,
-        3.3439403580534124e-25, 3.1352034506209532e-27, 2.766559422713779e-29,
-    ),
-    4.4: (
-        -0.34225679000388554, -0.2027755219230867, 0.2500860982206643,
-        0.4301265203055088, 0.3364500658323022, 0.18160087211685874,
-        0.07627918897874038, 0.02643327964334227, 0.007826700795530479,
-        0.0020274505222231056, 0.0004674149772004063, 9.716301050601392e-05,
-        1.840007532966328e-05, 3.2010367466948754e-06, 5.151418098973442e-07,
-        7.713840719731453e-08, 1.0801875538891195e-08, 1.4206876309850708e-09,
-        1.7616524599344114e-10, 2.066438168853847e-11, 2.299868589391109e-12,
-        2.4351457865342514e-13,
-    ),
-    11.6: (
-        -0.04461567409443842, -0.23200047461975587, 0.0046155922634460314,
-        0.23359205815887518, 0.11620788609459286, -0.15344868843846632,
-        -0.24849123819671898, -0.10361121314434645, 0.12344322233285258,
-        0.27387772670690175, 0.301539457039926, 0.24601788887917758, 0.1650461942826522,
-        0.09545699584355108, 0.04890914122875542, 0.022599551949996494,
-        0.009537975883304475, 0.0037121056591193015, 0.0013423338072176161,
-        0.0004537578805215762, 0.0001441144220772025, 4.318840250326e-05,
-        1.2257380089773376e-05, 3.3051081820872856e-06, 8.490833909175858e-07,
-        2.0834033205444875e-07, 4.893528173090015e-08, 1.1024723980620926e-08,
-        2.386709213369673e-09,
-    ),
-    2.404825557695773: (
-        -6.10876525973673e-17, 0.5191474972894667, 0.4317548070196804,
-        0.19899990535769083, 0.06474666616417797, 0.01638924320480585,
-        0.0034048184720278335, 0.000600688365732954, 9.216578670534492e-05,
-        1.2517270977961512e-05, 1.5253656039281561e-06, 1.6860221601529064e-07,
-        1.7053446163143595e-08, 1.5900487024911788e-09, 1.375164546949026e-10,
-        1.1090606401837805e-11, 8.3794319079439e-13, 5.955042330546015e-14,
-        3.994963890585077e-15, 2.537897697141093e-16,
-    ),
-    3.8317059702075125: (
-        -0.402759395702553, -6.149807356994906e-17, 0.4027593957025529,
-        0.4204491668558179, 0.25561445154708, 0.11323364395387847, 0.039903119044971756,
-        0.011733520088128857, 0.0029679369575084493, 0.0006596519583064926,
-        0.00013087473155072566, 2.3462730389925986e-05, 3.838128097640598e-06,
-        5.774947890393249e-07, 8.0456635052055e-08, 1.0438053139464877e-08,
-        1.267170641466835e-09, 1.4455962942216274e-10, 1.5554974373503314e-11,
-        1.5839112879279919e-12, 1.530756202189541e-13,
-    ),
-}
 
 TINY_RADIUS = 1e-20
 TINY_BETA = (3 + 2j) * 1e-9
@@ -79,10 +25,6 @@ TINY_EXTINCTION = (
 if __name__ == "__main__":
     import mpmath
     import numpy as np
-
-    mpmath.mp.dps = 40
-    for z, row in BESSEL_J.items():
-        print(z, [float(mpmath.besselj(n, mpmath.mpf(z))) for n in range(len(row))])
 
     mpmath.mp.dps = 60
     beta = mpmath.mpc(TINY_BETA.real, TINY_BETA.imag)

@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from scipy.special import h2vp, hankel2, jv, jvp, yn
+from scipy.special import h2vp, jvp
 
 from metastrain import extinction_spectrum
 from metastrain import capsule_scattering
@@ -151,10 +152,11 @@ def test_oversized_size_parameter_rejected(disk128_dec, water_gold, lams):
 
 def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(
         disk128_dec, water_gold, monkeypatch):
-    calls = dict.fromkeys(("jv", "y0", "y1", "hankel2"), 0)
+    # one Bessel ladder per spectrum, whatever its length, and no scipy.special call
+    calls = dict.fromkeys(("jv", "y0", "y1", "yn", "hankel2", "_real_ladder"), 0)
 
-    def counted(name):
-        function = getattr(scipy.special, name)
+    def counted(module, name):
+        function = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -162,55 +164,60 @@ def test_extinction_spectrum_bessel_calls_independent_of_wavelength_count(
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(scipy.special, name, counted(name))
+        module = capsule_scattering if name == "_real_ladder" else scipy.special
+        monkeypatch.setattr(module, name, counted(module, name))
     counts = []
     for size in (8, 800):
         calls.update(dict.fromkeys(calls, 0))
         extinction_spectrum(R, water_gold, disk128_dec, 5e-9,
                             np.linspace(6.5e-7, 1.7e-6, size))
         counts.append(dict(calls))
-    assert counts == [{"jv": 0, "y0": 1, "y1": 1, "hankel2": 0}] * 2
+    assert counts == [{**dict.fromkeys(calls, 0), "_real_ladder": 1}] * 2
 
 
-def test_bessel_ladder_matches_scipy_bit_for_bit():
-    # Y is cephes yn bit for bit (the ladder repeats its forward recurrence)
-    # and Y' is the difference formula on those values.  J comes
-    # from a backward ratio recurrence closed by the Wronskian, so J and J'
-    # are held to 4e-15 of the row maximum against scipy's jv/jvp and J
-    # against 40-digit mpmath; the rows include the doubles nearest the zeros
-    # j_{0,1} and j_{1,1}, where a ratio J_1/J_0 or J_2/J_1 is huge
-    z = np.array(list(mpmath_literals.BESSEL_J))
-    n_modes = np.array([len(row) - 1 for row in mpmath_literals.BESSEL_J.values()])
-    J, Jp, Y, Yp = capsule_scattering._real_ladder(z, n_modes)
+def _mpmath_derivatives(z, orders):
+    """J_n'(z) and Y_n'(z) at 40 digits, rounded to double."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(z))
+        return (np.array([float(mpmath.besselj(n, x, derivative=1)) for n in orders]),
+                np.array([float(mpmath.bessely(n, x, derivative=1)) for n in orders]))
+
+
+def test_bessel_ladder_matches_mpmath():
+    # against 40-digit mpmath, for z <= 12.5: J' within 4e-15 of each row's
+    # maximum and Y' within 3e-15 of |H'| = |J' - iY'|, order by order; up to
+    # z = 200, where both carry errors of order z * eps, within 2e-14.  The rows include the doubles nearest the zeros j_{0,1}
+    # and j_{1,1}, where a ratio J_1/J_0 or J_2/J_1 overflows; above z = 12.5
+    # every seventh order and the last are checked.  The rows come in one
+    # call, so the lower rows are zero above their own truncation
+    z = np.array([0.05, 0.3, 1.2, 2.404825557695773, 3.8317059702075125, 4.4, 7.995,
+                  11.6, 12.5, 25.3, 60.1, 199.7])
+    n_modes = np.ceil(z).astype(int) + 16
+    Jp, Yp = capsule_scattering._real_ladder(z, n_modes)
+    assert Jp.shape == Yp.shape == (n_modes.max() + 1, z.size)
     for row, (zi, top) in enumerate(zip(z, n_modes)):
-        n = np.arange(top + 1)
-        assert np.array_equal(Y[row, :top + 1], yn(n, zi))
-        assert np.array_equal(Yp[row, :top + 1], np.where(
-            n == 0, -yn(1, zi), (yn(n - 1, zi) - yn(n + 1, zi)) / 2.0))
-        for F, reference in ((J, jv(n, zi)), (Jp, jvp(n, zi)),
-                             (J, np.array(mpmath_literals.BESSEL_J[zi]))):
-            error = np.abs(F[row, :top + 1] - reference).max()
-            assert error <= 4e-15 * np.abs(reference).max()
-        for F in (J, Jp, Y, Yp):
-            assert np.all(F[row, top + 1:] == 0.0)
+        orders = np.arange(top + 1) if zi <= 12.5 else np.append(np.arange(0, top, 7), top)
+        j_ref, y_ref = _mpmath_derivatives(zi, orders)
+        j_bound, y_bound = (4e-15, 3e-15) if zi <= 12.5 else (2e-14, 2e-14)
+        assert np.abs(Jp[orders, row] - j_ref).max() <= j_bound * np.abs(j_ref).max()
+        assert np.max(np.abs(Yp[orders, row] - y_ref) / np.hypot(j_ref, y_ref)) <= y_bound
+        assert np.all(Jp[top + 1:, row] == 0.0) and np.all(Yp[top + 1:, row] == 0.0)
 
 
 def test_bessel_ladder_hankel_matches_amos():
-    # H = J - iY and H' against scipy's hankel2/h2vp (AMOS), entry by entry.  Y_n(z) has
-    # condition number about z in z: beyond z ~ 10 both the recurrence (from
-    # cephes y0, which reduces z - pi/4 in double precision) and AMOS carry
-    # errors of order z * eps; against 30-digit mpmath at z = 1000 they are
-    # 6.2e-13 and 2.4e-13.  The rows up to z = 11.6 cover every CLI and
-    # benchmark capsule and are held to 2e-14.
+    # H' = J' - iY' against scipy's h2vp (AMOS), entry by entry.  Y_n(z) has
+    # condition number about z in z: beyond z ~ 10 both the ladder and AMOS
+    # carry errors of order z * eps.  The rows up to z = 11.6 cover every CLI
+    # and benchmark capsule and are held to 2e-14
     z = np.array([0.3, 4.4, 11.6, 100.3, 2.0e4 + 0.37])
     n_modes = np.ceil(z).astype(int) + 16
-    J, Jp, Y, Yp = capsule_scattering._real_ladder(z, n_modes)
-    H, Hp = J - 1j * Y, Jp - 1j * Yp
+    Jp, Yp = capsule_scattering._real_ladder(z, n_modes)
+    Hp = Jp - 1j * Yp
     for row, (zi, top) in enumerate(zip(z, n_modes)):
         n = np.arange(top + 1)
         tol = max(2e-14, 8.0 * zi * np.finfo(float).eps)
-        for F, reference in ((H, hankel2(n, zi)), (Hp, h2vp(n, zi))):
-            assert np.max(np.abs(F[row, :top + 1] - reference) / np.abs(reference)) < tol
+        reference = h2vp(n, zi)
+        assert np.max(np.abs(Hp[:top + 1, row] - reference) / np.abs(reference)) < tol
 
 
 def test_tiny_capsule_overflow_rejected(disk128_dec, water_gold):

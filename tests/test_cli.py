@@ -277,6 +277,18 @@ def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
     assert "calibration file" in capsys.readouterr().err
 
 
+def test_invert_one_period_calibration_is_a_calibration_error(tmp_path, capsys):
+    # a single knot has no interpolant; it used to end in a ValueError traceback
+    cfg = write_config(tmp_path)
+    path = tmp_path / "calibration.csv"
+    path.write_text("# radius = 0.45\nperiod,peak_wavelength_m,peak_magnitude,mode_index\n"
+                    "1.0,9e-07,2.5,0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "invert",
+                 "--peak-wavelength-nm", "900", "--calibration", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "at least two periods" in err and err.count("\n") == 1
+
+
 def test_invert_csv_output(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -392,21 +404,29 @@ def run_fresh(code: str) -> str:
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # importing the package and its CLI loads no scipy module at all:
-    # scipy.linalg comes with the first decomposition, scipy.special with the
-    # first extinction spectrum, scipy.interpolate with the first inversion
+    # importing the package and its CLI loads no scipy module at all
     code = ("import sys, metastrain, metastrain.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     assert run_fresh(code).strip() == "[]"
 
 
-def test_first_decomposition_loads_scipy_linalg(disk256_dec):
-    code = ("import sys, metastrain; "
-            "dec = metastrain.decompose(metastrain.make_disk_cell(0.45, 1.0, 256)); "
-            "print('scipy.linalg' in sys.modules); print(dec.eigenvalues.tobytes().hex())")
-    loaded, eigenvalues = run_fresh(code).split()
-    assert loaded == "True"
-    assert bytes.fromhex(eigenvalues) == disk256_dec.eigenvalues.tobytes()
+def test_commands_run_without_scipy(tmp_path):
+    # each command in a fresh interpreter in which importing scipy fails; it
+    # exits 0 and loads no scipy module.  invert reads the calibration that
+    # sweep wrote
+    cfg = write_config(tmp_path, {"geometry": {"node_count": 96}})
+    out = tmp_path / "out"
+    commands = [["eigs"], ["sweep"], ["scatter"], ["validate"], ["invert"]]
+    for command in commands:
+        if command == ["invert"]:
+            peak = float(read_rows(out / "calibration.csv")[1]["peak_wavelength_m"]) * 1e9
+            command += ["--peak-wavelength-nm", repr(peak)]
+        args = ["--config", str(cfg), "--out", str(out), *command]
+        code = ("import sys; sys.modules['scipy'] = None; from metastrain.cli import main; "
+                f"code = main({args!r}); "
+                "print(code, [m for m, module in sys.modules.items() "
+                "if m.split('.')[0] == 'scipy' and module is not None])")
+        assert run_fresh(code).splitlines()[-1] == "0 []", command
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -120,6 +120,28 @@ def test_unresolved_equilibrium_mode_reported(kind, message):
         eigendecompose(single, broken)
 
 
+def test_singular_shifted_block_is_a_quadrature_failure(disk256_ops):
+    # K* = (1/2 + shift) I makes the inverse iteration's shifted block exactly
+    # singular: one QuadratureFailure, neither a LinAlgError nor a warning
+    from metastrain.spectral import _EQUILIBRIUM_SHIFT
+
+    single, _ = disk256_ops
+    cell = single.cell
+    adjoint = BoundaryOperator((0.5 + _EQUILIBRIUM_SHIFT) * np.eye(cell.node_count), cell)
+    with pytest.raises(QuadratureFailure, match="singular"):
+        eigendecompose(BoundaryOperator(single.matrix, cell), adjoint)
+
+
+@pytest.mark.parametrize("name", ["eigvalsh", "eigh"])
+def test_unconverged_sector_eigensolve_is_a_quadrature_failure(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(QuadratureFailure, match="did not converge"):
+        decompose(make_disk_cell(0.45, 1.0, 64))
+
+
 def test_moments_of_equilibrium_vanish(disk256_dec):
     assert abs(disk256_dec.moments_nu1[0]) < 1e-8
     assert abs(disk256_dec.moments_nu2[0]) < 1e-8
@@ -456,15 +478,17 @@ BENCH_CURVE = [0.0, 0.33, 0.012, -0.006, 0.0, 0.0, 0.008, -0.015]
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """(order, eigenvalues only) of each generalized eigh call made while the test runs."""
+    """(order, eigenvalues only) of each generalized eigensolve made while the test runs."""
+    from metastrain import spectral
+
     calls = []
-    original = scipy.linalg.eigh
+    original = spectral._definite_eigh
 
-    def recorded(a, b=None, **kwargs):
-        calls.append((a.shape[0], bool(kwargs.get("eigvals_only", False))))
-        return original(a, b, **kwargs)
+    def recorded(B, G, vectors):
+        calls.append((B.shape[0], not vectors))
+        return original(B, G, vectors)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+    monkeypatch.setattr(spectral, "_definite_eigh", recorded)
     return calls
 
 
@@ -760,6 +784,34 @@ def test_two_mirror_decomposition_holds_no_n_by_n_matrix():
     # (0.64), at most 2.21 at the peak
     assert (held - start) / (8 * n * n) <= 1.0
     assert (peak - start) / (8 * n * n) <= 2.5
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("make_cell, mirrors, most", [
+    (lambda n: make_smooth_cell(BENCH_CURVE, 1.3, n), 1, 4.6),
+    (lambda n: make_disk_cell(0.45, 1.0, n), 2, 4.2),
+], ids=["one_mirror", "two_mirrors"])
+def test_reads_keep_each_expanded_matrix_once(make_cell, mirrors, most, n):
+    # after the reads validate makes (S, K*, the Gram matrix, the densities)
+    # the operators' rows are views of their expanded matrices, so only the
+    # sector vectors are kept beside what was built
+    import tracemalloc
+
+    cell = make_cell(n)
+    decompose(make_disk_cell(0.45, 1.0, 64)).eigendensities  # imports made before the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dec = decompose(cell)
+        for name in ("single_layer", "np_adjoint", "gram", "eigendensities"):
+            getattr(dec, name)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dec._operators[0].mirrors == mirrors
+    for operator in dec._operators:
+        assert np.shares_memory(operator.rows, operator.matrix)
+    assert (held - start) / (8 * n * n) <= most
 
 
 @pytest.mark.parametrize("make_cell, mirrors", [

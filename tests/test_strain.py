@@ -11,7 +11,7 @@ from metastrain import (
 )
 from metastrain.errors import CalibrationError, DomainError, MetastrainError, OutOfRangeError
 from metastrain.resonance_sweep import CalibrationRow, CalibrationTable
-from metastrain.strain import _peak_to_period
+from metastrain.strain import _pchip, _peak_to_period
 
 R = 1e-6
 
@@ -149,6 +149,27 @@ def test_invert_rejects_incomplete_table():
                              wavelength_max=2e-6, samples=10, material=MaterialParams())
     with pytest.raises(CalibrationError):
         invert_peak_to_deformation(1.2e-6, table, r=9.9e-7, N=1256, delta_phys=5e-9)
+
+
+def _pchip_tables():
+    rng = np.random.default_rng(5)
+    for _ in range(20):  # monotone 5-knot tables shaped like a calibration
+        x = np.sort(rng.uniform(8e-7, 1.4e-6, 5))
+        yield x, 1.0 + np.cumsum(rng.uniform(0.05, 0.3, 5)) * rng.choice([-1.0, 1.0])
+    yield np.array([9e-7, 1.1e-6]), np.array([2.0, 1.0])              # a line
+    yield np.array([9e-7, 1.0e-6, 1.3e-6]), np.array([2.0, 1.6, 1.0])
+    yield np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 1.0, 2.0, 2.5])  # a flat segment
+    # m_0 = 1, m_1 = -5: the three-point end slope 4 is clipped to 3 m_0
+    yield np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, -4.0, -4.5])
+
+
+@pytest.mark.parametrize("x, y", list(_pchip_tables()))
+def test_pchip_matches_scipy(x, y):
+    from scipy.interpolate import PchipInterpolator
+
+    at = np.concatenate([x, np.linspace(x[0], x[-1], 41)])
+    ours = np.array([_pchip(x, y)(a) for a in at])
+    np.testing.assert_allclose(ours, PchipInterpolator(x, y)(at), rtol=1e-15, atol=0.0)
 
 
 def _invert(peak, table):
