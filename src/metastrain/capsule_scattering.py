@@ -67,6 +67,12 @@ The second term is the absorbed width.  At small k r the terms s_n are almost
 imaginary, and their real part taken from the complex form loses digits to
 cancellation (up to 1e-3 relative at r = 1e-20 m, k r ~ 1e-13, over the
 default window); this form has no cancellation.
+
+The ladder and the widths run in place: the forward recurrence and the
+derivatives write through ``out=``, and the widths accumulate Re D and Im D
+in two buffers and a scratch one, with J_n'^2 formed once.  Each keeps the
+products and the summation order of the plain expressions, so the widths are
+the same bytes (``tests/allocating_kernels.py``).
 """
 
 from __future__ import annotations
@@ -80,8 +86,10 @@ from .errors import DomainError, OutOfRangeError, QuadratureFailure
 from .spectral import SpectralDecomposition, alpha2_plus_batch
 
 
-# float64 (order x wavelength) arrays live at once in extinction_spectrum, and
-# the most bytes they may take; larger spectra are refused before allocating
+# float64 (order x wavelength) arrays live at once in extinction_spectrum, in
+# units of rows x (ceil(k r) + 18) (tracemalloc peaks over 1000 and 4000
+# wavelengths: 6.6 at the benchmark's k r <= 12, 6.2 at k r ~ 193), and the
+# most bytes they may take; larger spectra are refused before allocating
 _LADDER_ARRAYS = 8
 _LADDER_BYTES_MAX = 2**29
 
@@ -111,8 +119,9 @@ def _check_size_parameter(k, radius):
 def _derivative(ladder: np.ndarray) -> np.ndarray:
     """F_n' = (F_{n-1} - F_{n+1}) / 2 on orders 0..top-1, with F_{-1} = -F_1."""
     prime = np.empty_like(ladder[:-1])
-    prime[0] = -ladder[1]
-    prime[1:] = (ladder[:-2] - ladder[2:]) / 2.0
+    np.negative(ladder[1], out=prime[0])
+    np.subtract(ladder[:-2], ladder[2:], out=prime[1:])
+    prime[1:] /= 2.0
     return prime
 
 
@@ -121,9 +130,10 @@ def _real_ladder(z: np.ndarray, n_modes: np.ndarray) -> tuple[np.ndarray, np.nda
 
     J by Miller's recurrence, Y_0 and Y_1 from its Neumann series and the
     higher Y by forward recurrence (see the module docstring); each order is
-    one vectorised row over all z.  Both arrays are order-major and zero
-    above a column's own ``n_modes``.  Raises :class:`OutOfRangeError` when
-    k r is so small that Y overflows below a column's truncation.
+    one vectorised row over all z, written in place.  Both arrays are
+    order-major and zero above a column's own ``n_modes``.  Raises
+    :class:`OutOfRangeError` when k r is so small that Y overflows below a
+    column's truncation.
     """
     top = int(n_modes.max(initial=0)) + 1
     start = top + 20 + int(np.ceil(8.0 * np.cbrt(z.max(initial=0.0))))
@@ -151,13 +161,16 @@ def _real_ladder(z: np.ndarray, n_modes: np.ndarray) -> tuple[np.ndarray, np.nda
         Y[0] = 2.0 / np.pi * (log_term * J0 - 2.0 * even)
         Y[1] = 2.0 / np.pi * ((log_term - 1.0) * J1 - J0 / z - odd)
         for n in range(1, top):
-            Y[n + 1] = (2 * n) * Y[n] / z - Y[n - 1]
+            np.multiply(2 * n, Y[n], out=Y[n + 1])
+            Y[n + 1] /= z
+            Y[n + 1] -= Y[n - 1]
         Jp = _derivative(f[:top + 1])
         Jp /= norm
         Yp = _derivative(Y)
     # above a column's own n_modes either recurrence may overflow
-    for n in range(int(n_modes.min(initial=top)) + 1, top):
-        Jp[n, n_modes < n] = Yp[n, n_modes < n] = 0.0
+    truncated = np.arange(top)[:, None] > n_modes
+    np.copyto(Jp, 0.0, where=truncated)
+    np.copyto(Yp, 0.0, where=truncated)
     finite = np.isfinite(Jp).all(axis=0) & np.isfinite(Yp).all(axis=0)
     if not finite.all():
         raise OutOfRangeError(
@@ -187,10 +200,19 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     wavelength sums the orders |n| <= N = ceil(k r) + 16 of its own k r, and
     the folded mode sums of the module docstring are taken for all
     wavelengths at once, in their real, cancellation-free form.  The widths do
-    not depend on the incidence direction.  A spectrum whose Bessel ladder
-    would not fit the memory budget is refused before anything is computed.
+    not depend on the incidence direction.  Wavelengths that are not a 1-D
+    array, a ``delta_phys`` that is not a positive finite length and a
+    ``beta_override`` that is not finite are a :class:`DomainError`; a
+    spectrum whose Bessel ladder would not fit the memory budget is refused
+    too, both before anything is computed.
     """
     lam_grid = np.asarray(wavelengths, dtype=float)
+    if lam_grid.ndim != 1:
+        raise DomainError(f"wavelengths must be a 1-D array, got shape {lam_grid.shape}")
+    if not (np.isfinite(delta_phys) and delta_phys > 0.0):
+        raise DomainError(f"delta_phys must be a positive finite length, got {delta_phys!r}")
+    if beta_override is not None and not np.isfinite(complex(beta_override)):
+        raise DomainError(f"beta_override must be finite, got {beta_override!r}")
     k = 2.0 * np.pi / lam_grid
     z = _check_size_parameter(k, radius)
     omega = omega_from_wavelength(lam_grid, material)
@@ -204,10 +226,29 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     beta_k = betas * k
     b_r, b_i = beta_k.real, beta_k.imag
     w = 2.0 / (np.pi * z)
-    # -Re D and -Im D of D = W - beta*k J' H', and the size of its two terms
-    denom2 = (Jp * (b_r * Jp + b_i * Yp)) ** 2 + (w + Jp * (b_i * Jp - b_r * Yp)) ** 2
-    size = w + np.abs(beta_k) * np.abs(Jp) * np.hypot(Jp, Yp)
-    bad = denom2 < (1e-14 * size) ** 2
+    # -Re D and -Im D of D = W - beta*k J' H' and their squares summed, in two
+    # buffers and a scratch one, then the size of its two terms in the scratch
+    Jp2 = Jp * Jp
+    re = b_r * Jp
+    scratch = b_i * Yp
+    re += scratch
+    re *= Jp
+    im = b_i * Jp
+    np.multiply(b_r, Yp, out=scratch)
+    im -= scratch
+    im *= Jp
+    im += w
+    re *= re
+    im *= im
+    denom2 = re
+    denom2 += im
+    size = np.abs(Jp, out=scratch)
+    size *= np.abs(beta_k)
+    size *= np.hypot(Jp, Yp, out=im)
+    size += w
+    size *= 1e-14
+    size *= size
+    bad = denom2 < size
     if np.any(bad):
         i = int(np.argmax(bad.any(axis=0)))
         m = np.flatnonzero(bad[:, i])
@@ -216,9 +257,9 @@ def extinction_spectrum(radius: float, material: MaterialParams,
             f"singular mode systems at orders {orders} for beta = {betas[i]} "
             f"at wavelength {lam_grid[i]} m"
         )
-    q = Jp**2 / denom2
+    q = np.divide(Jp2, denom2, out=im)
     q[1:] *= 2.0  # the folded orders -n and n
-    sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(q * Jp**2, axis=0)
+    sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(np.multiply(q, Jp2, out=scratch), axis=0)
     ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=0)
     return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca,
                            radius=radius, delta_phys=delta_phys, material=material)

@@ -199,21 +199,30 @@ def _pair_kernels(u, v, lag, period_ratio):
 
     ``lag()`` gives 4 sin^2((t_i - t_j)/2) of the same pairs; it is called
     once the other pair arrays are gone.  v is clipped at the far-field
-    guard, beyond which G keeps growing like |v|/(2pi).
+    guard, beyond which G keeps growing like |v|/(2pi).  u and v are
+    overwritten: cos u and cosh v go into them, and the kernels into the
+    buffers of sin u, sinh v and s^2.
     """
-    excess = np.maximum(np.abs(v) - _FAR_FIELD_GUARD, 0.0)
+    excess = np.abs(v)
+    excess -= _FAR_FIELD_GUARD
+    np.maximum(excess, 0.0, out=excess)
     np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD, out=v)
-    sin_u, sinh_v = np.sin(u), np.sinh(v)
-    s2 = sin_u**2 + sinh_v**2
+    g1, g2 = np.sin(u), np.sinh(v)
+    s2 = g1 * g1
+    den = g2 * g2
+    s2 += den
     # grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd in the pair
-    den = 2.0 * period_ratio * s2
-    g1 = sin_u * np.cos(u)
+    np.multiply(2.0 * period_ratio, s2, out=den)
+    g1 *= np.cos(u, out=u)
     g1 /= den
-    g2 = sinh_v * np.cosh(v)
+    g2 *= np.cosh(v, out=v)
     g2 /= den
-    del u, v, sin_u, sinh_v, den
-    pair = np.log(s2 / lag()) / (4.0 * np.pi)
-    pair += excess / (2.0 * np.pi)
+    del u, v, den
+    s2 /= lag()
+    pair = np.log(s2, out=s2)
+    pair /= 4.0 * np.pi
+    excess /= 2.0 * np.pi
+    pair += excess
     return pair, g1, g2
 
 

@@ -63,7 +63,10 @@ quarter-sector disk sums 64 of its 255 zero-mean modes for alpha2_plus, a
 half-sector cell about n/2 and an asymmetric cell all of them; on a mirrored
 cell the cross sum of the first component has no term at all.  A zero-mean
 eigenvalue at or above 1/2, which only an unresolved discretisation gives,
-has no positive nu2 weight and is reported as a QuadratureFailure.
+has no positive nu2 weight and is reported as a QuadratureFailure.  The sums
+run in two (contrast x mode) buffers with the products and the summation order
+of the plain expression, so their values are the same bytes
+(``tests/allocating_kernels.py``).
 """
 
 from __future__ import annotations
@@ -499,8 +502,9 @@ def decompose(cell: CellGeometry) -> SpectralDecomposition:
 # float64 arrays live at once: n x n ones in a decomposition (tracemalloc peaks
 # at n = 256 and 512: 9.0 without a mirror, 3.7 with one, 2.4 with both; 9.0,
 # 5.5, 4.8 with validate's reads, which leave 4.0, 4.5 and 4.2 held) and
-# samples x (n - 1) ones in a full mode sum over a batch of contrasts (3
-# measured); and the most bytes a run may ask for
+# samples x (n - 1) ones in a full mode sum over a batch of contrasts (2.1
+# measured at 400 and 4000 samples, n = 256); and the most bytes a run may ask
+# for
 _DENSE_ARRAYS = 10
 _BATCH_ARRAYS = 4
 _WORKING_SET_BYTES_MAX = 2**32
@@ -543,13 +547,18 @@ def _row_sums(nodes: np.ndarray, weights: np.ndarray, lams) -> np.ndarray:
 
     With d = Re lam - nodes, b = Im lam and q = weights / (d^2 + b^2) the sum
     is sum d q - i b sum q: real arithmetic and two row sums per lam, no
-    complex division.  Row sums, not a matrix product, keep each lam's value
-    independent of the others in the batch.
+    complex division, in two (lam x node) buffers.  Row sums, not a matrix
+    product, keep each lam's value independent of the others in the batch.
     """
     lam = np.asarray(lams, dtype=complex)
+    b = lam.imag
     d = lam.real[:, None] - nodes
-    q = weights / (d * d + (lam.imag**2)[:, None])
-    return (d * q).sum(axis=1) - 1j * lam.imag * q.sum(axis=1)
+    q = d * d
+    q += (b**2)[:, None]
+    np.divide(weights, q, out=q)
+    total = q.sum(axis=1)
+    d *= q
+    return d.sum(axis=1) - 1j * b * total
 
 
 def _mode_sums(decomposition: SpectralDecomposition, lams, moments: np.ndarray
@@ -581,12 +590,16 @@ def alpha_infinity(decomposition: SpectralDecomposition, lam: complex) -> Bounda
 
 
 def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray) -> np.ndarray:
-    """Vectorised alpha2_plus over an array of (complex) contrasts.
+    """Vectorised alpha2_plus over a 1-D array of (complex) contrasts.
 
-    A zero-mean eigenvalue at or above 1/2 has no positive nu2 coupling
-    weight; only an unresolved discretisation produces one, and it is
-    reported as a :class:`QuadratureFailure` naming the mode.
+    Input that is not 1-D is a :class:`DomainError`.  A zero-mean eigenvalue
+    at or above 1/2 has no positive nu2 coupling weight; only an unresolved
+    discretisation produces one, and it is reported as a
+    :class:`QuadratureFailure` naming the mode.
     """
+    lams = np.asarray(lams, dtype=complex)
+    if lams.ndim != 1:
+        raise DomainError(f"contrasts must be a 1-D array, got shape {lams.shape}")
     eigenvalues = decomposition.eigenvalues
     above = np.flatnonzero(eigenvalues[1:] >= 0.5)
     if above.size:

@@ -4,12 +4,13 @@ import pytest
 import scipy.special
 from scipy.special import h2vp, jvp
 
-from metastrain import extinction_spectrum
+from metastrain import decompose, extinction_spectrum, make_disk_cell
 from metastrain import capsule_scattering
 from metastrain.dispersion import contrast_values, omega_from_wavelength
 from metastrain.errors import DomainError, MetastrainError, OutOfRangeError, QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
 
+import allocating_kernels
 import mpmath_literals
 from modal_oracle import ModalSolution
 
@@ -268,3 +269,78 @@ def test_non_positive_size_parameter_is_a_package_error():
     with pytest.raises(DomainError) as info:
         capsule_scattering._check_size_parameter(np.array([K, 0.0]), R)
     assert isinstance(info.value, MetastrainError) and isinstance(info.value, ValueError)
+
+
+DEFAULT_WINDOW = np.linspace(6.5e-7, 1.7e-6, 400)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("z, n_modes", [
+    # the default capsule over the default window, k r = 3.7 .. 9.6
+    (2 * np.pi / DEFAULT_WINDOW * 9.9e-7, None),
+    # the large CI capsule, k r up to about 193
+    (2 * np.pi / DEFAULT_WINDOW * 2e-5, None),
+    # columns truncated at different orders, and one whose Y overflows above its own
+    (np.array([11.6, 0.05, 4.4, 199.7, 2.404825557695773, 60.1]),
+     np.array([27, 17, 21, 216, 19, 77])),
+], ids=["default", "kr193", "truncated"])
+def test_real_ladder_is_bit_identical_to_the_allocating_ladder(z, n_modes):
+    n_modes = np.ceil(z).astype(int) + 16 if n_modes is None else n_modes
+    Jp, Yp = capsule_scattering._real_ladder(z, n_modes)
+    Jq, Yq = allocating_kernels.real_ladder(z, n_modes)
+    assert _same_bytes(Jp, Jq) and _same_bytes(Yp, Yq)
+
+
+@pytest.mark.parametrize("radius, delta", [(9.9e-7, 5e-9), (1.2e-6, 3e-9), (2e-5, 7e-9)])
+def test_extinction_spectrum_is_bit_identical_to_the_allocating_widths(
+        disk128_dec, water_gold, radius, delta):
+    curve = extinction_spectrum(radius, water_gold, disk128_dec, delta, DEFAULT_WINDOW)
+    ext, sca = allocating_kernels.extinction(radius, water_gold, disk128_dec, delta,
+                                             DEFAULT_WINDOW)
+    assert _same_bytes(curve.extinction, ext) and _same_bytes(curve.scattering, sca)
+
+
+def test_capsules_sharing_a_decomposition_repeat_their_bytes(water_gold):
+    # the spectrum op's pattern: capsules A, B, A, then the beta = 0 control with A;
+    # a kernel writing into the decomposition's arrays would change A's second curve
+    dec = decompose(make_disk_cell(0.45, 1.3, 64))
+    lams = np.linspace(6.5e-7, 1.7e-6, 1000)
+    (ra, da), (rb, db) = (1.1e-6, 4e-9), (0.85e-6, 6.5e-9)
+    first = extinction_spectrum(ra, water_gold, dec, da, lams)
+    other = extinction_spectrum(rb, water_gold, dec, db, lams)
+    again = extinction_spectrum(ra, water_gold, dec, da, lams)
+    control = extinction_spectrum(ra, water_gold, dec, da, lams, beta_override=0.0)
+    assert _same_bytes(first.extinction, again.extinction)
+    assert _same_bytes(first.scattering, again.scattering)
+    for curve, (radius, delta) in ((first, (ra, da)), (other, (rb, db))):
+        ext, sca = allocating_kernels.extinction(radius, water_gold, dec, delta, lams)
+        assert _same_bytes(curve.extinction, ext) and _same_bytes(curve.scattering, sca)
+    assert np.all(control.extinction == 0.0) and np.all(control.scattering == 0.0)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"delta_phys": np.nan}, "delta_phys must be a positive finite length"),
+    ({"delta_phys": np.inf}, "delta_phys must be a positive finite length"),
+    ({"delta_phys": -5e-9}, "delta_phys must be a positive finite length"),
+    ({"delta_phys": 0.0}, "delta_phys must be a positive finite length"),
+    ({"beta_override": complex(np.nan, 0.0)}, "beta_override must be finite"),
+    ({"beta_override": complex(0.0, np.inf)}, "beta_override must be finite"),
+    ({"wavelengths": 7e-7}, r"wavelengths must be a 1-D array, got shape \(\)"),
+    ({"wavelengths": np.full((2, 8), 7e-7)},
+     r"wavelengths must be a 1-D array, got shape \(2, 8\)"),
+], ids=["nan_delta", "inf_delta", "negative_delta", "zero_delta", "nan_beta", "inf_beta",
+        "scalar_wavelength", "2d_wavelengths"])
+def test_invalid_capsule_input_refused_before_any_sum(disk128_dec, water_gold, monkeypatch,
+                                                       change, message):
+    def fail(*args):
+        raise AssertionError("computed before the input check")
+
+    monkeypatch.setattr(capsule_scattering, "alpha2_plus_batch", fail)
+    monkeypatch.setattr(capsule_scattering, "_real_ladder", fail)
+    args = {"radius": R, "material": water_gold, "decomposition": disk128_dec,
+            "delta_phys": 5e-9, "wavelengths": np.linspace(6.5e-7, 1.7e-6, 8), **change}
+    with pytest.raises(DomainError, match=message):
+        extinction_spectrum(**args)

@@ -19,6 +19,7 @@ from metastrain import layer_ops
 from metastrain.layer_ops import log_quadrature_matrix
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
 
+import allocating_kernels
 from lattice_oracles import (
     cot_minus_inverse,
     gradient_from_delta,
@@ -337,6 +338,33 @@ def test_node_asymmetry_just_above_the_bound_falls_back():
     single, adjoint = assemble_single_layer(above), assemble_np_adjoint(above)
     assert np.array_equal(single.matrix, per_call_single_layer(above))
     assert np.array_equal(adjoint.matrix, per_call_np_adjoint(above))
+
+
+def _pair_offsets(cell):
+    """u, v and 4 sin^2((t_i - t_j)/2) of the pairs i < j, and of nodes 0..n/4 against the rest."""
+    n = cell.node_count
+    scale = np.pi / cell.period_ratio
+    x, y = cell.nodes[:, 0], cell.nodes[:, 1]
+    canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+    i, j = np.triu_indices(n, 1)
+    r = n // 4 + 1
+    lag = np.lib.stride_tricks.sliding_window_view(canonical, n - r)[r:0:-1]
+    return [((x[i] - x[j]) * scale, (y[i] - y[j]) * scale, canonical[j - i]),
+            ((x[:r, None] - x[r:]) * scale, (y[:r, None] - y[r:]) * scale, lag)]
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: make_disk_cell(0.45, 1.0, 256),
+    lambda: make_smooth_cell(FOURIER_COEFFS, 1.2, 128),
+    lambda: make_ellipse_cell(0.3, 60.0, 1.0, 256),
+], ids=["disk", "fourier", "tall_ellipse"])
+def test_pair_kernels_bit_identical_to_the_allocating_kernels(make_cell):
+    cell = make_cell()
+    for u, v, lag in _pair_offsets(cell):
+        expected = allocating_kernels.pair_kernels(u, v, lag, cell.period_ratio)
+        got = layer_ops._pair_kernels(u.copy(), v.copy(), lambda: lag, cell.period_ratio)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_log_quadrature_symbol_exact():

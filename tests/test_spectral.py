@@ -22,6 +22,8 @@ from metastrain import (
 from metastrain.errors import DomainError, OutOfRangeError, QuadratureFailure, ResonanceError
 from metastrain.validate import off_surface_normal_derivative
 
+import allocating_kernels
+
 PROBE = 0.8  # real contrast comfortably off the spectrum
 
 
@@ -435,6 +437,30 @@ def test_alpha2_scalar_and_batch_identical(disk256_dec, water_gold):
     batch = alpha2_plus_batch(disk256_dec, lams)
     assert all(alpha_infinity(disk256_dec, lam).alpha2_plus == value
                for lam, value in zip(lams, batch))
+
+
+@pytest.mark.parametrize("samples", [400, 1000])
+def test_row_sums_bit_identical_to_the_allocating_sums(disk256_dec, water_gold, samples):
+    from metastrain import spectral
+
+    lams = default_window(water_gold, samples)
+    lj = disk256_dec.eigenvalues[1:]
+    weights = disk256_dec.moments_nu2[1:] ** 2 / (0.5 - lj)
+    carried = weights != 0.0
+    nodes, weights = lj[carried], weights[carried]
+    sums = spectral._row_sums(nodes, weights, lams)
+    assert sums.tobytes() == allocating_kernels.row_sums(nodes, weights, lams).tobytes()
+    batch = spectral.alpha2_plus_batch(disk256_dec, lams)
+    assert batch.tobytes() == allocating_kernels.alpha2_plus(disk256_dec, lams).tobytes()
+
+
+@pytest.mark.parametrize("lams, shape", [(PROBE, r"\(\)"), ([[PROBE, 0.7]], r"\(1, 2\)")],
+                         ids=["scalar", "2d"])
+def test_contrasts_not_1d_rejected(disk128_dec, lams, shape):
+    from metastrain.spectral import alpha2_plus_batch
+
+    with pytest.raises(DomainError, match=rf"contrasts must be a 1-D array, got shape {shape}"):
+        alpha2_plus_batch(disk128_dec, lams)
 
 
 def test_mode_above_one_half_reported():
