@@ -13,6 +13,7 @@ strip (-L/2, L/2) x R, where L is the cell width in rescaled coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,56 +159,69 @@ def _star_shaped(points: np.ndarray) -> bool:
     return one_sign and round(abs(_windings(rel))) == 1
 
 
-def _validated_curve(curve: TrigCurve, period: float) -> TrigCurve:
-    """Reject inadmissible curves; normalise orientation to counterclockwise."""
+@lru_cache(maxsize=8)
+def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict | str]:
+    """What a curve's cells share at every period: its reach, its longest period and its nodes.
+
+    The reach is max |xi1| on the fine grid, checked against the period per
+    call; the longest period is the one beyond which (pi * node spacing /
+    period)^2 is no normal float and the lattice kernels lose it.  The node
+    data are the validated, counterclockwise curve with its node arrays,
+    which its cells make read-only and share, or the message of the first
+    check the curve fails after the strip check: area, turns, crossing.  A
+    degenerate parametrization is raised here, before the strip check.
+    """
+    curve = TrigCurve(np.frombuffer(coefficients, dtype=complex))
     fine = max(8 * curve.coefficients.size, 256)
     z = curve.sample(fine)
     dz = curve.sample(fine, order=1)
     speed = np.abs(dz)
     if speed.min() < 1e-12 * max(speed.max(), 1e-300):
         raise GeometryError("degenerate parametrization: |z'(t)| vanishes")
-    if np.abs(z.real).max() >= period / 2.0:
-        raise GeometryError(
-            "curve exits the period strip: |xi1| reaches "
-            f"{np.abs(z.real).max():.6g} with period {period:.6g}"
-        )
+    reach = float(np.abs(z.real).max())
     area = 0.5 * (2.0 * np.pi / fine) * np.sum(np.imag(np.conj(z) * dz))
     if abs(area) < 1e-14 * max(1.0, np.abs(z).max() ** 2):
-        raise GeometryError("degenerate curve: enclosed area is zero")
+        return reach, np.inf, "degenerate curve: enclosed area is zero"
     # a simple closed curve's tangent turns exactly once (Hopf's Umlaufsatz);
     # a curve traversed twice has no proper crossing but turns twice
     turns = round(_windings(dz))
     if abs(turns) != 1:
-        raise GeometryError(f"curve is not simple: its tangent turns {turns} times, not once")
+        return reach, np.inf, f"curve is not simple: its tangent turns {turns} times, not once"
     polyline = z[:: max(1, fine // 512)]
     if not _star_shaped(polyline) and _segments_cross(polyline):
-        raise GeometryError("curve is self-intersecting")
+        return reach, np.inf, "curve is self-intersecting"
     if area < 0.0:
-        return curve.reversed()
-    return curve
-
-
-def _discretize(curve: TrigCurve, period: float, node_count: int) -> CellGeometry:
-    curve = _validated_curve(curve, period)
-    t = 2.0 * np.pi * np.arange(node_count) / node_count
+        curve = curve.reversed()
     z = curve.sample(node_count)
     dz = curve.sample(node_count, order=1)
     d2z = curve.sample(node_count, order=2)
     speed = np.abs(dz)
     tangent = dz / speed
     normal = -1j * tangent
-    curvature = np.imag(np.conj(dz) * d2z) / speed**3
-    weights = speed * (2.0 * np.pi / node_count)
-    return CellGeometry(
-        period_ratio=float(period),
+    spacing = np.abs(np.roll(z, -1) - z).min()
+    return reach, np.pi * spacing / np.sqrt(np.finfo(float).tiny), dict(
         nodes=np.column_stack([z.real, z.imag]),
         normals=np.column_stack([normal.real, normal.imag]),
         tangents=np.column_stack([tangent.real, tangent.imag]),
-        curvatures=curvature,
-        weights=weights,
+        curvatures=np.imag(np.conj(dz) * d2z) / speed**3,
+        weights=speed * (2.0 * np.pi / node_count),
         parametrization=curve,
-        t=t,
+        t=2.0 * np.pi * np.arange(node_count) / node_count,
     )
+
+
+def _discretize(curve: TrigCurve, period: float, node_count: int) -> CellGeometry:
+    reach, longest, data = _node_data(curve.coefficients.tobytes(), node_count)
+    if reach >= period / 2.0:
+        raise GeometryError(
+            f"curve exits the period strip: |xi1| reaches {reach:.6g} with period {period:.6g}"
+        )
+    if isinstance(data, str):
+        raise GeometryError(data)
+    if period > longest:
+        raise GeometryError(f"period {period:.6g} exceeds {longest:.6g}, beyond which "
+                            "(pi * node spacing / period)^2 underflows in the lattice kernels")
+    return CellGeometry(period_ratio=float(period), **data)
 
 
 def make_disk_cell(radius: float, period: float, node_count: int) -> CellGeometry:

@@ -52,7 +52,7 @@ one triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -125,15 +125,22 @@ def log_quadrature_matrix(n: int, rows: int | None = None) -> np.ndarray:
     """
     if n % 2 != 0:
         raise DomainError("log quadrature requires an even node count")
+    # entry (i, j) is row[(i - j) mod n]: window n - 1 - i of the reversed row
+    # taken twice, copied from a strided view rather than gathered by index
+    windows = np.lib.stride_tricks.sliding_window_view(_reversed_row_twice(n), n)
+    return windows[::-1][:rows].copy()
+
+
+@lru_cache(maxsize=8)
+def _reversed_row_twice(n: int) -> np.ndarray:
+    """The circulant's reversed first row followed by all but its last entry, once per n."""
     symbol = np.zeros(n // 2 + 1)
     symbol[1:-1] = -1.0 / np.arange(1, n // 2)
     symbol[-1] = -2.0 / n
-    row = np.fft.irfft(symbol, n)
-    # entry (i, j) is row[(i - j) mod n]: window n - 1 - i of the reversed row
-    # taken twice, copied from a strided view rather than gathered by index
-    rev = row[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
-    return windows[::-1][:rows].copy()
+    rev = np.fft.irfft(symbol, n)[::-1]
+    twice = np.concatenate([rev, rev[:-1]])
+    twice.setflags(write=False)
+    return twice
 
 
 def _mirror_tolerance(n: int) -> float:
@@ -178,20 +185,33 @@ def _node_defect(cell: CellGeometry, image: np.ndarray) -> float:
                  + max(np.abs(kw[image] - kw).max() / np.abs(kw).max(), pairs.max()))
 
 
+# certificates of the most recent node data, keyed by the bytes _node_defect reads
+_CERTIFICATES: dict[bytes, int] = {}
+_CERTIFICATES_KEPT = 8
+
+
 def _mirror_count(cell: CellGeometry) -> int:
     """How many lattice mirrors the node data certify: 0, 1 (j -> -j) or 2 (j -> n/2 - j too).
 
     A mirror is certified when the bound of :func:`_node_defect` is within
     :func:`_mirror_tolerance`; the second only when n is a multiple of 4.
+    The count is kept per node data, so cells of one curve at other periods
+    share it.
     """
-    n = cell.node_count
-    j = np.arange(n)
-    tolerance = _mirror_tolerance(n)
-    if not _node_defect(cell, -j % n) <= tolerance:
-        return 0
-    if n % 4 or not _node_defect(cell, (n // 2 - j) % n) <= tolerance:
-        return 1
-    return 2
+    key = b"".join(getattr(cell, name).tobytes()
+                   for name in ("nodes", "normals", "curvatures", "weights"))
+    mirrors = _CERTIFICATES.get(key)
+    if mirrors is None:
+        n = cell.node_count
+        j = np.arange(n)
+        tolerance = _mirror_tolerance(n)
+        mirrors = 0
+        if _node_defect(cell, -j % n) <= tolerance:
+            mirrors = 1 if n % 4 or not _node_defect(cell, (n // 2 - j) % n) <= tolerance else 2
+        if len(_CERTIFICATES) >= _CERTIFICATES_KEPT:
+            del _CERTIFICATES[next(iter(_CERTIFICATES))]  # the oldest
+        _CERTIFICATES[key] = mirrors
+    return mirrors
 
 
 def _pair_kernels(u, v, lag, period_ratio):

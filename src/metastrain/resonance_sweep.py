@@ -34,6 +34,7 @@ class ResonanceCurve:
     magnitudes: np.ndarray
     material: MaterialParams
     eigenvalues: np.ndarray
+    coupled: np.ndarray  # whether mode j has a non-zero nu2 moment, so shapes |alpha2_plus|
     peaks: tuple[Peak, ...] = ()
 
 
@@ -53,18 +54,19 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
         magnitudes=magnitudes,
         material=material,
         eigenvalues=decomposition.eigenvalues,
+        coupled=decomposition.moments_nu2 != 0.0,
     )
     return dataclasses.replace(curve, peaks=tuple(find_peaks(curve)))
 
 
 def _resonances(curve: ResonanceCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Modes j >= 1 that are not overdamped, and their real resonance frequencies.
+    """Coupled modes j >= 1 that are not overdamped, and their real resonance frequencies.
 
     The closed form of ``dispersion.resonance_frequency`` over all modes at once; the
     equilibrium mode j = 0 carries no normal moment.
     """
     radicand = resonance_radicand(curve.eigenvalues[1:], curve.material)
-    modes = np.flatnonzero(radicand > 0.0) + 1
+    modes = np.flatnonzero((radicand > 0.0) & curve.coupled[1:]) + 1
     return modes, np.sqrt(radicand[modes - 1])
 
 

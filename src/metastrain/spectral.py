@@ -72,7 +72,7 @@ of the plain expression, so their values are the same bytes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -194,6 +194,7 @@ class _Sector:
     def holds_constant(self) -> bool:
         return self.parity >= 0 and self.fold >= 0
 
+    @lru_cache(maxsize=16)
     def _orbits(self):
         """The representatives, the positions among them of half orbits, and (chi(g), g(reps)).
 
@@ -201,19 +202,22 @@ class _Sector:
         representative (n/2 under P alone, n/4 under both), which P or M
         fixes, have half as many; each is kept where the character is 1 on
         that element.  The images are slices, but P's of a run from node 0.
-        Nothing here is kept on the sector: arrays held for the life of a
-        decomposition fragment the heap between the larger ones.
+        The plan is built once per (n, parity, fold), the sector's fields,
+        and shared by equal sectors.
         """
         n, h = self.n, self.n // 2
         last = n // 4 if self.fold else h
         first = int(self.parity < 0)
         stop = last + ((self.fold or self.parity) > 0)
-        halves = [0] * (first == 0) + [-1] * (stop > last)
-        mirror = np.arange(n, n - stop, -1) % n if first == 0 else slice(n - first, n - stop, -1)
-        images = [(1, slice(first, stop)), (self.parity, mirror)]
+        halves = (0,) * (first == 0) + (-1,) * (stop > last)
+        mirror = slice(n - first, n - stop, -1)
+        if first == 0:  # node 0 is its own image: an index array, shared read-only
+            mirror = np.arange(n, n - stop, -1) % n
+            mirror.setflags(write=False)
+        images = ((1, slice(first, stop)), (self.parity, mirror))
         if self.fold:
-            images += [(self.fold, slice(h - first, h - stop, -1)),
-                       (self.parity * self.fold, slice(first + h, stop + h))]
+            images += ((self.fold, slice(h - first, h - stop, -1)),
+                       (self.parity * self.fold, slice(first + h, stop + h)))
         return slice(first, stop), halves, images
 
     @staticmethod

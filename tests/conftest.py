@@ -53,3 +53,18 @@ def water_gold():
         eps_m_rel=1.77**2, omega_p=2.0e15, collision_time=1.0e-14,
         plasma_frequency_is_angular=True,
     )
+
+
+@pytest.fixture
+def cold_caches():
+    """Empties every cache kept per curve or per node count, as in a fresh process."""
+    from metastrain import geometry, layer_ops, spectral
+
+    def clear():
+        geometry._node_data.cache_clear()
+        layer_ops._reversed_row_twice.cache_clear()
+        layer_ops._CERTIFICATES.clear()
+        spectral._Sector._orbits.cache_clear()
+
+    clear()
+    return clear

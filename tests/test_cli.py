@@ -455,3 +455,17 @@ def test_working_set_counts_samples_only_where_swept(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "_WORKING_SET_BYTES_MAX", 10 * 2**20)
     cfg = write_config(tmp_path, {"sweep": {"samples": 20000}})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "eigs"]) == 0
+
+
+@pytest.mark.parametrize("extra, command", [
+    (None, ["sweep", "--periods", "1.0,1e165"]),
+    ({"geometry": {"period": 1e200}}, ["eigs"]),
+], ids=["sweep_periods", "eigs_config"])
+def test_period_whose_kernels_underflow_is_a_config_error(tmp_path, capsys, extra, command):
+    # (pi * node spacing / L)^2 underflows: refused before assembly, one line, no file
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)] + command) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "underflows" in err
+    assert not any(out.iterdir())

@@ -262,3 +262,37 @@ def test_immutability():
     cell = make_disk_cell(0.3, 1.0, 64)
     with pytest.raises(ValueError):
         cell.nodes[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("coeffs, reach, message", [
+    ([0.0, 0.3, 0.15, 0.0, 0.0], 0.45, "degenerate parametrization"),  # |z'| vanishes at t = pi
+    (fourier_of(0.3 * np.sin(2 * np.pi * np.arange(64) / 64)
+                + 0.15j * np.sin(4 * np.pi * np.arange(64) / 64)), 0.3, "area is zero"),
+    ([0.0, 0.0, 0.3, 0.0, 0.0], 0.3, "turns 2 times"),
+    ([0.0, 0.3, 0.01, -0.15, 0.0, 0.05, 0.11, 0.05], 0.37, "self-intersecting"),
+], ids=["degenerate_speed", "zero_area", "traversed_twice", "crossing"])
+def test_strip_error_keeps_its_place_among_the_curve_checks(cold_caches, coeffs, reach, message):
+    # the strip check needs the period and runs per call, the other checks
+    # once per curve: a curve outside the strip that also fails a later check
+    # reports the strip first, on a cold and on a warm cache alike
+    inside, outside = 2.0 * reach + 1.0, 1.9 * reach
+    first = message if message.startswith("degenerate p") else "exits the period strip"
+    for period, expected in [(outside, first), (inside, message), (outside, first)]:
+        with pytest.raises(GeometryError, match=expected):
+            make_smooth_cell(coeffs, period, 64)
+
+
+def test_period_whose_scaled_node_offsets_underflow_is_refused(cold_caches):
+    # the squared offsets (pi * spacing / L)^2 of the default disk leave the
+    # normal floats beyond L = 2.3e152: refused there, decomposed without a
+    # floating-point warning below it
+    from metastrain import decompose
+
+    spacing = 2.0 * 0.45 * np.sin(np.pi / 256)
+    longest = np.pi * spacing / np.sqrt(np.finfo(float).tiny)
+    assert 2.3e152 < longest < 2.4e152
+    dec = decompose(make_disk_cell(0.45, 0.99 * longest, 256))
+    assert abs(dec.eigenvalues[0] - 0.5) < 1e-8
+    for period in (1.01 * longest, 1e160, 1e165, 1e300):
+        with pytest.raises(GeometryError, match="underflows"):
+            make_disk_cell(0.45, period, 256)

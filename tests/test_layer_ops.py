@@ -340,6 +340,38 @@ def test_node_asymmetry_just_above_the_bound_falls_back():
     assert np.array_equal(adjoint.matrix, per_call_np_adjoint(above))
 
 
+@pytest.mark.parametrize("name", ["nodes", "normals", "curvatures", "weights"])
+def test_replaced_node_data_are_certified_again(cold_caches, monkeypatch, name):
+    # the certificate is kept per node data: the same disk at another period
+    # reuses it, a copy with any array _node_defect reads replaced is
+    # certified again (node 1 moved off the mirror of node n - 1)
+    calls = []
+    defect = layer_ops._node_defect
+    monkeypatch.setattr(layer_ops, "_node_defect",
+                        lambda cell, image: calls.append(cell) or defect(cell, image))
+    cell = make_disk_cell(0.45, 1.0, 256)
+    assert layer_ops._mirror_count(cell) == 2 and len(calls) == 2
+    assert layer_ops._mirror_count(make_disk_cell(0.45, 1.7, 256)) == 2 and len(calls) == 2
+    values = getattr(cell, name).copy()
+    values.flat[2] *= 1.0 + 1e-6
+    moved = dataclasses.replace(cell, **{name: values})
+    assert layer_ops._mirror_count(moved) == 0 and len(calls) == 3
+    assert layer_ops._mirror_count(cell) == 2 and len(calls) == 3
+
+
+def test_log_quadrature_rows_equal_the_row_built_afresh(cold_caches):
+    for n in (64, 256, 64):
+        rule = log_quadrature_matrix(n)
+        symbol = np.zeros(n // 2 + 1)
+        symbol[1:-1] = -1.0 / np.arange(1, n // 2)
+        symbol[-1] = -2.0 / n
+        row = np.fft.irfft(symbol, n)
+        assert np.array_equal(rule, row[(np.arange(n)[:, None] - np.arange(n)) % n])
+        assert np.array_equal(log_quadrature_matrix(n, 5), rule[:5])
+        assert rule.flags.writeable
+    assert layer_ops._reversed_row_twice.cache_info().misses == 2
+
+
 def _pair_offsets(cell):
     """u, v and 4 sin^2((t_i - t_j)/2) of the pairs i < j, and of nodes 0..n/4 against the rest."""
     n = cell.node_count

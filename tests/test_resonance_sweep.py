@@ -162,10 +162,13 @@ def test_missing_peak_reported_per_row(water_gold):
 
 
 def _nearest_mode_by_loop(curve, omega_peak):
-    """The scalar loop the vectorised lookup replaces: first strictly smaller gap wins."""
+    """The scalar loop the vectorised lookup replaces: first strictly smaller gap wins.
+
+    Only modes with a non-zero nu2 moment are candidates.
+    """
     best, best_gap = None, np.inf
     for j, lam_j in enumerate(curve.eigenvalues):
-        if j == 0:
+        if j == 0 or not curve.coupled[j]:
             continue
         try:
             gap = abs(resonance_frequency(lam_j, curve.material) - omega_peak)
@@ -178,11 +181,14 @@ def _nearest_mode_by_loop(curve, omega_peak):
 
 def test_nearest_mode_matches_loop_with_overdamped_modes(disk_curve):
     # with T = 1e-15 every mode below lambda = -0.4375 is overdamped; repeated
-    # eigenvalues tie, and the first of them must win
+    # eigenvalues tie, and the first of them must win; every fifth mode does
+    # not couple to nu2 and is never named
     damped = MaterialParams.from_relative(eps_m_rel=1.77**2, omega_p=2.0e15,
                                           collision_time=1.0e-15)
     eigenvalues = np.concatenate([[0.5], np.linspace(-0.5, 0.45, 39), [0.1, 0.1, -0.49]])
-    curve = dataclasses.replace(disk_curve, eigenvalues=eigenvalues, material=damped, peaks=())
+    coupled = np.arange(eigenvalues.size) % 5 != 2
+    curve = dataclasses.replace(disk_curve, eigenvalues=eigenvalues, coupled=coupled,
+                                material=damped, peaks=())
     resonances = _resonances(curve)
     assert 0 < resonances[0].size < eigenvalues.size - 1
     omegas = np.concatenate([resonances[1], np.linspace(1e14, 3e15, 301), [np.nan, np.inf]])
@@ -205,3 +211,21 @@ def test_peak_modes_match_loop(disk_curve, water_gold):
     for peak in disk_curve.peaks:
         omega = omega_from_wavelength(peak.wavelength, water_gold)
         assert peak.mode_index == _nearest_mode_by_loop(disk_curve, omega)
+
+
+def test_peak_is_named_after_a_mode_that_couples_to_nu2():
+    # the 780 nm peak of this disk lies nearest, in resonance frequency, to
+    # mode 252, whose nu2 moment is exactly 0 (it sits on a quarter sector the
+    # moment misses); the coupled mode 253 is the one that shapes it
+    from metastrain.cli import parse_config
+
+    material = parse_config({}).material_params()
+    dec = decompose(make_disk_cell(0.39593358828854036, 0.9734287075896383, 256))
+    curve = sweep(dec, material, *WINDOW, samples=400)
+    assert np.array_equal(curve.coupled, dec.moments_nu2 != 0.0)
+    peak = min(curve.peaks, key=lambda p: abs(p.wavelength - 780.05e-9))
+    assert abs(peak.wavelength - 780.05e-9) < 0.01e-9
+    assert dec.moments_nu2[252] == 0.0
+    assert peak.mode_index == 253 and dec.moments_nu2[253] != 0.0
+    for peak in curve.peaks:
+        assert curve.coupled[peak.mode_index]

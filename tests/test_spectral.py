@@ -886,6 +886,45 @@ def test_the_group_is_certified_once_per_assembly(monkeypatch):
     assert calls == [cell]
 
 
+# ------------------------------------------------------------ per-curve data
+
+def test_cells_of_one_disk_decompose_as_on_cold_caches(cold_caches):
+    # the calibrate workload's period grid on one disk: node data, certificate,
+    # log-quadrature row and sector plans are built once and shared, and each
+    # decomposition equals the one made with every cache empty
+    from metastrain import geometry, layer_ops
+    from metastrain.spectral import _Sector
+
+    periods = (1.0, 1.25, 1.5, 1.75, 2.0)
+    cells = [make_disk_cell(0.4, period, 256) for period in periods]
+    warm = [decompose(cell) for cell in cells]
+    for name in ("nodes", "normals", "tangents", "curvatures", "weights", "t", "parametrization"):
+        assert all(getattr(cell, name) is getattr(cells[0], name) for cell in cells)
+    assert not cells[0].nodes.flags.writeable
+    assert geometry._node_data.cache_info().misses == 1
+    assert len(layer_ops._CERTIFICATES) == 1
+    assert layer_ops._reversed_row_twice.cache_info().misses == 1
+    assert _Sector._orbits.cache_info().misses == 4  # the four quarters
+    for period, dec in zip(periods, warm):
+        cold_caches()
+        cold = decompose(make_disk_cell(0.4, period, 256))
+        assert cold.cell.nodes is not dec.cell.nodes
+        assert cold.eigenvalues[0] == dec.eigenvalues[0]
+        for name in ("eigenvalues", "moments_nu1", "moments_nu2"):
+            assert np.array_equal(getattr(cold, name), getattr(dec, name))
+
+
+@pytest.mark.parametrize("radius", [0.45, 0.3])
+@pytest.mark.parametrize("ratio, gap", [(0.05, 2e-5), (0.025, 2e-6)])
+def test_dilute_lattice_law_on_disks(radius, ratio, gap):
+    # a disk of radius r in a cell of width L >> r: the dominant eigenvalue
+    # tends to -zeta(2) r^2 / L^2, its lattice sum over the periodic copies
+    period = radius / ratio
+    dec = decompose(make_disk_cell(radius, period, 128))
+    lam = dec.eigenvalues[dec.dominant_mode()]
+    assert abs(-lam * period**2 / radius**2 - np.pi**2 / 6) <= gap
+
+
 # ------------------------------------------------------------ memory guard
 
 @pytest.mark.parametrize("node_count, samples, need", [

@@ -157,3 +157,16 @@ def test_normal_derivative_upsamples_once(monkeypatch, side):
         values.append(side * (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12.0 * h))
     assert len(factors) == 21
     assert limit == validate.neville_to_zero(fd_distances(cell, node), values)
+
+
+def test_negative_control_fails_the_same_checks_on_warm_caches(cold_caches):
+    # the detuned weights are other node data: a run on the intact cell
+    # first leaves nothing the broken run reuses in their place
+    def failed(cell):
+        return [r for r in run_validation(cell, break_quadrature=True) if not r.passed]
+
+    cold = failed(make_disk_cell(0.45, 1.0, 96))
+    assert all(r.passed for r in run_validation(make_disk_cell(0.45, 1.0, 96)))
+    warm = failed(make_disk_cell(0.45, 1.0, 96))
+    assert warm == cold
+    assert {"calderon_identity", "trace_formulae_fd"} <= {r.name for r in warm}
