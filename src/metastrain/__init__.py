@@ -18,7 +18,6 @@ from .geometry import (
 )
 from .layer_ops import (
     BoundaryOperator,
-    assemble_np,
     assemble_np_adjoint,
     assemble_single_layer,
     evaluate_single_layer_off_surface,
@@ -71,7 +70,6 @@ __all__ = [
     "TrigCurve",
     "alpha_field",
     "alpha_infinity",
-    "assemble_np",
     "assemble_np_adjoint",
     "assemble_single_layer",
     "axes_from_perimeter",

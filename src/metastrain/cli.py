@@ -31,7 +31,7 @@ from .errors import (
     OutOfRangeError,
     OverdampedModeError,
 )
-from .geometry import CellGeometry, make_disk_cell, make_ellipse_cell, make_smooth_cell
+from .geometry import CellGeometry, _finite, make_disk_cell, make_ellipse_cell, make_smooth_cell
 from .resonance_sweep import CalibrationRow, CalibrationTable, calibrate
 from .spectral import check_working_set, decompose
 from .strain import CapsuleState, invert_peak_to_deformation
@@ -136,12 +136,7 @@ _NUM = (int, float)
 
 
 def _finite_number(value) -> bool:
-    if not isinstance(value, _NUM):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
+    return isinstance(value, _NUM) and _finite(value)
 
 
 def _check_periods(periods, source: str):
@@ -452,19 +447,19 @@ def main(argv=None) -> int:
             sweeps = args.command in ("sweep", "scatter")
             check_working_set(config.geometry["node_count"],
                               config.sweep["samples"] if sweeps else 0)
+        periods = None
+        if args.command == "sweep" and args.periods:
+            try:
+                periods = [float(p) for p in args.periods.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"bad --periods list: {args.periods!r}") from exc
+            _check_periods(periods, "--periods")
         out_dir = Path(args.out or config.output_dir)
         if args.command != "validate":
             out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "eigs":
             return cmd_eigs(config, out_dir)
         if args.command == "sweep":
-            periods = None
-            if args.periods:
-                try:
-                    periods = [float(p) for p in args.periods.split(",")]
-                except ValueError as exc:
-                    raise ConfigError(f"bad --periods list: {args.periods!r}") from exc
-                _check_periods(periods, "--periods")
             return cmd_sweep(config, out_dir, periods=periods)
         if args.command == "scatter":
             return cmd_scatter(config, out_dir, beta_zero=args.beta_zero)

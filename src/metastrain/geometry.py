@@ -12,6 +12,7 @@ strip (-L/2, L/2) x R, where L is the cell width in rescaled coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,6 +115,14 @@ class CellGeometry:
         return self.weights * self.node_count / (2.0 * np.pi)
 
 
+def _finite(value) -> bool:
+    """Whether a real number is finite; a (JSON) integer beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_node_count(node_count: int):
     if node_count < MIN_NODE_COUNT:
         raise GeometryError(f"node_count must be at least {MIN_NODE_COUNT}, got {node_count}")
@@ -211,6 +220,8 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
 
 
 def _discretize(curve: TrigCurve, period: float, node_count: int) -> CellGeometry:
+    if not (_finite(period) and np.isfinite(curve.coefficients).all()):
+        raise GeometryError(f"period and Fourier coefficients must be finite, got period {period}")
     reach, longest, data = _node_data(curve.coefficients.tobytes(), node_count)
     if reach >= period / 2.0:
         raise GeometryError(
@@ -269,6 +280,8 @@ def perturb_normal(cell: CellGeometry, eta: float) -> CellGeometry:
     the round-off level of the largest, so repeated perturbation does not
     grow it (a perturbed disk keeps three coefficients).
     """
+    if not _finite(eta):
+        raise GeometryError(f"normal displacement must be finite, got {eta}")
     curve = cell.parametrization
     fine = max(4 * cell.node_count, 4 * curve.coefficients.size, 64)
     z = curve.sample(fine)

@@ -1,8 +1,8 @@
 """Nystroem discretisation of the periodic layer potentials.
 
-The single layer S, the Neumann-Poincare operator K* (normal derivative of S
-in the target point) and its arclength adjoint K are assembled as dense
-matrices acting on nodal densities.
+The single layer S and the Neumann-Poincare operator K* (normal derivative
+of S in the target point) are assembled as dense matrices acting on nodal
+densities; the arclength adjoint K is the weighted transpose W^-1 K*^T W.
 
 The kernel is the Green's function of the Laplacian with unit sources at
 (n*L, 0), n integer:
@@ -335,13 +335,6 @@ def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:
     if _PENDING_ADJOINT not in cell.__dict__:
         assemble_single_layer(cell)
     return cell.__dict__.pop(_PENDING_ADJOINT)
-
-
-def assemble_np(np_adjoint: BoundaryOperator) -> BoundaryOperator:
-    """K as the weighted transpose of K*, exact in the discrete arclength pairing."""
-    w = np_adjoint.cell.weights
-    matrix = np_adjoint.matrix.T * (w[None, :] / w[:, None])
-    return BoundaryOperator(matrix, np_adjoint.cell)
 
 
 def _upsampled(cell: CellGeometry, density: np.ndarray, factor: int):

@@ -40,15 +40,9 @@ MIN_OVERLAP = 0.9  # Gram overlap below which a perturbed mode is not the base m
 
 def _tangential_derivative(cell: CellGeometry, values: np.ndarray) -> np.ndarray:
     """d/dT of a nodal boundary function by spectral differentiation in the parameter."""
-    n = values.size
-    spectrum = np.fft.rfft(values)
-    k = np.arange(spectrum.size)
-    if n % 2 == 0:
-        k = k.astype(float)
-        spectrum = spectrum * (1j * k)
-        spectrum[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    else:
-        spectrum = spectrum * (1j * k)
+    n = values.size  # even, as every node count is
+    spectrum = np.fft.rfft(values) * (1j * np.arange(n // 2 + 1))
+    spectrum[-1] = 0.0  # the Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(spectrum, n) / cell.speeds
 
 

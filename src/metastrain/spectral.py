@@ -25,10 +25,10 @@ orbit representatives alone, the rows S and K* carry: one slice of those
 rows per group element, summed with the character's signs and scaled by the
 orbit sizes.  The Gram block is gathered from the rows of -W S and made
 symmetric at sector size, and the moment vectors Q^T G nu_l are G_s Q^T nu_l.
-Operators without a group take the whole space as their one sector.  Which
-normal moments vanish on a sector is read off the moment vectors, not
-assumed: the mirror parallel to the grating makes nu1 even and nu2 odd, the
-one normal to it the reverse.
+Operators without a mirror carry the trivial group {I}, whose one sector is
+the whole space (Q = I), on the same path.  Which normal moments vanish on a
+sector is read off the moment vectors, not assumed: the mirror parallel to
+the grating makes nu1 even and nu2 odd, the one normal to it the reverse.
 
 The eigenvectors stay in sector coordinates, where the moments are taken.
 A sector that neither moment vector reaches (two of the four quarters) is
@@ -36,8 +36,7 @@ solved for its eigenvalues only: the sweep, the calibration, the extinction
 spectrum and ``eigs`` read the eigenvalues and the moments alone.  The n x n
 S, K*, Gram matrix and densities are built on the first read, which
 ``shape_deriv``, ``validate``, ``resolvent_density`` and Gram-overlap mode
-tracking make; the eigenvalues never change.  On the whole space the moments
-are taken from the n x n densities, which are then built at construction.
+tracking make; the eigenvalues never change.
 
 Each sector's B x = lam G x (B = G K* made symmetric) is solved by the
 Cholesky route: G = L L^T, then numpy's ``eigvalsh`` or ``eigh`` on
@@ -128,8 +127,19 @@ class SpectralDecomposition:
 
     @cached_property
     def eigendensities(self) -> np.ndarray:
-        """The nodal densities, the sectors without eigenvectors solved from the rows."""
-        return _nodal_densities(self.equilibrium_density, self._sectors, *self._operators)
+        """psi0, then each sector's extended eigenvectors in its columns.
+
+        The sectors without eigenvectors are solved from the rows first.
+        """
+        w = self.cell.weights
+        dens = np.zeros((w.size, w.size))
+        dens[:, 0] = self.equilibrium_density
+        for sector, columns, vectors in self._sectors:
+            if vectors is None:
+                (blocks,) = _sector_blocks([sector], *self._operators)
+                vectors = _solve_sector(sector, *blocks, w, vectors=True)[1]
+            dens[:, columns] = sector.extend(vectors)
+        return dens
 
     def dominant_mode(self) -> int:
         """Index of the mode with the heaviest nu2 coupling weight."""
@@ -180,9 +190,9 @@ class _Sector:
     {I, P} for P: j -> -j mod n, or {I, P, M, T} when M: j -> n/2 - j is in
     it too (T = PM: j -> j + n/2).  ``parity`` is the character's value on
     P and ``fold`` its value on M (0 when M is not in the group).  The orbit
-    representatives are nodes 0 .. n/2 under P alone and 0 .. n/4 under
-    both; Q has one column per representative r on whose stabiliser the
-    character is 1, in increasing r:
+    representatives are all n nodes under {I}, nodes 0 .. n/2 under P alone
+    and 0 .. n/4 under both; Q has one column per representative r on whose
+    stabiliser the character is 1, in increasing r:
     b_r = sum over the orbit of chi(g) e_g(r) / sqrt |orbit|.
     """
 
@@ -198,14 +208,18 @@ class _Sector:
     def _orbits(self):
         """The representatives, the positions among them of half orbits, and (chi(g), g(reps)).
 
-        An orbit has |group| nodes, but those of node 0 and of the last
-        representative (n/2 under P alone, n/4 under both), which P or M
-        fixes, have half as many; each is kept where the character is 1 on
+        The trivial group's plan is the identity: every node represents its
+        own orbit, no orbit is half and the one image is slice(0, n).
+        Otherwise an orbit has |group| nodes, but those of node 0 and of the
+        last representative (n/2 under P alone, n/4 under both), which P or
+        M fixes, have half as many; each is kept where the character is 1 on
         that element.  The images are slices, but P's of a run from node 0.
         The plan is built once per (n, parity, fold), the sector's fields,
         and shared by equal sectors.
         """
         n, h = self.n, self.n // 2
+        if not self.parity:  # the trivial group
+            return slice(0, n), (), ((1, slice(0, n)),)
         last = n // 4 if self.fold else h
         first = int(self.parity < 0)
         stop = last + ((self.fold or self.parity) > 0)
@@ -222,28 +236,23 @@ class _Sector:
 
     @staticmethod
     def _character_sum(images, take) -> np.ndarray:
-        """sum_g chi(g) take(g(representatives))."""
+        """sum_g chi(g) take(g(representatives)): take's own array under the trivial group."""
         (_, identity), *rest = images
-        out = take(identity).copy()
+        out = take(identity).copy() if rest else take(identity)
         for chi, image in rest:
             (np.add if chi > 0 else np.subtract)(out, take(image), out=out)
         return out
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """Q^T x along the first axis: sqrt |orbit| / |group| * sum_g chi(g) x[g(r)]."""
-        if not self.parity:
-            return x
         _, halves, images = self._orbits()
-        out = self._character_sum(images, lambda image: x[image])
-        out *= len(images) ** -0.5
+        out = self._character_sum(images, lambda image: x[image]) * len(images) ** -0.5
         for k in halves:
             out[k] *= _SQRT_HALF
         return out
 
     def at_representatives(self, y: np.ndarray) -> np.ndarray:
         """(Q y)[r] = y_r / sqrt |orbit| along the first axis: its orbit's lowest-index entry."""
-        if not self.parity:
-            return y
         _, halves, images = self._orbits()
         y = y * len(images) ** -0.5
         for k in halves:
@@ -252,8 +261,6 @@ class _Sector:
 
     def extend(self, y: np.ndarray) -> np.ndarray:
         """Q y along the first axis: x[g(r)] = chi(g) y_r / sqrt |orbit| for each g."""
-        if not self.parity:
-            return y
         _, _, images = self._orbits()
         y = self.at_representatives(y)
         x = np.zeros((self.n,) + y.shape[1:])
@@ -271,8 +278,6 @@ class _Sector:
         gather of those rows per group element, and the factor is 1 but on
         the rows and columns of half orbits.
         """
-        if not self.parity:
-            return A
         reps, halves, images = self._orbits()
         rows = A[reps]
         block = self._character_sum(images, lambda image: rows[:, image])
@@ -297,7 +302,6 @@ def _reached(vectors: list) -> np.ndarray:
     """Whether each sector's Q^T G nu_l exceeds the mirror tolerance of the largest entry of all.
 
     The moments <phi_j, nu_l> of a sector it does not reach are round-off.
-    The whole space is reached by every non-zero vector.
     """
     n = sum(vector.size for vector in vectors)
     scale = _mirror_tolerance(n) * max(np.abs(vector).max() for vector in vectors)
@@ -406,20 +410,6 @@ def _solve_sector(sector: _Sector, G: np.ndarray, K_sector: np.ndarray, w: np.nd
     return vals, _fix_signs(vecs, sector.at_representatives(vecs))
 
 
-def _nodal_densities(psi0: np.ndarray, sectors: tuple, single_layer: BoundaryOperator,
-                     np_adjoint: BoundaryOperator) -> np.ndarray:
-    """psi0, then each sector's extended eigenvectors (solved from the rows if None) in its columns."""
-    w = single_layer.cell.weights
-    dens = np.zeros((w.size, w.size))
-    dens[:, 0] = psi0
-    for sector, columns, vectors in sectors:
-        if vectors is None:
-            (blocks,) = _sector_blocks([sector], single_layer, np_adjoint)
-            vectors = _solve_sector(sector, *blocks, w, vectors=True)[1]
-        dens[:, columns] = sector.extend(vectors)
-    return dens
-
-
 def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
                    ) -> SpectralDecomposition:
     """Diagonalise K* in the -S inner product on the zero-mean sector.
@@ -463,34 +453,23 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
     lam0, psi0 = _equilibrium_mode(blocks[0][1], sectors[0], w)
     eigenvalues = np.concatenate([[lam0], np.concatenate(values)[order]])
     records = tuple(zip(sectors, columns, vectors))
-    equilibrium_density = sectors[0].extend(psi0)
-    if single_layer.mirrors:
-        # from the sector vectors, <Q v, G nu_l> = v . Q^T G nu_l, on the reached sectors only
-        moments = [np.zeros(w.size), np.zeros(w.size)]
-        for l in (0, 1):
-            if reached[l][0]:
-                moments[l][0] = psi0 @ moment_vectors[l][0]
-            for (_, cols, vecs), vector, reach in zip(records, moment_vectors[l], reached[l]):
-                if reach:
-                    moments[l][cols] = vecs.T @ vector
-    else:
-        # from the C-order n x n density matrix, whose layout the moments' last bits
-        # follow; it is kept as ``eigendensities``, its columns 1.. as the vectors
-        densities = _nodal_densities(equilibrium_density, records, single_layer, np_adjoint)
-        moments = [densities.T @ vectors[0] for vectors in moment_vectors]
-        records = ((sectors[0], columns[0], densities[:, 1:]),)
-    decomposition = SpectralDecomposition(
+    # from the sector vectors, <Q v, G nu_l> = v . Q^T G nu_l, on the reached sectors only
+    moments = [np.zeros(w.size), np.zeros(w.size)]
+    for l in (0, 1):
+        if reached[l][0]:
+            moments[l][0] = psi0 @ moment_vectors[l][0]
+        for (_, cols, vecs), vector, reach in zip(records, moment_vectors[l], reached[l]):
+            if reach:
+                moments[l][cols] = vecs.T @ vector
+    return SpectralDecomposition(
         eigenvalues=eigenvalues,
         moments_nu1=moments[0],
         moments_nu2=moments[1],
-        equilibrium_density=equilibrium_density,
+        equilibrium_density=sectors[0].extend(psi0),
         cell=cell,
         _operators=(single_layer, np_adjoint),
         _sectors=records,
     )
-    if not single_layer.mirrors:
-        decomposition.__dict__["eigendensities"] = densities  # the cached_property's slot
-    return decomposition
 
 
 def decompose(cell: CellGeometry) -> SpectralDecomposition:
@@ -504,8 +483,8 @@ def decompose(cell: CellGeometry) -> SpectralDecomposition:
 
 
 # float64 arrays live at once: n x n ones in a decomposition (tracemalloc peaks
-# at n = 256 and 512: 9.0 without a mirror, 3.7 with one, 2.4 with both; 9.0,
-# 5.5, 4.8 with validate's reads, which leave 4.0, 4.5 and 4.2 held) and
+# at n = 256 and 512: 9.1 without a mirror, 3.7 with one, 2.4 with both; 9.1,
+# 5.5, 4.8 with validate's reads, which leave 5.0, 4.5 and 4.2 held) and
 # samples x (n - 1) ones in a full mode sum over a batch of contrasts (2.1
 # measured at 400 and 4000 samples, n = 256); and the most bytes a run may ask
 # for

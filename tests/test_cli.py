@@ -106,6 +106,53 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
     assert "--periods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, args, message", [
+    ({"geometry": {"colour": "red"}}, ["eigs"], "unknown keys in 'geometry' section"),
+    ({"geometry": {"shape": "ellipse", "semi_axis_1": 0.35}}, ["eigs"],
+     "missing required key geometry.semi_axis_2"),
+    ({"geometry": {"node_count": 64.0}}, ["eigs"], "geometry.node_count must be of type"),
+    ([FAST_CONFIG], ["eigs"], "config root must be a JSON object"),
+    ({"geometrie": {}}, ["eigs"], "unknown top-level config keys: ['geometrie']"),
+    ({"sweep": {"samples": 15}}, ["sweep"], "sweep.samples must be at least 16"),
+    ({"capsule": {"particle_count": 2}}, ["scatter"], "at least 3 particles"),
+    ({"capsule": {"particle_scale_m": -5e-9}}, ["scatter"], "positive sizes"),
+    (None, ["eigs"], "cannot read config file"),
+    ({}, ["sweep", "--periods", "1,x"], "bad --periods list: '1,x'"),
+], ids=["unknown_key", "missing_key", "wrong_type", "root_not_object", "unknown_section",
+        "too_few_samples", "too_few_particles", "negative_particle_scale", "unreadable",
+        "periods_not_numbers"])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message):
+    # a missing file stands for an unreadable one; every other config is the
+    # raw JSON text, not merged into FAST_CONFIG
+    path = tmp_path / "config.json"
+    if raw is not None:
+        path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
+def test_validate_stops_at_a_failed_eigendecomposition(tmp_path, capsys, monkeypatch):
+    from metastrain import validate
+    from metastrain.errors import QuadratureFailure
+
+    def fail(*_):
+        raise QuadratureFailure("Gram matrix -W S is not positive definite")
+
+    monkeypatch.setattr(validate, "eigendecompose", fail)
+    cfg = write_config(tmp_path, {"geometry": {"node_count": 128}})
+    assert main(["--config", str(cfg), "validate"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == [
+        "geometry_closure", "geometry_frame", "calderon_identity", "np_constant_half",
+        "eigendecomposition"]
+    assert lines[-2].startswith("FAIL  eigendecomposition")
+    assert lines[-2].endswith("Gram matrix -W S is not positive definite")
+    assert lines[-1] == "4/5 checks passed"
+
+
 def test_sweep_empty_window_rejected(tmp_path):
     cfg = write_config(tmp_path, {"sweep": {"wavelength_min_m": 2e-6,
                                             "wavelength_max_m": 1e-6}})
@@ -266,8 +313,9 @@ def test_invert_missing_calibration(tmp_path):
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\nnan,8e-07,2.5,0\n",
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\n-1.5,8e-07,2.5,0\n",
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,inf,2.5,0\n1.5,8e-07,2.5,0\n",
+    "period,peak_wavelength_m,peak_magnitude,mode_index\n",
 ], ids=["missing_column", "non_numeric_cell", "short_row", "nan_period", "negative_period",
-        "inf_peak"])
+        "inf_peak", "no_rows"])
 def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
     cfg = write_config(tmp_path)
     path = tmp_path / "calibration.csv"

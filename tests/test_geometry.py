@@ -296,3 +296,24 @@ def test_period_whose_scaled_node_offsets_underflow_is_refused(cold_caches):
     for period in (1.01 * longest, 1e160, 1e165, 1e300):
         with pytest.raises(GeometryError, match="underflows"):
             make_disk_cell(0.45, period, 256)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_disk_cell(np.nan, 1.0, 64),
+    lambda: make_ellipse_cell(np.nan, 0.2, 1.0, 64),
+    lambda: make_smooth_cell([0.0, np.nan, 0.0], 1.0, 64),
+    lambda: make_smooth_cell([0.0, 0.3, complex(0.0, np.inf)], 1.0, 64),
+    lambda: make_disk_cell(0.45, np.nan, 64),
+    lambda: make_disk_cell(0.45, np.inf, 64),
+    lambda: perturb_normal(make_disk_cell(0.45, 1.0, 64), np.nan),
+    lambda: perturb_normal(make_disk_cell(0.45, 1.0, 64), -np.inf),
+    lambda: make_disk_cell(0.45, 10**400, 64),
+    lambda: perturb_normal(make_disk_cell(0.45, 1.0, 64), 10**400),
+], ids=["disk_radius", "ellipse_axis", "nan_coefficient", "inf_coefficient",
+        "nan_period", "inf_period", "nan_eta", "inf_eta", "int_period_beyond_float",
+        "int_eta_beyond_float"])
+def test_non_finite_geometry_is_a_geometry_error(build):
+    # every comparison with NaN is false, so the range checks alone let a NaN
+    # radius or period through
+    with pytest.raises(GeometryError, match="finite"):
+        build()

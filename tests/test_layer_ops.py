@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metastrain import (
-    assemble_np,
     assemble_np_adjoint,
     assemble_single_layer,
     evaluate_single_layer_off_surface,
@@ -92,6 +91,12 @@ def assemble_double_layer(cell):
 def weighted_norm(matrix, weights):
     sw = np.sqrt(weights)
     return np.linalg.norm((sw[:, None] * matrix) / sw[None, :], 2)
+
+
+def np_matrix(adjoint):
+    """K = W^-1 K*^T W, the adjoint of K* in the discrete arclength pairing."""
+    w = adjoint.cell.weights
+    return adjoint.matrix.T * (w[None, :] / w[:, None])
 
 
 # asymmetric Fourier curve of the validate checks (one complex coefficient)
@@ -413,33 +418,23 @@ def test_log_quadrature_symbol_exact():
 
 def test_np_constant_half(disk256_ops, disk256):
     _, adjoint = disk256_ops
-    np_op = assemble_np(adjoint)
+    K = np_matrix(adjoint)
     one = np.ones(disk256.node_count)
-    assert np.abs(np_op.matrix @ one - 0.5).max() < 1e-12
-
-
-def test_np_is_weighted_transpose(disk256_ops, disk256):
-    _, adjoint = disk256_ops
-    np_op = assemble_np(adjoint)
-    w = disk256.weights
-    # adjointness in the arclength pairing holds to rounding by construction
-    lhs = w[:, None] * np_op.matrix
-    rhs = (w[:, None] * adjoint.matrix).T
-    assert np.abs(lhs - rhs).max() < 1e-15 * np.abs(rhs).max()
+    assert np.abs(K @ one - 0.5).max() < 1e-12
 
 
 def test_calderon_identity(disk256_ops, disk256):
     single, adjoint = disk256_ops
-    np_op = assemble_np(adjoint)
-    resid = np_op.matrix @ single.matrix - single.matrix @ adjoint.matrix
+    K = np_matrix(adjoint)
+    resid = K @ single.matrix - single.matrix @ adjoint.matrix
     assert weighted_norm(resid, disk256.weights) < 1e-10
 
 
 def test_calderon_identity_ellipse(ellipse128):
     single = assemble_single_layer(ellipse128)
     adjoint = assemble_np_adjoint(ellipse128)
-    np_op = assemble_np(adjoint)
-    resid = np_op.matrix @ single.matrix - single.matrix @ adjoint.matrix
+    K = np_matrix(adjoint)
+    resid = K @ single.matrix - single.matrix @ adjoint.matrix
     assert weighted_norm(resid, ellipse128.weights) < 1e-10
 
 
@@ -450,8 +445,8 @@ def test_calderon_residual_decays_spectrally():
         cell = make_ellipse_cell(0.3, 0.2, 1.0, n)
         single = assemble_single_layer(cell)
         adjoint = assemble_np_adjoint(cell)
-        np_op = assemble_np(adjoint)
-        resid = np_op.matrix @ single.matrix - single.matrix @ adjoint.matrix
+        K = np_matrix(adjoint)
+        resid = K @ single.matrix - single.matrix @ adjoint.matrix
         resids.append(weighted_norm(resid, cell.weights))
     assert resids[0] > 1e3 * resids[1]
     assert resids[1] > 1e2 * resids[2] or resids[2] < 1e-14
@@ -512,9 +507,9 @@ def test_np_adjoint_free_space_spectrum(disk_free_dec):
 def test_double_layer_matches_np(disk256_ops, disk256):
     # independent quadrature of the same principal-value kernel
     _, adjoint = disk256_ops
-    np_op = assemble_np(adjoint)
+    K = np_matrix(adjoint)
     double = assemble_double_layer(disk256)
-    assert np.abs(double - np_op.matrix).max() < 1e-12
+    assert np.abs(double - K).max() < 1e-12
 
 
 def test_double_layer_trace_combination(disk256):

@@ -925,6 +925,31 @@ def test_dilute_lattice_law_on_disks(radius, ratio, gap):
     assert abs(-lam * period**2 / radius**2 - np.pi**2 / 6) <= gap
 
 
+@pytest.mark.parametrize("build", [
+    lambda period: make_ellipse_cell(0.35, 0.22, period, 128),
+    lambda period: make_smooth_cell([0.0, 0.3, 0.03 + 0.01j, 0.0, 0.0, 0.0, 0.0, 0.0], period, 128),
+], ids=["ellipse", "asymmetric_fourier"])
+def test_dilute_lattice_law_beyond_disks(build):
+    # lambda(L) - lambda(inf) ~ (zeta(2)/pi) (1/2 - lambda) (p1^2 - p2^2) / L^2
+    # for the dominant mode, with the dipole moments p_l = sum_i w_i x_l,i phi_i
+    # of its Gram-normalised density, lambda and p taken at L, and lambda(inf)
+    # read at L = 1e6.  The relative error of the law is O(L^-2): measured
+    # 1.15e-3 / 2.86e-4 / 7.1e-5 on the ellipse (two mirrors) and 0.40 / 0.041
+    # / 0.0086 on the asymmetric curve (no mirror) at L = 8 / 16 / 32
+    far = decompose(build(1e6))
+    lam_inf = far.eigenvalues[far.dominant_mode()]
+    errors = []
+    for period in (8.0, 16.0, 32.0):
+        dec = decompose(build(period))
+        j = dec.dominant_mode()
+        lam = dec.eigenvalues[j]
+        p1, p2 = (dec.cell.weights * dec.eigendensities[:, j]) @ dec.cell.nodes
+        law = (np.pi**2 / 6) / np.pi * (0.5 - lam) * (p1**2 - p2**2) / period**2
+        errors.append(abs(lam - lam_inf - law) / abs(law))
+    assert errors[0] >= 3.0 * errors[1] and errors[1] >= 3.0 * errors[2], errors
+    assert errors[2] < 1e-2, errors
+
+
 # ------------------------------------------------------------ memory guard
 
 @pytest.mark.parametrize("node_count, samples, need", [
