@@ -7,7 +7,7 @@ nanoparticle-coated microcapsule back to its mechanical deformation.
 """
 
 from .capsule_scattering import ExtinctionCurve, extinction_spectrum
-from .dispersion import MaterialParams, drude_mu, omega_from_wavelength, resonance_frequency
+from .dispersion import MaterialParams, drude_mu, omega_from_wavelength
 from .geometry import (
     CellGeometry,
     TrigCurve,
@@ -90,7 +90,6 @@ __all__ = [
     "perimeter",
     "perturb_normal",
     "resolvent_density",
-    "resonance_frequency",
     "shape_derivative",
     "sweep",
     "validate_shape_derivative",

@@ -187,7 +187,6 @@ class ExtinctionCurve:
     scattering: np.ndarray
     radius: float
     delta_phys: float
-    material: MaterialParams
 
 
 def extinction_spectrum(radius: float, material: MaterialParams,
@@ -262,4 +261,4 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(np.multiply(q, Jp2, out=scratch), axis=0)
     ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=0)
     return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca,
-                           radius=radius, delta_phys=delta_phys, material=material)
+                           radius=radius, delta_phys=delta_phys)

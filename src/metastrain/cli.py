@@ -29,7 +29,6 @@ from .errors import (
     GeometryError,
     MetastrainError,
     OutOfRangeError,
-    OverdampedModeError,
 )
 from .geometry import CellGeometry, _finite, make_disk_cell, make_ellipse_cell, make_smooth_cell
 from .resonance_sweep import CalibrationRow, CalibrationTable, calibrate
@@ -376,8 +375,6 @@ def _print_state(state: CapsuleState):
 
 def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
                calibration_path: Path | None = None, write_csv: bool = False) -> int:
-    if peak_wavelength_nm is None:
-        raise ConfigError("invert requires --peak-wavelength-nm")
     path = calibration_path or (out_dir / "calibration.csv")
     table = read_calibration_csv(path, config.material_params())
     cap = config.capsule
@@ -471,7 +468,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OutOfRangeError, CalibrationError, OverdampedModeError) as exc:
+    except (OutOfRangeError, CalibrationError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except MetastrainError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContrastError, DomainError, OverdampedModeError
+from .errors import ContrastError, DomainError
 
 # vacuum permittivity and permeability, CODATA 2022 (the edition scipy 1.17
 # ships as scipy.constants); literals keep the output bytes independent of the
@@ -29,12 +29,11 @@ class MaterialParams:
     """Background and particle material constants in SI units.
 
     ``eps_c`` is carried for completeness but plays no role in the
-    quasi-static cell problem; it is surfaced in reports only.
+    quasi-static cell problem and appears in no report; only the CSV config
+    header echoes it, as ``eps_c_rel``.
     """
 
-    mu0: float = MU0
     mu_m: float = MU0
-    eps0: float = EPS0
     eps_m: float = EPS0
     eps_c: complex | None = None
     omega_p: float = 2.0e15
@@ -85,7 +84,7 @@ def drude_mu(omega, material: MaterialParams):
     if np.any(omega <= 0.0):
         raise DomainError("frequency must be positive")
     gamma = 1.0 / material.collision_time
-    val = material.mu0 * (1.0 - material.omega_p**2 / (omega**2 + 1j * omega * gamma))
+    val = MU0 * (1.0 - material.omega_p**2 / (omega**2 + 1j * omega * gamma))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -99,22 +98,13 @@ def contrast_values(omega, material: MaterialParams):
 
 
 def resonance_radicand(lambda_j, material: MaterialParams):
-    """(lambda_j + 1/2)*omega_p^2 - 1/(4 T^2), the square of Re omega; vectorised."""
-    return (lambda_j + 0.5) * material.omega_p**2 - 0.25 / material.collision_time**2
+    """(lambda_j + 1/2)*omega_p^2 - 1/(4 T^2), the square of Re omega; vectorised.
 
-
-def resonance_frequency(lambda_j: float, material: MaterialParams) -> float:
-    """Real part of the frequency solving lambda_j = lam(omega).
-
-    Closed form (Re omega)^2 = (lambda_j + 1/2)*omega_p^2 - 1/(4 T^2); modes
-    with a non-positive right-hand side are overdamped and rejected.
+    The closed form of the resonance condition lambda_j = lam(omega); a mode
+    whose radicand is not positive is overdamped and has no real resonance
+    frequency.
     """
-    radicand = resonance_radicand(lambda_j, material)
-    if radicand <= 0.0:
-        raise OverdampedModeError(
-            f"mode with eigenvalue {lambda_j} has no real resonance frequency"
-        )
-    return float(np.sqrt(radicand))
+    return (lambda_j + 0.5) * material.omega_p**2 - 0.25 / material.collision_time**2
 
 
 def omega_from_wavelength(lam_m, material: MaterialParams):

@@ -37,10 +37,6 @@ class ModeTrackingError(MetastrainError):
     """Perturbed eigenmode could not be identified with the base mode."""
 
 
-class OverdampedModeError(MetastrainError):
-    """Mode has no real resonance frequency under the given damping."""
-
-
 class ContrastError(MetastrainError):
     """Material contrast is undefined (equal permeabilities)."""
 

@@ -178,7 +178,8 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
     data are the validated, counterclockwise curve with its node arrays,
     which its cells make read-only and share, or the message of the first
     check the curve fails after the strip check: area, turns, crossing.  A
-    degenerate parametrization is raised here, before the strip check.
+    degenerate parametrization, or a curve whose products leave the float
+    range, is raised here, before the strip check.
     """
     curve = TrigCurve(np.frombuffer(coefficients, dtype=complex))
     fine = max(8 * curve.coefficients.size, 256)
@@ -187,9 +188,17 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
     speed = np.abs(dz)
     if speed.min() < 1e-12 * max(speed.max(), 1e-300):
         raise GeometryError("degenerate parametrization: |z'(t)| vanishes")
+    # the area's conj(z) z', its threshold |z|^2 and the curvatures' |z'|^3 must
+    # stay floats; the node grid's speeds exceed this grid's by a few per cent
+    # at most, so the cube keeps a margin of 1.1
+    size, fastest = float(np.abs(z).max()), float(speed.max())
+    largest = float(np.finfo(float).max)
+    if not (fastest < largest ** (1.0 / 3.0) / 1.1 and size < largest / max(size, fastest)):
+        raise GeometryError(f"curve too large for double precision: |z| reaches {size:.6g} "
+                            f"and |z'(t)| {fastest:.6g}")
     reach = float(np.abs(z.real).max())
     area = 0.5 * (2.0 * np.pi / fine) * np.sum(np.imag(np.conj(z) * dz))
-    if abs(area) < 1e-14 * max(1.0, np.abs(z).max() ** 2):
+    if abs(area) < 1e-14 * max(1.0, size * size):
         return reach, np.inf, "degenerate curve: enclosed area is zero"
     # a simple closed curve's tangent turns exactly once (Hopf's Umlaufsatz);
     # a curve traversed twice has no proper crossing but turns twice

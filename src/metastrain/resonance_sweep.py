@@ -62,8 +62,8 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
 def _resonances(curve: ResonanceCurve) -> tuple[np.ndarray, np.ndarray]:
     """Coupled modes j >= 1 that are not overdamped, and their real resonance frequencies.
 
-    The closed form of ``dispersion.resonance_frequency`` over all modes at once; the
-    equilibrium mode j = 0 carries no normal moment.
+    The square roots of ``dispersion.resonance_radicand`` over all modes at once, where
+    it is positive; the equilibrium mode j = 0 carries no normal moment.
     """
     radicand = resonance_radicand(curve.eigenvalues[1:], curve.material)
     modes = np.flatnonzero((radicand > 0.0) & curve.coupled[1:]) + 1
@@ -120,7 +120,6 @@ class CalibrationRow:
     peak_wavelength: float | None
     peak_magnitude: float | None
     mode_index: int | None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -165,14 +164,10 @@ def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: floa
     for period in periods:
         curve = sweep(decompose(make_cell(period)), material, wavelength_min,
                       wavelength_max, samples)
-        peak = dominant_peak(curve)
-        if peak is None:
-            row = CalibrationRow(period=float(period), peak_wavelength=None,
-                                 peak_magnitude=None, mode_index=None,
-                                 note="no interior peak in window")
-        else:
-            row = CalibrationRow(period=float(period), peak_wavelength=peak.wavelength,
-                                 peak_magnitude=peak.magnitude, mode_index=peak.mode_index)
+        peak = dominant_peak(curve)  # None leaves the row's peak fields None
+        row = CalibrationRow(period=float(period), peak_wavelength=peak and peak.wavelength,
+                             peak_magnitude=peak and peak.magnitude,
+                             mode_index=peak and peak.mode_index)
         yield row, curve
 
 

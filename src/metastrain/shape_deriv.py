@@ -115,19 +115,21 @@ def _tracked_eigenvalue(base: SpectralDecomposition, perturbed: SpectralDecompos
     return float(perturbed.eigenvalues[1 + k]), float(overlaps[k])
 
 
-def validate_shape_derivative(cell: CellGeometry, j: int, eta_ladder) -> ShapeDerivativeReport:
+def validate_shape_derivative(base: SpectralDecomposition, j: int,
+                              eta_ladder) -> ShapeDerivativeReport:
     """Compare the candidate sign conventions against central finite differences.
 
-    For each eta the eigenvalue is recomputed on the curves displaced by +eta
-    and -eta, the mode is tracked by its overlap with the base eigendensity in
-    the base Gram metric, and the central slope is formed.  The selected sign
+    ``base`` is the decomposition of the unperturbed cell.  For each eta the
+    eigenvalue is recomputed on the curves displaced by +eta and -eta, the
+    mode is tracked by its overlap with the base eigendensity in the base
+    Gram metric, and the central slope is formed.  The selected sign
     is the candidate closest to the finite-difference slope at the smallest
     eta; consistency additionally requires its error to shrink with eta.
     """
     etas = np.sort(np.asarray(eta_ladder, dtype=float))[::-1]
     if etas.size == 0 or np.any(etas <= 0.0):
         raise DomainError("eta ladder must contain positive values")
-    base = decompose(cell)
+    cell = base.cell
     predictions = {s: shape_derivative(base, cell, j, sign=s) for s in SIGN_CONVENTIONS}
 
     slopes = np.empty(etas.size)

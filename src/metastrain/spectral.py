@@ -613,11 +613,14 @@ def resolvent_density(decomposition: SpectralDecomposition, lam: complex,
         raise ResonanceError(f"resolvent system singular at contrast {lam}") from exc
 
 
-def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: int, xi) -> complex:
-    """Corrector field alpha^(component) at an off-surface point xi.
+def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: int,
+                xi) -> complex | np.ndarray:
+    """Corrector field alpha^(component) at off-surface points xi.
 
-    Solves the resolvent system for the density and evaluates the off-surface
-    single layer; component is 1 or 2 for the two normal directions.
+    Solves the resolvent system for the density once and evaluates the
+    off-surface single layer; component is 1 or 2 for the two normal
+    directions.  ``xi`` is one point (shape (2,)), which gives one complex
+    value, or an (m, 2) array of points, which gives m values.
     """
     if component not in (1, 2):
         raise DomainError("component must be 1 or 2")

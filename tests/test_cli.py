@@ -134,6 +134,28 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", [110, 200])
+def test_huge_geometry_exits_2_with_one_line(tmp_path, capsys, scale):
+    # radius 0.45 * 10**scale at period 10**scale: at 1e110 the curvature's
+    # |z'|^3 overflows, at 1e200 also the area's conj(z) z'
+    cfg = write_config(tmp_path, {"geometry": {"radius": 4.5 * 10.0 ** (scale - 1),
+                                               "period": 10.0 ** scale, "node_count": 32}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "eigs"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "too large for double precision" in err
+    assert not (out / "eigs.csv").exists()
+
+
+def test_disk_at_scale_1e103_still_runs(tmp_path):
+    cfg = write_config(tmp_path, {"geometry": {"radius": 4.5e102, "period": 1e103,
+                                               "node_count": 32}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "eigs"]) == 0
+    assert len(read_rows(out / "eigs.csv")) == 32
+
+
 def test_validate_stops_at_a_failed_eigendecomposition(tmp_path, capsys, monkeypatch):
     from metastrain import validate
     from metastrain.errors import QuadratureFailure

@@ -2,27 +2,27 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from metastrain import MaterialParams, drude_mu, omega_from_wavelength, resonance_frequency
-from metastrain.dispersion import EPS0, MU0, contrast_values
-from metastrain.errors import ContrastError, DomainError, MetastrainError, OverdampedModeError
+from metastrain import MaterialParams, drude_mu, omega_from_wavelength
+from metastrain.dispersion import EPS0, MU0, contrast_values, resonance_radicand
+from metastrain.errors import ContrastError, DomainError, MetastrainError
 
 
 def test_drude_high_frequency_limit(water_gold):
     mu = drude_mu(1e20, water_gold)
-    assert mu == pytest.approx(water_gold.mu0, rel=1e-8)
+    assert mu == pytest.approx(MU0, rel=1e-8)
 
 
 def test_drude_zero_at_plasma_frequency_undamped():
     m = MaterialParams(omega_p=2e15, collision_time=1e10)  # effectively undamped
-    assert abs(drude_mu(2e15, m)) < 1e-9 * m.mu0
+    assert abs(drude_mu(2e15, m)) < 1e-9 * MU0
 
 
 def test_drude_closed_form_value(water_gold):
     # oracle: direct evaluation of the closed form at the quoted parameters
     omega, omega_p, T = 1e15, 2e15, 1e-14
-    expected = water_gold.mu0 * (1 - omega_p**2 / (omega**2 + 1j * omega / T))
+    expected = MU0 * (1 - omega_p**2 / (omega**2 + 1j * omega / T))
     assert drude_mu(omega, water_gold) == pytest.approx(expected, rel=1e-15)
-    assert drude_mu(omega, water_gold) / water_gold.mu0 == pytest.approx(
+    assert drude_mu(omega, water_gold) / MU0 == pytest.approx(
         -2.9603960396039604 + 0.39603960396039606j, rel=1e-12)
 
 
@@ -67,18 +67,14 @@ def test_contrast_infinite_rejected():
 
 
 def test_resonance_frequency_closed_form():
+    # (Re omega)^2 = (lambda_j + 1/2) omega_p^2 - 1/(4 T^2)
     m = MaterialParams(omega_p=2e15, collision_time=1e10)
-    assert resonance_frequency(0.5, m) == pytest.approx(2e15, rel=1e-9)
-    assert resonance_frequency(0.0, m) == pytest.approx(2e15 / np.sqrt(2), rel=1e-9)
+    assert resonance_radicand(0.5, m) == pytest.approx(4e30, rel=1e-9)
+    assert resonance_radicand(0.0, m) == pytest.approx(2e30, rel=1e-9)
     damped = MaterialParams(omega_p=2e15, collision_time=1e-14)
-    # oracle: sqrt(2e30 - 2.5e27)
-    assert resonance_frequency(0.0, damped) == pytest.approx(np.sqrt(2e30 - 2.5e27), rel=1e-12)
-
-
-def test_resonance_frequency_overdamped():
-    m = MaterialParams(omega_p=2e15, collision_time=1e-14)
-    with pytest.raises(OverdampedModeError):
-        resonance_frequency(-0.4999, m)
+    assert resonance_radicand(0.0, damped) == pytest.approx(2e30 - 2.5e27, rel=1e-12)
+    # overdamped: 1e-4 * 4e30 - 2.5e27 < 0, no real resonance frequency
+    assert resonance_radicand(-0.4999, damped) == pytest.approx(4e26 - 2.5e27, rel=1e-9)
 
 
 # omega_from_wavelength is its own inverse: applied to omega it gives the wavelength
@@ -110,7 +106,7 @@ def test_resonance_frequency_is_argmax_predictor(water_gold):
     for lam_j in (-0.35, -0.1, 0.2):
         gaps = np.abs(contrast_values(omegas, water_gold) - lam_j)
         omega_grid = omegas[np.argmin(gaps)]
-        omega_closed = resonance_frequency(lam_j, water_gold)
+        omega_closed = np.sqrt(resonance_radicand(lam_j, water_gold))
         assert abs(omega_grid - omega_closed) <= step
     # with tenfold weaker damping the statement holds on a much finer grid
     weak = MaterialParams(omega_p=water_gold.omega_p, collision_time=1e-13)
@@ -119,7 +115,7 @@ def test_resonance_frequency_is_argmax_predictor(water_gold):
     for lam_j in (-0.35, -0.1, 0.2):
         gaps = np.abs(contrast_values(omegas, weak) - lam_j)
         omega_grid = omegas[np.argmin(gaps)]
-        assert abs(omega_grid - resonance_frequency(lam_j, weak)) <= step
+        assert abs(omega_grid - np.sqrt(resonance_radicand(lam_j, weak))) <= step
 
 
 def test_angular_reading_flag():

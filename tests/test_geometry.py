@@ -317,3 +317,22 @@ def test_non_finite_geometry_is_a_geometry_error(build):
     # radius or period through
     with pytest.raises(GeometryError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_disk_cell(4.5e109, 1e110, 32),
+    lambda: make_disk_cell(4.5e199, 1e200, 32),
+    lambda: make_smooth_cell([0.0, 1e300, 0.0], 1e301, 64),
+    lambda: make_smooth_cell([1e160j, 0.45, 0.0], 1.0, 32),
+], ids=["speed_cubed", "area_product", "huge_coefficient", "far_translation"])
+def test_curve_beyond_the_float_range_is_a_geometry_error(build):
+    # the curvature's |z'|^3, the area's conj(z) z' or its threshold |z|^2
+    # would overflow; the tests run with warnings as errors
+    with pytest.raises(GeometryError, match="too large for double precision"):
+        build()
+
+
+def test_disk_at_scale_1e103_is_still_resolved():
+    cell = make_disk_cell(4.5e102, 1e103, 32)
+    assert np.all(np.isfinite(cell.curvatures))
+    assert np.allclose(cell.curvatures, 1.0 / 4.5e102, rtol=1e-12)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from metastrain import decompose, dominant_peak, find_peaks, make_disk_cell, peak_vs_period, sweep
-from metastrain.dispersion import MaterialParams, omega_from_wavelength, resonance_frequency
-from metastrain.errors import DomainError, OverdampedModeError
+from metastrain.dispersion import MaterialParams, omega_from_wavelength, resonance_radicand
+from metastrain.errors import DomainError
 from metastrain.resonance_sweep import _nearest_mode, _resonances
 
 WINDOW = (6.5e-7, 1.7e-6)
@@ -112,7 +112,7 @@ def test_peak_pole_correspondence(disk_curve, water_gold):
     assert peak.mode_index is not None
     lam_j = disk_curve.eigenvalues[peak.mode_index]
     omega_peak = omega_from_wavelength(peak.wavelength, water_gold)
-    omega_pred = resonance_frequency(lam_j, water_gold)
+    omega_pred = np.sqrt(resonance_radicand(lam_j, water_gold))
     assert abs(omega_peak - omega_pred) < 0.5 / water_gold.collision_time
 
 
@@ -149,7 +149,7 @@ def test_peak_vs_period_closed_form_crosscheck(water_gold):
     for row in table.rows:
         dec = decompose(make_disk_cell(0.45, row.period, 96))
         lam_j = dec.eigenvalues[dec.dominant_mode()]
-        lam_pred = omega_from_wavelength(resonance_frequency(lam_j, water_gold), water_gold)
+        lam_pred = omega_from_wavelength(np.sqrt(resonance_radicand(lam_j, water_gold)), water_gold)
         assert abs(lam_pred - row.peak_wavelength) < 2 * step
 
 
@@ -157,7 +157,7 @@ def test_missing_peak_reported_per_row(water_gold):
     table = peak_vs_period(0.45, [1.0], water_gold, 1.0e-7, 2.0e-7,
                            samples=50, node_count=96)
     assert not table.complete()
-    assert table.rows[0].note != ""
+    assert table.rows[0].peak_wavelength is None and table.rows[0].mode_index is None
     assert not table.is_monotone()
 
 
@@ -168,12 +168,10 @@ def _nearest_mode_by_loop(curve, omega_peak):
     """
     best, best_gap = None, np.inf
     for j, lam_j in enumerate(curve.eigenvalues):
-        if j == 0 or not curve.coupled[j]:
+        radicand = resonance_radicand(lam_j, curve.material)
+        if j == 0 or not curve.coupled[j] or radicand <= 0.0:  # overdamped: no real frequency
             continue
-        try:
-            gap = abs(resonance_frequency(lam_j, curve.material) - omega_peak)
-        except OverdampedModeError:
-            continue
+        gap = abs(np.sqrt(radicand) - omega_peak)
         if gap < best_gap:
             best, best_gap = j, gap
     return best

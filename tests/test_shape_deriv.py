@@ -13,9 +13,9 @@ from metastrain.shape_deriv import SIGN_CONVENTIONS
 
 
 @pytest.fixture(scope="module")
-def ellipse_report(ellipse128, ellipse128_dec):
+def ellipse_report(ellipse128_dec):
     j = ellipse128_dec.dominant_mode()
-    return validate_shape_derivative(ellipse128, j, [1e-2, 1e-3, 1e-4])
+    return validate_shape_derivative(ellipse128_dec, j, [1e-2, 1e-3, 1e-4])
 
 
 def test_sign_selection_on_ellipse(ellipse_report):
@@ -67,8 +67,7 @@ def test_disk_far_cell_slope_vanishes(disk_free_dec):
 
 def test_disk_period_coupling_detected(disk128_dec):
     # at period ratio 1 the eigenvalues move under radius changes
-    cell = disk128_dec.cell
-    report = validate_shape_derivative(cell, disk128_dec.dominant_mode(), [1e-3, 1e-4])
+    report = validate_shape_derivative(disk128_dec, disk128_dec.dominant_mode(), [1e-3, 1e-4])
     assert abs(report.fd_slope) > 0.1
     assert report.selected_sign == "corrected"
     assert abs(report.fd_slope - report.predicted_slope) < 1e-5
@@ -110,7 +109,7 @@ def test_report_fields(ellipse_report, ellipse128_dec):
 @pytest.mark.parametrize("call", [
     lambda dec: shape_derivative(dec, dec.cell, 1, sign="sideways"),
     lambda dec: shape_derivative(dec, dec.cell, 0),
-    lambda dec: validate_shape_derivative(dec.cell, 1, []),
+    lambda dec: validate_shape_derivative(dec, 1, []),
 ], ids=["sign", "equilibrium", "eta_ladder"])
 def test_domain_errors_are_package_errors(call, disk128_dec):
     with pytest.raises(DomainError) as info:

@@ -142,7 +142,7 @@ def test_invert_rejects_non_monotone_table():
 def test_invert_rejects_incomplete_table():
     rows = (CalibrationRow(period=1.0, peak_wavelength=1.4e-6, peak_magnitude=1.0, mode_index=1),
             CalibrationRow(period=1.5, peak_wavelength=None, peak_magnitude=None,
-                           mode_index=None, note="missing"))
+                           mode_index=None))
     from metastrain.dispersion import MaterialParams
 
     table = CalibrationTable(rows=rows, radius=0.45, node_count=64, wavelength_min=0.0,

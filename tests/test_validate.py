@@ -170,3 +170,26 @@ def test_negative_control_fails_the_same_checks_on_warm_caches(cold_caches):
     warm = failed(make_disk_cell(0.45, 1.0, 96))
     assert warm == cold
     assert {"calderon_identity", "trace_formulae_fd"} <= {r.name for r in warm}
+
+
+def test_validation_decomposes_and_solves_each_system_once(monkeypatch):
+    # the main cell, the ellipse and its four displaced copies are each
+    # decomposed once; each corrector's resolvent serves both far-field points
+    from metastrain import spectral
+
+    calls = {"eigendecompose": 0, "resolvent_density": 0}
+
+    def counted(name):
+        original = getattr(spectral, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counted(name))
+    monkeypatch.setattr(validate, "eigendecompose", spectral.eigendecompose)
+    results = run_validation(make_disk_cell(0.45, 1.0, 256))
+    assert all(r.passed for r in results)
+    assert calls == {"eigendecompose": 6, "resolvent_density": 2}
