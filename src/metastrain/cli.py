@@ -36,33 +36,39 @@ from .spectral import check_working_set, decompose
 from .strain import CapsuleState, invert_peak_to_deformation
 from .validate import run_validation
 
-DEFAULT_CONFIG = {
-    "geometry": {
-        "shape": "disk",
-        "radius": 0.45,
-        "period": 1.0,
-        "node_count": 256,
-    },
+_NUM = (int, float)
+_REQUIRED = object()
+
+# The config schema: per section, each key's accepted types and default
+# (_REQUIRED: none).  The geometry keys beyond the three common to every shape
+# come from _SHAPE_KEYS.
+_SCHEMA = {
+    "geometry": {"shape": (str, "disk"), "period": (_NUM, 1.0), "node_count": (int, 256)},
     "material": {
-        "mu_m_rel": 1.0,
-        "eps_m_rel": 3.1329,
-        "plasma_frequency_rad_per_s": 2.0e15,
-        "plasma_frequency_is_angular": True,
-        "collision_time_s": 1.0e-14,
-        "eps_c_rel": None,
+        "mu_m_rel": (_NUM, 1.0),
+        "eps_m_rel": (_NUM, 3.1329),
+        "plasma_frequency_rad_per_s": (_NUM, 2.0e15),
+        "plasma_frequency_is_angular": (bool, True),
+        "collision_time_s": (_NUM, 1.0e-14),
+        "eps_c_rel": (_NUM, None),
     },
     "sweep": {
-        "wavelength_min_m": 6.5e-7,
-        "wavelength_max_m": 1.7e-6,
-        "samples": 400,
-        "periods": [1.0, 1.25, 1.5, 1.75, 2.0],
+        "wavelength_min_m": (_NUM, 6.5e-7),
+        "wavelength_max_m": (_NUM, 1.7e-6),
+        "samples": (int, 400),
+        "periods": (list, [1.0, 1.25, 1.5, 1.75, 2.0]),
     },
     "capsule": {
-        "radius_m": 9.9e-7,
-        "particle_count": 1256,
-        "particle_scale_m": 5.0e-9,
+        "radius_m": (_NUM, 9.9e-7),
+        "particle_count": (int, 1256),
+        "particle_scale_m": (_NUM, 5.0e-9),
     },
-    "output_dir": "out",
+    "output_dir": (str, "out"),
+}
+_SHAPE_KEYS = {
+    "disk": {"radius": (_NUM, 0.45)},
+    "ellipse": {"semi_axis_1": (_NUM, _REQUIRED), "semi_axis_2": (_NUM, _REQUIRED)},
+    "fourier": {"fourier_coefficients": (list, _REQUIRED)},
 }
 
 
@@ -110,32 +116,40 @@ class RunConfig:
             raise ConfigError(f"geometry section invalid: {exc}") from exc
 
 
-def _require(section: dict, name: str, keys: dict):
-    unknown = set(section) - set(keys)
+def _require(value, name: str, types, default):
+    """``value`` of config entry ``name`` (``_REQUIRED`` if absent), checked against ``types``."""
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required key {name}")
+    if value is None:
+        if default is not None:
+            raise ConfigError(f"{name} must not be null")
+    elif not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ConfigError(f"{name} must be of type {types}, got {value!r}")
+    elif types is _NUM and not _finite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _resolve(raw: dict, name: str):
+    """Top-level entry ``name`` of the raw config, checked and with its defaults filled in."""
+    spec = _SCHEMA[name]
+    if isinstance(spec, tuple):  # output_dir, a value rather than a section
+        return _require(raw.get(name, spec[1]), name, *spec)
+    section = _require(raw.get(name, {}), name, dict, {})
+    if name == "geometry":
+        shape = section.get("shape", "disk")
+        if not (isinstance(shape, str) and shape in _SHAPE_KEYS):
+            raise ConfigError(f"geometry.shape must be disk, ellipse or fourier, got {shape!r}")
+        spec = {**spec, **_SHAPE_KEYS[shape]}
+    unknown = set(section) - set(spec)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r} section: {sorted(unknown)}")
-    out = {}
-    for key, (types, default) in keys.items():
-        value = section.get(key, default)
-        if value is _REQUIRED:
-            raise ConfigError(f"missing required key {name}.{key}")
-        if value is None:
-            if default is not None:
-                raise ConfigError(f"{name}.{key} must not be null")
-        elif not isinstance(value, types):
-            raise ConfigError(f"{name}.{key} must be of type {types}, got {value!r}")
-        elif types is _NUM and not _finite_number(value):
-            raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
-        out[key] = value
-    return out
-
-
-_REQUIRED = object()
-_NUM = (int, float)
+    return {key: _require(section.get(key, default), f"{name}.{key}", types, default)
+            for key, (types, default) in spec.items()}
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, _NUM) and _finite(value)
+    return isinstance(value, _NUM) and not isinstance(value, bool) and _finite(value)
 
 
 def _check_periods(periods, source: str):
@@ -146,66 +160,22 @@ def _check_periods(periods, source: str):
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - {"geometry", "material", "sweep", "capsule", "output_dir"}
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    merged = {key: {**DEFAULT_CONFIG[key], **raw.get(key, {})}
-              for key in ("geometry", "material", "sweep", "capsule")}
-    merged["output_dir"] = raw.get("output_dir", DEFAULT_CONFIG["output_dir"])
-
-    g = merged["geometry"]
-    shape = g.get("shape")
-    if shape == "disk":
-        g = _require(g, "geometry", {
-            "shape": (str, _REQUIRED), "radius": (_NUM, _REQUIRED),
-            "period": (_NUM, _REQUIRED), "node_count": (int, _REQUIRED),
-        })
-    elif shape == "ellipse":
-        g.pop("radius", None)
-        g = _require(g, "geometry", {
-            "shape": (str, _REQUIRED), "semi_axis_1": (_NUM, _REQUIRED),
-            "semi_axis_2": (_NUM, _REQUIRED), "period": (_NUM, _REQUIRED),
-            "node_count": (int, _REQUIRED),
-        })
-    elif shape == "fourier":
-        g.pop("radius", None)
-        g = _require(g, "geometry", {
-            "shape": (str, _REQUIRED), "fourier_coefficients": (list, _REQUIRED),
-            "period": (_NUM, _REQUIRED), "node_count": (int, _REQUIRED),
-        })
-        for c in g["fourier_coefficients"]:
-            if not (isinstance(c, list) and len(c) == 2
-                    and all(_finite_number(x) for x in c)):
-                raise ConfigError("fourier_coefficients must be finite [re, im] pairs")
-    else:
-        raise ConfigError(f"geometry.shape must be disk, ellipse or fourier, got {shape!r}")
-
-    m = _require(merged["material"], "material", {
-        "mu_m_rel": (_NUM, _REQUIRED), "eps_m_rel": (_NUM, _REQUIRED),
-        "plasma_frequency_rad_per_s": (_NUM, _REQUIRED),
-        "plasma_frequency_is_angular": (bool, _REQUIRED),
-        "collision_time_s": (_NUM, _REQUIRED), "eps_c_rel": (_NUM, None),
-    })
-
-    s = _require(merged["sweep"], "sweep", {
-        "wavelength_min_m": (_NUM, _REQUIRED), "wavelength_max_m": (_NUM, _REQUIRED),
-        "samples": (int, _REQUIRED), "periods": (list, _REQUIRED),
-    })
+    config = RunConfig(**{name: _resolve(raw, name) for name in _SCHEMA})
+    g, s, c = config.geometry, config.sweep, config.capsule
+    for pair in g.get("fourier_coefficients", ()):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_finite_number(x) for x in pair)):
+            raise ConfigError("fourier_coefficients must be finite [re, im] pairs")
     if not 0 < s["wavelength_min_m"] < s["wavelength_max_m"]:
         raise ConfigError("sweep wavelength window must satisfy 0 < min < max")
     if s["samples"] < 16:
         raise ConfigError("sweep.samples must be at least 16")
     _check_periods(s["periods"], "sweep.periods")
-
-    c = _require(merged["capsule"], "capsule", {
-        "radius_m": (_NUM, _REQUIRED), "particle_count": (int, _REQUIRED),
-        "particle_scale_m": (_NUM, _REQUIRED),
-    })
     if c["radius_m"] <= 0 or c["particle_scale_m"] <= 0 or c["particle_count"] < 3:
         raise ConfigError("capsule section requires positive sizes and at least 3 particles")
-
-    config = RunConfig(geometry=g, material=m, sweep=s, capsule=c,
-                       output_dir=merged["output_dir"])
     config.material_params()  # a material that is not representable in SI is a config error
     return config
 
@@ -231,27 +201,28 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, header: dict, columns: dict):
+    """Write one CSV artifact, making its directory first, and report it on stdout."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in header.items()]
     lines.append(f"# config = {json.dumps(config.resolved, sort_keys=True)}")
     arrays = [np.asarray(col) for col in columns.values()]
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as stream:
         stream.write("\n".join(lines) + "\n")
         writer = csv.writer(stream)
         writer.writerow(columns.keys())
         for row in zip(*arrays):
             writer.writerow([_fmt(v.item() if hasattr(v, "item") else v) for v in row])
+    print(f"wrote {path}")
 
 
 def cmd_eigs(config: RunConfig, out_dir: Path) -> int:
     cell = config.build_cell()
     dec = decompose(cell)
-    path = out_dir / "eigs.csv"
-    _write_csv(path, config,
+    _write_csv(out_dir / "eigs.csv", config,
                {"node_count": cell.node_count, "period_ratio": cell.period_ratio},
                {"j": np.arange(dec.mode_count),
                 "lambda_j": dec.eigenvalues,
                 "moment_nu2_j": dec.moments_nu2})
-    print(f"wrote {path}")
     return 0
 
 
@@ -259,22 +230,15 @@ def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
     periods = list(config.sweep["periods"]) if periods is None else periods
     material = config.material_params()
     s = config.sweep
-    results = list(calibrate(config.build_cell, periods, material, s["wavelength_min_m"],
-                             s["wavelength_max_m"], s["samples"]))
-    table = CalibrationTable(rows=tuple(row for row, _ in results),
-                             radius=config.geometry.get("radius", float("nan")),
-                             node_count=config.geometry["node_count"],
-                             wavelength_min=s["wavelength_min_m"],
-                             wavelength_max=s["wavelength_max_m"],
-                             samples=s["samples"], material=material)
-    for period, (_, curve) in zip(periods, results):
-        path = out_dir / f"sweep_period_{period:g}.csv"
-        _write_csv(path, config,
-                   {"period_ratio": period, "node_count": config.geometry["node_count"]},
+    table, curves = calibrate(config.build_cell, periods, material, s["wavelength_min_m"],
+                              s["wavelength_max_m"], s["samples"],
+                              radius=config.geometry.get("radius", float("nan")),
+                              node_count=config.geometry["node_count"])
+    for period, curve in zip(periods, curves):
+        _write_csv(out_dir / f"sweep_period_{period:g}.csv", config,
+                   {"period_ratio": period, "node_count": table.node_count},
                    {"wavelength_m": curve.wavelengths, "magnitude": curve.magnitudes})
-        print(f"wrote {path}")
-    path = out_dir / "calibration.csv"
-    _write_csv(path, config,
+    _write_csv(out_dir / "calibration.csv", config,
                {"radius": table.radius, "node_count": table.node_count,
                 "monotone": table.is_monotone()},
                {"period": table.periods(),
@@ -283,7 +247,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
                                    for r in table.rows],
                 "mode_index": [-1 if r.mode_index is None else r.mode_index
                                for r in table.rows]})
-    print(f"wrote {path}")
     return 0
 
 
@@ -300,13 +263,11 @@ def cmd_scatter(config: RunConfig, out_dir: Path, beta_zero: bool = False) -> in
         wavelengths=wavelengths,
         beta_override=0.0 if beta_zero else None,
     )
-    path = out_dir / "extinction.csv"
-    _write_csv(path, config,
+    _write_csv(out_dir / "extinction.csv", config,
                {"capsule_radius_m": curve.radius, "particle_scale_m": curve.delta_phys,
                 "beta_zero_override": beta_zero},
                {"wavelength_m": curve.wavelengths, "extinction": curve.extinction,
                 "scattering": curve.scattering})
-    print(f"wrote {path}")
     return 0
 
 
@@ -362,15 +323,9 @@ def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTab
                             samples=0, material=material)
 
 
-def _print_state(state: CapsuleState):
-    print(f"r_m   = {state.r!r}")
-    print(f"N     = {state.N}")
-    print(f"d_m   = {state.d!r}")
-    print(f"P_m   = {state.P!r}")
-    print(f"L1_m  = {state.L1!r}")
-    print(f"L2_m  = {state.L2!r}")
-    print(f"D     = {state.D!r}")
-    print(f"theta = {state.theta!r}")
+# (label, CapsuleState field) of the invert record, on stdout and in deformation.csv
+_STATE_FIELDS = (("r_m", "r"), ("N", "N"), ("d_m", "d"), ("P_m", "P"), ("L1_m", "L1"),
+                 ("L2_m", "L2"), ("D", "D"), ("theta", "theta"))
 
 
 def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
@@ -382,7 +337,8 @@ def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
         peak_wavelength_nm * 1e-9, table,
         r=cap["radius_m"], N=cap["particle_count"], delta_phys=cap["particle_scale_m"],
     )
-    _print_state(state)
+    for label, field in _STATE_FIELDS:
+        print(f"{label:<5} = {getattr(state, field)!r}")
     # sensitivity of D to a miscounted particle number
     for dn in (-1, +1):
         try:
@@ -391,13 +347,9 @@ def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
         except (OutOfRangeError, DomainError):
             print(f"D_if_N{dn:+d} = infeasible")
     if write_csv:
-        csv_path = out_dir / "deformation.csv"
-        _write_csv(csv_path, config,
+        _write_csv(out_dir / "deformation.csv", config,
                    {"peak_wavelength_nm": peak_wavelength_nm},
-                   {"r_m": [state.r], "N": [state.N], "d_m": [state.d], "P_m": [state.P],
-                    "L1_m": [state.L1], "L2_m": [state.L2], "D": [state.D],
-                    "theta": [state.theta]})
-        print(f"wrote {csv_path}")
+                   {label: [getattr(state, field)] for label, field in _STATE_FIELDS})
     return 0
 
 
@@ -452,8 +404,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --periods list: {args.periods!r}") from exc
             _check_periods(periods, "--periods")
         out_dir = Path(args.out or config.output_dir)
-        if args.command != "validate":
-            out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "eigs":
             return cmd_eigs(config, out_dir)
         if args.command == "sweep":

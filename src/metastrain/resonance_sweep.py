@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,30 +152,33 @@ class CalibrationTable:
 
 
 def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: float,
-              wavelength_max: float, samples: int = 400
-              ) -> Iterator[tuple[CalibrationRow, ResonanceCurve]]:
+              wavelength_max: float, samples: int, *, radius: float, node_count: int
+              ) -> tuple[CalibrationTable, list[ResonanceCurve]]:
     """Per period: ``make_cell(period)``, spectrum, sweep and dominant peak.
 
-    Yields the calibration row and the resonance curve of each period in
-    order.  A curve keeps only the eigenvalues of its spectrum, so one
-    decomposition is alive at a time even when the caller keeps every curve.
+    Returns the calibration table (``radius`` and ``node_count`` label it) and
+    the resonance curve of each period in order.  A curve keeps only the
+    eigenvalues of its spectrum, so one decomposition is alive at a time.
     """
+    rows, curves = [], []
     for period in periods:
         curve = sweep(decompose(make_cell(period)), material, wavelength_min,
                       wavelength_max, samples)
         peak = dominant_peak(curve)  # None leaves the row's peak fields None
-        row = CalibrationRow(period=float(period), peak_wavelength=peak and peak.wavelength,
-                             peak_magnitude=peak and peak.magnitude,
-                             mode_index=peak and peak.mode_index)
-        yield row, curve
+        rows.append(CalibrationRow(period=float(period), peak_wavelength=peak and peak.wavelength,
+                                   peak_magnitude=peak and peak.magnitude,
+                                   mode_index=peak and peak.mode_index))
+        curves.append(curve)
+    table = CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count,
+                             wavelength_min=wavelength_min, wavelength_max=wavelength_max,
+                             samples=samples, material=material)
+    return table, curves
 
 
 def peak_vs_period(radius: float, periods, material: MaterialParams,
                    wavelength_min: float, wavelength_max: float,
                    samples: int = 400, node_count: int = 256) -> CalibrationTable:
     """Calibration table of a disk of the given radius over the period ratios."""
-    results = calibrate(lambda period: make_disk_cell(radius, period, node_count), periods,
-                        material, wavelength_min, wavelength_max, samples)
-    return CalibrationTable(rows=tuple(row for row, _ in results), radius=radius, node_count=node_count,
-                            wavelength_min=wavelength_min, wavelength_max=wavelength_max,
-                            samples=samples, material=material)
+    return calibrate(lambda period: make_disk_cell(radius, period, node_count), periods,
+                     material, wavelength_min, wavelength_max, samples,
+                     radius=radius, node_count=node_count)[0]

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metastrain
-from metastrain.cli import main
+from metastrain.cli import _SCHEMA, _SHAPE_KEYS, main, parse_config
+from metastrain.errors import ConfigError
 
 FAST_CONFIG = {
     "geometry": {"shape": "disk", "radius": 0.45, "period": 1.0, "node_count": 64},
@@ -24,6 +26,8 @@ def write_config(tmp_path, extra=None):
     if extra:
         for key, section in extra.items():
             cfg.setdefault(key, {}).update(section)
+    if cfg["geometry"]["shape"] != "disk":  # a radius belongs to the disk only
+        del cfg["geometry"]["radius"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -118,9 +122,24 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
     ({"capsule": {"particle_scale_m": -5e-9}}, ["scatter"], "positive sizes"),
     (None, ["eigs"], "cannot read config file"),
     ({}, ["sweep", "--periods", "1,x"], "bad --periods list: '1,x'"),
+    ({"geometry": None}, ["eigs"], "geometry must not be null"),
+    ({"sweep": [1, 2]}, ["sweep"], "sweep must be of type <class 'dict'>, got [1, 2]"),
+    ({"capsule": 3}, ["scatter"], "capsule must be of type <class 'dict'>, got 3"),
+    ({"output_dir": 5}, ["eigs"], "output_dir must be of type <class 'str'>, got 5"),
+    ({"output_dir": None}, ["eigs"], "output_dir must not be null"),
+    ({"output_dir": [1]}, ["eigs"], "output_dir must be of type <class 'str'>, got [1]"),
+    ({"geometry": {"shape": "ellipse", "semi_axis_1": 0.35, "semi_axis_2": 0.22,
+                   "radius": "banana"}}, ["eigs"], "unknown keys in 'geometry' section: ['radius']"),
+    ({"geometry": {"shape": "fourier", "fourier_coefficients": [[0.0, 0.0], [0.3, 0.0]],
+                   "radius": 0.45}}, ["eigs"], "unknown keys in 'geometry' section: ['radius']"),
+    ({"geometry": {"period": True}}, ["eigs"], "geometry.period must be of type"),
+    ({"material": {"mu_m_rel": True}}, ["eigs"], "material.mu_m_rel must be of type"),
+    ({"sweep": {"periods": [True, 1.5]}}, ["sweep"], "sweep.periods must be a non-empty list"),
 ], ids=["unknown_key", "missing_key", "wrong_type", "root_not_object", "unknown_section",
         "too_few_samples", "too_few_particles", "negative_particle_scale", "unreadable",
-        "periods_not_numbers"])
+        "periods_not_numbers", "null_section", "list_section", "number_section",
+        "number_output_dir", "null_output_dir", "list_output_dir", "radius_of_ellipse",
+        "radius_of_fourier", "boolean_period", "boolean_material", "boolean_in_periods"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message):
     # a missing file stands for an unreadable one; every other config is the
     # raw JSON text, not merged into FAST_CONFIG
@@ -538,4 +557,76 @@ def test_period_whose_kernels_underflow_is_a_config_error(tmp_path, capsys, extr
     assert main(["--config", str(cfg), "--out", str(out)] + command) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "underflows" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, command, code", [
+    ({"geometry": {"radius": 0.6}}, ["eigs"], 2),
+    ({"geometry": {"radius": 0.6}}, ["sweep"], 2),
+    ({"geometry": {"radius": 0.6}}, ["scatter"], 2),
+    ({"capsule": {"radius_m": 1e-30}}, ["scatter"], 3),
+    (None, ["sweep", "--periods", "1.0,0.905"], 4),
+    ({"geometry": {"period": 0.905}}, ["scatter"], 4),
+], ids=["eigs_overlap", "sweep_overlap", "scatter_overlap", "scatter_tiny_capsule",
+        "sweep_unresolved", "scatter_unresolved"])
+def test_failed_command_makes_no_output_directory(tmp_path, capsys, extra, command, code):
+    # the directory is made by the first file written, so a run that fails
+    # before writing one leaves nothing behind
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)] + command) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_invert_with_calibration_elsewhere_makes_no_output_directory(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cal = tmp_path / "cal"
+    assert main(["--config", str(cfg), "--out", str(cal), "sweep", "--periods", "1.0,1.5,2.0"]) == 0
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "invert", "--peak-wavelength-nm",
+                 "1000", "--calibration", str(cal / "calibration.csv")]) == 0
+    assert not out.exists()
+    assert main(["--config", str(cfg), "--out", str(out), "invert", "--peak-wavelength-nm",
+                 "1000", "--calibration", str(cal / "calibration.csv"), "--csv"]) == 0
+    assert [p.name for p in out.iterdir()] == ["deformation.csv"]
+    assert capsys.readouterr().out.endswith(f"wrote {out / 'deformation.csv'}\n")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4)
+    | st.sampled_from(["disk", "ellipse", "fourier"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _section(name):
+    # a section is mostly an object keyed by its own names (every shape's, for
+    # the geometry), or any JSON value at all
+    spec = _SCHEMA[name]
+    if not isinstance(spec, dict):
+        return _JSON
+    names = sorted({*spec, *(key for keys in _SHAPE_KEYS.values() for key in keys)}
+                   if name == "geometry" else spec)
+    return st.dictionaries(st.sampled_from(names), _JSON, max_size=len(names)) | _JSON
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=st.fixed_dictionaries({}, optional={name: _section(name) for name in _SCHEMA})
+       | _JSON)
+def test_parse_config_refuses_any_json_with_a_config_error(raw):
+    # whatever JSON the file holds, the config either parses or is a config
+    # error (exit 2); no other exception reaches the user as a traceback
+    try:
+        parse_config(raw)
+    except ConfigError:
+        pass
+
+
+def test_readme_defaults_block_is_the_resolved_default_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("The built-in defaults are:")[1].split("```json\n")[1].split("```")[0]
+    assert json.loads(block) == parse_config({}).resolved
