@@ -185,8 +185,6 @@ class ExtinctionCurve:
     wavelengths: np.ndarray
     extinction: np.ndarray
     scattering: np.ndarray
-    radius: float
-    delta_phys: float
 
 
 def extinction_spectrum(radius: float, material: MaterialParams,
@@ -260,5 +258,4 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     q[1:] *= 2.0  # the folded orders -n and n
     sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(np.multiply(q, Jp2, out=scratch), axis=0)
     ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=0)
-    return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca,
-                           radius=radius, delta_phys=delta_phys)
+    return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca)

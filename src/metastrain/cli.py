@@ -125,7 +125,7 @@ def _require(value, name: str, types, default):
             raise ConfigError(f"{name} must not be null")
     elif not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ConfigError(f"{name} must be of type {types}, got {value!r}")
-    elif types is _NUM and not _finite(value):
+    elif types in (_NUM, int) and not _finite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -201,17 +201,24 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, header: dict, columns: dict):
-    """Write one CSV artifact, making its directory first, and report it on stdout."""
+    """Write one CSV artifact, making its directory first, and report it on stdout.
+
+    A path that cannot be made or written (``--out`` naming a regular file, or
+    a path under one) is a :class:`ConfigError` naming it.
+    """
     lines = [f"# {key} = {_fmt(value)}" for key, value in header.items()]
     lines.append(f"# config = {json.dumps(config.resolved, sort_keys=True)}")
     arrays = [np.asarray(col) for col in columns.values()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as stream:
-        stream.write("\n".join(lines) + "\n")
-        writer = csv.writer(stream)
-        writer.writerow(columns.keys())
-        for row in zip(*arrays):
-            writer.writerow([_fmt(v.item() if hasattr(v, "item") else v) for v in row])
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as stream:
+            stream.write("\n".join(lines) + "\n")
+            writer = csv.writer(stream)
+            writer.writerow(columns.keys())
+            for row in zip(*arrays):
+                writer.writerow([_fmt(v.item() if hasattr(v, "item") else v) for v in row])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -251,20 +258,14 @@ def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
 
 
 def cmd_scatter(config: RunConfig, out_dir: Path, beta_zero: bool = False) -> int:
-    cell = config.build_cell()
-    dec = decompose(cell)
-    s = config.sweep
+    dec = decompose(config.build_cell())
+    s, cap = config.sweep, config.capsule
     wavelengths = np.linspace(s["wavelength_min_m"], s["wavelength_max_m"], s["samples"])
-    curve = extinction_spectrum(
-        radius=config.capsule["radius_m"],
-        material=config.material_params(),
-        decomposition=dec,
-        delta_phys=config.capsule["particle_scale_m"],
-        wavelengths=wavelengths,
-        beta_override=0.0 if beta_zero else None,
-    )
+    curve = extinction_spectrum(cap["radius_m"], config.material_params(), dec,
+                                cap["particle_scale_m"], wavelengths,
+                                beta_override=0.0 if beta_zero else None)
     _write_csv(out_dir / "extinction.csv", config,
-               {"capsule_radius_m": curve.radius, "particle_scale_m": curve.delta_phys,
+               {"capsule_radius_m": cap["radius_m"], "particle_scale_m": cap["particle_scale_m"],
                 "beta_zero_override": beta_zero},
                {"wavelength_m": curve.wavelengths, "extinction": curve.extinction,
                 "scattering": curve.scattering})

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +30,16 @@ class ResonanceCurve:
 
     wavelengths: np.ndarray
     magnitudes: np.ndarray
-    material: MaterialParams
-    eigenvalues: np.ndarray
-    coupled: np.ndarray  # whether mode j has a non-zero nu2 moment, so shapes |alpha2_plus|
-    peaks: tuple[Peak, ...] = ()
+    peaks: tuple[Peak, ...]
 
 
 def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
           wavelength_min: float, wavelength_max: float, samples: int = 400) -> ResonanceCurve:
-    """Sample |alpha2_plus| on a uniform wavelength grid and locate its peaks."""
+    """Sample |alpha2_plus| on a uniform wavelength grid, refine its peaks and name their modes.
+
+    Each peak is named after the coupled mode whose resonance frequency is
+    nearest its own; the curve keeps nothing of the decomposition.
+    """
     if not wavelength_min < wavelength_max:
         raise DomainError("need wavelength_min < wavelength_max")
     if samples < 16:
@@ -48,24 +48,24 @@ def sweep(decomposition: SpectralDecomposition, material: MaterialParams,
     omega = omega_from_wavelength(lam_grid, material)
     contrasts = contrast_values(omega, material)
     magnitudes = np.abs(alpha2_plus_batch(decomposition, contrasts))
-    curve = ResonanceCurve(
-        wavelengths=lam_grid,
-        magnitudes=magnitudes,
-        material=material,
-        eigenvalues=decomposition.eigenvalues,
-        coupled=decomposition.moments_nu2 != 0.0,
-    )
-    return dataclasses.replace(curve, peaks=tuple(find_peaks(curve)))
+    resonances = _resonances(decomposition.eigenvalues, decomposition.moments_nu2 != 0.0, material)
+    peaks = tuple(Peak(p.wavelength, p.magnitude,
+                       _nearest_mode(resonances, omega_from_wavelength(p.wavelength, material)))
+                  for p in find_peaks(lam_grid, magnitudes))
+    return ResonanceCurve(wavelengths=lam_grid, magnitudes=magnitudes, peaks=peaks)
 
 
-def _resonances(curve: ResonanceCurve) -> tuple[np.ndarray, np.ndarray]:
+def _resonances(eigenvalues: np.ndarray, coupled: np.ndarray, material: MaterialParams
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Coupled modes j >= 1 that are not overdamped, and their real resonance frequencies.
 
-    The square roots of ``dispersion.resonance_radicand`` over all modes at once, where
-    it is positive; the equilibrium mode j = 0 carries no normal moment.
+    ``coupled[j]`` says whether mode j has a non-zero nu2 moment, so shapes
+    |alpha2_plus|.  The square roots of ``dispersion.resonance_radicand`` over
+    all modes at once, where it is positive; the equilibrium mode j = 0
+    carries no normal moment.
     """
-    radicand = resonance_radicand(curve.eigenvalues[1:], curve.material)
-    modes = np.flatnonzero((radicand > 0.0) & curve.coupled[1:]) + 1
+    radicand = resonance_radicand(eigenvalues[1:], material)
+    modes = np.flatnonzero((radicand > 0.0) & coupled[1:]) + 1
     return modes, np.sqrt(radicand[modes - 1])
 
 
@@ -78,16 +78,18 @@ def _nearest_mode(resonances: tuple[np.ndarray, np.ndarray], omega_peak: float) 
     return int(modes[np.argmin(gaps)])
 
 
-def find_peaks(curve: ResonanceCurve) -> list[Peak]:
-    """Strict interior maxima refined by a three-point parabola in log magnitude."""
-    lam = curve.wavelengths
-    mag = curve.magnitudes
+def find_peaks(wavelengths: np.ndarray, magnitudes: np.ndarray) -> list[Peak]:
+    """Strict interior maxima of a sampled curve, each refined by a three-point log-parabola.
+
+    Any sampled curve will do, a measured spectrum too; the peaks carry no
+    mode index (``sweep`` names them).
+    """
+    lam, mag = np.asarray(wavelengths, dtype=float), np.asarray(magnitudes, dtype=float)
     if lam.size < 3:
         raise DomainError("peak finding needs at least 3 samples")
     peaks = []
     logm = np.log(mag)
     maxima = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])) + 1
-    resonances = _resonances(curve)
     for i in maxima:
         denom = logm[i - 1] - 2.0 * logm[i] + logm[i + 1]
         if denom == 0.0:
@@ -97,12 +99,8 @@ def find_peaks(curve: ResonanceCurve) -> list[Peak]:
         h = lam[i + 1] - lam[i]
         refined_lam = lam[i] + offset * h
         refined_mag = np.exp(logm[i] - 0.25 * (logm[i - 1] - logm[i + 1]) * offset)
-        omega_peak = omega_from_wavelength(float(refined_lam), curve.material)
-        peaks.append(Peak(
-            wavelength=float(refined_lam),
-            magnitude=float(refined_mag),
-            mode_index=_nearest_mode(resonances, omega_peak),
-        ))
+        peaks.append(Peak(wavelength=float(refined_lam), magnitude=float(refined_mag),
+                          mode_index=None))
     return peaks
 
 
@@ -157,8 +155,8 @@ def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: floa
     """Per period: ``make_cell(period)``, spectrum, sweep and dominant peak.
 
     Returns the calibration table (``radius`` and ``node_count`` label it) and
-    the resonance curve of each period in order.  A curve keeps only the
-    eigenvalues of its spectrum, so one decomposition is alive at a time.
+    the resonance curve of each period in order.  A curve keeps nothing of
+    its spectrum, so one decomposition is alive at a time.
     """
     rows, curves = [], []
     for period in periods:

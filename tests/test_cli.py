@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import metastrain
 from metastrain.cli import _SCHEMA, _SHAPE_KEYS, main, parse_config
@@ -135,11 +139,16 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
     ({"geometry": {"period": True}}, ["eigs"], "geometry.period must be of type"),
     ({"material": {"mu_m_rel": True}}, ["eigs"], "material.mu_m_rel must be of type"),
     ({"sweep": {"periods": [True, 1.5]}}, ["sweep"], "sweep.periods must be a non-empty list"),
+    ({"geometry": {"node_count": 10**400}}, ["eigs"], "geometry.node_count must be finite"),
+    ({"sweep": {"samples": 10**400}}, ["sweep"], "sweep.samples must be finite"),
+    ({"capsule": {"particle_count": 10**400}}, ["invert", "--peak-wavelength-nm", "1000"],
+     "capsule.particle_count must be finite"),
 ], ids=["unknown_key", "missing_key", "wrong_type", "root_not_object", "unknown_section",
         "too_few_samples", "too_few_particles", "negative_particle_scale", "unreadable",
         "periods_not_numbers", "null_section", "list_section", "number_section",
         "number_output_dir", "null_output_dir", "list_output_dir", "radius_of_ellipse",
-        "radius_of_fourier", "boolean_period", "boolean_material", "boolean_in_periods"])
+        "radius_of_fourier", "boolean_period", "boolean_material", "boolean_in_periods",
+        "node_count_beyond_float", "samples_beyond_float", "particle_count_beyond_float"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message):
     # a missing file stands for an unreadable one; every other config is the
     # raw JSON text, not merged into FAST_CONFIG
@@ -579,6 +588,22 @@ def test_failed_command_makes_no_output_directory(tmp_path, capsys, extra, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", [["eigs"], ["sweep", "--periods", "1.0"]],
+                         ids=["eigs", "sweep"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, under):
+    # --out names a regular file, or a path under one: the file's directory
+    # cannot be made, and the regular file is left as it was
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}") and err.count("\n") == 1, err
+    assert afile.read_text() == "kept\n"
+
+
 def test_invert_with_calibration_elsewhere_makes_no_output_directory(tmp_path, capsys):
     cfg = write_config(tmp_path)
     cal = tmp_path / "cal"
@@ -614,9 +639,11 @@ def _section(name):
     return st.dictionaries(st.sampled_from(names), _JSON, max_size=len(names)) | _JSON
 
 
+_CONFIG = st.fixed_dictionaries({}, optional={name: _section(name) for name in _SCHEMA}) | _JSON
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(raw=st.fixed_dictionaries({}, optional={name: _section(name) for name in _SCHEMA})
-       | _JSON)
+@given(raw=_CONFIG)
 def test_parse_config_refuses_any_json_with_a_config_error(raw):
     # whatever JSON the file holds, the config either parses or is a config
     # error (exit 2); no other exception reaches the user as a traceback
@@ -630,3 +657,105 @@ def test_readme_defaults_block_is_the_resolved_default_config():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("The built-in defaults are:")[1].split("```json\n")[1].split("```")[0]
     assert json.loads(block) == parse_config({}).resolved
+
+
+@pytest.fixture(scope="module")
+def calibration(tmp_path_factory):
+    """calibration.csv of FAST_CONFIG's three periods 1.0, 1.5 and 2.0."""
+    root = tmp_path_factory.mktemp("calibration")
+    assert main(["--config", str(write_config(root)), "--out", str(root), "sweep"]) == 0
+    return root / "calibration.csv"
+
+
+def test_invert_reports_an_infeasible_miscount(tmp_path, capsys, calibration):
+    # at the knot of period 1.0 the 1256 particles are 5e-9 m apart, a
+    # perimeter of 6.28e-6 m; the capsule of radius 9.9945e-7 m has a
+    # circumference of 6.2797e-6 m, which 1255 of them cannot close around
+    peak_nm = float(read_rows(calibration)[0]["peak_wavelength_m"]) * 1e9
+    cfg = write_config(tmp_path, {"capsule": {"radius_m": 9.9945e-7}})
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "invert",
+                 "--peak-wavelength-nm", repr(peak_nm), "--calibration", str(calibration)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert float(next(line for line in printed if line.startswith("d_m")).split("=")[1]) \
+        == pytest.approx(5e-9, rel=1e-9)
+    assert "D_if_N-1 = infeasible" in printed
+    assert float(next(line for line in printed if line.startswith("D_if_N+1")).split("=")[1]) > 0.0
+
+
+# node_count and samples: valid values at 16..64 only, so that a run is quick,
+# two draws in three, else a refused one (too small or negative, beyond the
+# working-set budget or the float range, not an integer)
+_REFUSED_COUNT = (st.integers(max_value=15) | st.integers(min_value=2**40) | st.just(10**400)
+                  | _JSON.filter(lambda value: type(value) is not int))
+_COUNT = st.integers(0, 2).flatmap(lambda i: _REFUSED_COUNT if i == 2 else st.integers(16, 64))
+_FLOAT_ARG = (st.floats(allow_nan=True, allow_infinity=True) | st.floats(600.0, 1800.0)).map(repr)
+_PERIODS_ARG = (st.lists(st.floats(0.5, 3.0) | st.floats(allow_nan=True, allow_infinity=True),
+                         max_size=3).map(lambda periods: ",".join(map(repr, periods)))
+                | st.text(max_size=4))
+
+
+@st.composite
+def _run_config(draw):
+    """_CONFIG or the defaults, one draw in two, with node_count and samples from _COUNT."""
+    raw = draw(st.booleans().flatmap(lambda drawn: _CONFIG if drawn else st.builds(dict)))
+    if isinstance(raw, dict):
+        for section, key in (("geometry", "node_count"), ("sweep", "samples")):
+            fields = raw.setdefault(section, {})
+            if isinstance(fields, dict):
+                fields[key] = draw(_COUNT)
+    return raw
+
+
+@st.composite
+def _command(draw):
+    """A command with its own flags; every value rides in one ``--flag=value`` argument.
+
+    A bare ``--calibration`` stands for the module's calibration file.
+    """
+    name = draw(st.sampled_from(["eigs", "sweep", "scatter", "invert", "validate"]))
+    flags = {
+        "eigs": {},
+        "sweep": {"--periods": _PERIODS_ARG},
+        "scatter": {"--beta-zero": st.none()},
+        "invert": {"--csv": st.none(), "--calibration": st.none()},
+        "validate": {"--break-quadrature": st.none()},
+    }[name]
+    argv = [name]
+    if name == "invert":
+        argv.append(f"--peak-wavelength-nm={draw(_FLOAT_ARG)}")
+    for flag, value in flags.items():
+        if draw(st.booleans()):
+            drawn = draw(value)
+            argv.append(flag if drawn is None else f"{flag}={drawn}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=_run_config(), command=_command(),
+       out_kind=st.sampled_from(["fresh", "file", "under_file"]))
+@example(raw={"geometry": {"node_count": 64}, "sweep": {"samples": 64},
+              "capsule": {"particle_count": 10**400}},
+         command=["invert", "--peak-wavelength-nm=1000.0", "--calibration"], out_kind="fresh")
+def test_main_keeps_its_exit_code_contract(calibration, raw, command, out_kind):
+    # whatever the argv and the config, main exits 0, 2, 3 or 4 with at most
+    # one stderr line, no traceback and no warning.  The example is an
+    # inversion that a particle count beyond the float range would overflow
+    command = [f"--calibration={calibration}" if arg == "--calibration" else arg
+               for arg in command]
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "afile").write_text("")
+        out = {"fresh": root / "out", "file": root / "afile",
+               "under_file": root / "afile" / "sub"}[out_kind]
+        cfg = root / "config.json"
+        cfg.write_text(json.dumps(raw))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["--config", str(cfg), "--out", str(out), *command])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+    assert not caught, [str(w.message) for w in caught]

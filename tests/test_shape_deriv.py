@@ -4,11 +4,12 @@ import pytest
 from metastrain import (
     decompose,
     make_disk_cell,
+    make_smooth_cell,
     perturb_normal,
     shape_derivative,
     validate_shape_derivative,
 )
-from metastrain.errors import DegenerateModeError, DomainError, MetastrainError
+from metastrain.errors import DegenerateModeError, DomainError, MetastrainError, ModeTrackingError
 from metastrain.shape_deriv import SIGN_CONVENTIONS
 
 
@@ -92,6 +93,20 @@ def test_degenerate_mode_refused():
             shape_derivative(dec, cell, j)
     else:
         pytest.skip("pairing not degenerate enough on this grid")
+
+
+def test_mode_lost_between_displaced_curves_is_a_tracking_error():
+    # the dominant mode of this mirror-symmetric curve (real Fourier
+    # coefficients in FFT order) keeps an overlap of 0.99995 with its displaced
+    # self at eta = 1e-3, but of only 0.869 at eta = 1e-2
+    coefficients = [0.0, 0.267733035089089, 0.0008628204785357044, -0.0033832876894147068,
+                    0.0, 0.0, -0.00029213548286044673, -0.01992207358370119]
+    dec = decompose(make_smooth_cell(coefficients, 1.5327673571201306, 128))
+    j = dec.dominant_mode()
+    assert validate_shape_derivative(dec, j, [1e-3]).min_overlap > 0.999
+    message = rf"mode {j} overlap dropped to 0\.869 at eta = 0\.01"
+    with pytest.raises(ModeTrackingError, match=message):
+        validate_shape_derivative(dec, j, [1e-2, 1e-3])
 
 
 def test_equilibrium_mode_rejected(disk128_dec):
