@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import reprlib
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -124,9 +125,9 @@ def _require(value, name: str, types, default):
         if default is not None:
             raise ConfigError(f"{name} must not be null")
     elif not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ConfigError(f"{name} must be of type {types}, got {value!r}")
+        raise ConfigError(f"{name} must be of type {types}, got {reprlib.repr(value)}")
     elif types in (_NUM, int) and not _finite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {reprlib.repr(value)}")
     return value
 
 
@@ -139,11 +140,12 @@ def _resolve(raw: dict, name: str):
     if name == "geometry":
         shape = section.get("shape", "disk")
         if not (isinstance(shape, str) and shape in _SHAPE_KEYS):
-            raise ConfigError(f"geometry.shape must be disk, ellipse or fourier, got {shape!r}")
+            raise ConfigError("geometry.shape must be disk, ellipse or fourier, "
+                              f"got {reprlib.repr(shape)}")
         spec = {**spec, **_SHAPE_KEYS[shape]}
     unknown = set(section) - set(spec)
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r} section: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {name!r} section: {reprlib.repr(sorted(unknown))}")
     return {key: _require(section.get(key, default), f"{name}.{key}", types, default)
             for key, (types, default) in spec.items()}
 
@@ -162,7 +164,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level config keys: {reprlib.repr(sorted(unknown))}")
     config = RunConfig(**{name: _resolve(raw, name) for name in _SCHEMA})
     g, s, c = config.geometry, config.sweep, config.capsule
     for pair in g.get("fourier_coefficients", ()):
@@ -185,11 +187,11 @@ def load_config(path: str | None) -> RunConfig:
         return parse_config({})
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an integer too long to parse
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
@@ -288,7 +290,7 @@ def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTab
                         header[key.strip()] = value.strip()
                 else:
                     data_lines.append(line)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CalibrationError(f"cannot read calibration file {path}: {exc}") from exc
     reader = csv.DictReader(data_lines)
     missing = [name for name in _CALIBRATION_COLUMNS if name not in (reader.fieldnames or ())]
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
             try:
                 periods = [float(p) for p in args.periods.split(",")]
             except ValueError as exc:
-                raise ConfigError(f"bad --periods list: {args.periods!r}") from exc
+                raise ConfigError(f"bad --periods list: {reprlib.repr(args.periods)}") from exc
             _check_periods(periods, "--periods")
         out_dir = Path(args.out or config.output_dir)
         if args.command == "eigs":

@@ -2,22 +2,14 @@
 
 For a simple eigenvalue lam_j with H*-normalised density phi_j, displacing the
 boundary by eta along the outward normal changes the eigenvalue at first order
-by eta times a combination of two boundary integrals,
+by eta times
 
-    A = Int |phi_j|^2 dsigma,      B = Int |d(S phi_j)/dT|^2 dsigma.
+    (1/4 - lam_j^2) * Int |phi_j|^2 dsigma  -  Int |d(S phi_j)/dT|^2 dsigma.
 
-Published statements of this formula disagree on the signs of the two terms,
-so three candidate combinations are implemented and validated against direct
-finite-difference eigensolves on the perturbed geometry:
-
-    statement  : (1/4 - lam_j^2) * A + B
-    proof      : -(1/4 - lam_j^2) * A - B
-    corrected  : (1/4 - lam_j^2) * A - B
-
-The corrected combination is the one a free-space disk calibrates to (its
-eigenvalues are radius-independent, which forces the two terms to cancel at
-lam_j = 0) and is the shipped default; the validator records which candidate
-the finite differences actually select.
+A free-space disk fixes the relative sign of the two terms: its eigenvalues do
+not depend on the radius, so the terms must cancel at lam_j = 0.
+``validate_shape_derivative`` checks the formula against central finite
+differences of direct eigensolves on the displaced curves.
 """
 
 from __future__ import annotations
@@ -29,9 +21,6 @@ import numpy as np
 from .errors import DegenerateModeError, DomainError, ModeTrackingError
 from .geometry import CellGeometry, perturb_normal
 from .spectral import SpectralDecomposition, decompose
-
-SIGN_CONVENTIONS = ("statement", "proof", "corrected")
-DEFAULT_SIGN = "corrected"
 
 # eigenvalue gap below which first-order perturbation of a single mode is unsafe
 SIMPLE_GAP = 1e-7
@@ -52,11 +41,8 @@ def _mode_gap(decomposition: SpectralDecomposition, j: int) -> float:
     return float(np.min(np.abs(others - lam[j])))
 
 
-def shape_derivative(decomposition: SpectralDecomposition, cell: CellGeometry, j: int,
-                     sign: str = DEFAULT_SIGN) -> float:
+def shape_derivative(decomposition: SpectralDecomposition, cell: CellGeometry, j: int) -> float:
     """First-order coefficient d(lam_j)/d(eta) at eta = 0 for mode j >= 1."""
-    if sign not in SIGN_CONVENTIONS:
-        raise DomainError(f"sign must be one of {SIGN_CONVENTIONS}")
     if j == 0:
         raise DomainError("the equilibrium eigenvalue 1/2 is stationary; pick j >= 1")
     gap = _mode_gap(decomposition, j)
@@ -68,35 +54,19 @@ def shape_derivative(decomposition: SpectralDecomposition, cell: CellGeometry, j
     lam_j = decomposition.eigenvalues[j]
     phi = decomposition.eigendensities[:, j]
     w = cell.weights
-    density_norm = float(w @ phi**2)
-    trace = decomposition.single_layer @ phi
-    tangential = _tangential_derivative(cell, trace)
-    tangential_norm = float(w @ tangential**2)
-
-    term_a = (0.25 - lam_j**2) * density_norm
-    if sign == "statement":
-        return term_a + tangential_norm
-    if sign == "proof":
-        return -term_a - tangential_norm
-    return term_a - tangential_norm
+    tangential = _tangential_derivative(cell, decomposition.single_layer @ phi)
+    return (0.25 - lam_j**2) * float(w @ phi**2) - float(w @ tangential**2)
 
 
 @dataclass(frozen=True)
 class ShapeDerivativeReport:
     """Prediction versus finite differences for one mode over an eta ladder."""
 
-    mode_index: int
-    base_eigenvalue: float
-    predicted_slopes: dict
-    fd_slopes: np.ndarray         # central slope per eta
+    predicted_slope: float
+    fd_slopes: np.ndarray         # central slope per eta, largest eta first
     eta_ladder: np.ndarray
-    selected_sign: str
-    sign_consistent: bool
+    converging: bool              # the error at the smallest eta is no larger than at the largest
     min_overlap: float
-
-    @property
-    def predicted_slope(self) -> float:
-        return self.predicted_slopes[self.selected_sign]
 
     @property
     def fd_slope(self) -> float:
@@ -117,20 +87,20 @@ def _tracked_eigenvalue(base: SpectralDecomposition, perturbed: SpectralDecompos
 
 def validate_shape_derivative(base: SpectralDecomposition, j: int,
                               eta_ladder) -> ShapeDerivativeReport:
-    """Compare the candidate sign conventions against central finite differences.
+    """Compare ``shape_derivative`` against central finite differences.
 
     ``base`` is the decomposition of the unperturbed cell.  For each eta the
     eigenvalue is recomputed on the curves displaced by +eta and -eta, the
     mode is tracked by its overlap with the base eigendensity in the base
-    Gram metric, and the central slope is formed.  The selected sign
-    is the candidate closest to the finite-difference slope at the smallest
-    eta; consistency additionally requires its error to shrink with eta.
+    Gram metric, and the central slope is formed.  The report is converging
+    when the prediction's error at the smallest eta is at most its error at
+    the largest eta, or below 1e-10.
     """
     etas = np.sort(np.asarray(eta_ladder, dtype=float))[::-1]
     if etas.size == 0 or np.any(etas <= 0.0):
         raise DomainError("eta ladder must contain positive values")
     cell = base.cell
-    predictions = {s: shape_derivative(base, cell, j, sign=s) for s in SIGN_CONVENTIONS}
+    predicted = shape_derivative(base, cell, j)
 
     slopes = np.empty(etas.size)
     worst_overlap = 1.0
@@ -144,20 +114,11 @@ def validate_shape_derivative(base: SpectralDecomposition, j: int,
             )
         slopes[i] = (lam_plus - lam_minus) / (2.0 * eta)
 
-    errors = {s: abs(slopes[-1] - p) for s, p in predictions.items()}
-    selected = min(errors, key=errors.get)
-    if etas.size > 1:
-        first = abs(slopes[0] - predictions[selected])
-        consistent = errors[selected] <= first or errors[selected] < 1e-10
-    else:
-        consistent = True
+    last, first = abs(slopes[-1] - predicted), abs(slopes[0] - predicted)
     return ShapeDerivativeReport(
-        mode_index=j,
-        base_eigenvalue=float(base.eigenvalues[j]),
-        predicted_slopes=predictions,
+        predicted_slope=predicted,
         fd_slopes=slopes,
         eta_ladder=etas,
-        selected_sign=selected,
-        sign_consistent=bool(consistent),
+        converging=bool(last <= first or last < 1e-10),
         min_overlap=float(worst_overlap),
     )

@@ -201,12 +201,10 @@ def test_criterion_7_shape_derivative():
     decreasing = bool(np.all(np.diff(errors) < 0))
     exponent = float(np.polyfit(np.log(rep.eta_ladder), np.log(errors), 1)[0])
     validate_lines = run_validation(make_disk_cell(0.45, 1.0, 64))
-    sign_line = next(r for r in validate_lines if r.name == "shape_derivative_sign")
-    emitted = "selected sign convention" in sign_line.detail
-    ok = (rep.sign_consistent and decreasing and exponent >= 0.9 and emitted
-          and sign_line.passed)
-    report(7, ok, f"sign={rep.selected_sign}, errors decreasing={decreasing}, "
-                  f"fit exponent={exponent:.2f} (>=0.9), emitted in validate report={emitted}")
+    line = next(r for r in validate_lines if r.name == "shape_derivative")
+    ok = rep.converging and decreasing and exponent >= 0.9 and line.passed
+    report(7, ok, f"converging={rep.converging}, errors decreasing={decreasing}, "
+                  f"fit exponent={exponent:.2f} (>=0.9), passed in validate report={line.passed}")
 
 
 def test_criterion_8_convergence(period_tables):

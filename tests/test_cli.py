@@ -143,22 +143,33 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
     ({"sweep": {"samples": 10**400}}, ["sweep"], "sweep.samples must be finite"),
     ({"capsule": {"particle_count": 10**400}}, ["invert", "--peak-wavelength-nm", "1000"],
      "capsule.particle_count must be finite"),
+    (b"\xff\xfe{}", ["eigs"], "cannot read config file"),
+    (b'{"capsule": {"particle_count": ' + b"9" * 5000 + b"}}",
+     ["invert", "--peak-wavelength-nm", "1000"], "is not valid JSON"),
+    (b"[" * 200_000, ["eigs"], "is not valid JSON"),
+    ({"geometry": {"x" * 5000: 1}}, ["eigs"], "unknown keys in 'geometry' section: ['xxx"),
 ], ids=["unknown_key", "missing_key", "wrong_type", "root_not_object", "unknown_section",
         "too_few_samples", "too_few_particles", "negative_particle_scale", "unreadable",
         "periods_not_numbers", "null_section", "list_section", "number_section",
         "number_output_dir", "null_output_dir", "list_output_dir", "radius_of_ellipse",
         "radius_of_fourier", "boolean_period", "boolean_material", "boolean_in_periods",
-        "node_count_beyond_float", "samples_beyond_float", "particle_count_beyond_float"])
+        "node_count_beyond_float", "samples_beyond_float", "particle_count_beyond_float",
+        "not_utf8", "integer_beyond_parse_limit", "nested_beyond_recursion_limit",
+        "long_unknown_key"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message):
-    # a missing file stands for an unreadable one; every other config is the
-    # raw JSON text, not merged into FAST_CONFIG
+    # a missing file stands for an unreadable one; bytes are the file's raw
+    # text; every other config is the raw JSON text, not merged into FAST_CONFIG
     path = tmp_path / "config.json"
-    if raw is not None:
+    if isinstance(raw, bytes):
+        path.write_bytes(raw)
+    elif raw is not None:
         path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
+    # a value is echoed shortened: not 10**400 with all its digits, nor a 5000-character key
+    assert len(err.replace(str(path), "")) <= 200, err
     assert not out.exists()
 
 
@@ -364,15 +375,17 @@ def test_invert_missing_calibration(tmp_path):
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\n-1.5,8e-07,2.5,0\n",
     "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,inf,2.5,0\n1.5,8e-07,2.5,0\n",
     "period,peak_wavelength_m,peak_magnitude,mode_index\n",
+    b"\xff\xfe",
 ], ids=["missing_column", "non_numeric_cell", "short_row", "nan_period", "negative_period",
-        "inf_peak", "no_rows"])
+        "inf_peak", "no_rows", "non_utf8"])
 def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
     cfg = write_config(tmp_path)
     path = tmp_path / "calibration.csv"
-    path.write_text("# radius = 0.45\n" + table)
+    path.write_bytes(b"# radius = 0.45\n" + (table if isinstance(table, bytes) else table.encode()))
     assert main(["--config", str(cfg), "--out", str(tmp_path), "invert",
                  "--peak-wavelength-nm", "900", "--calibration", str(path)]) == 3
-    assert "calibration file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "calibration file" in err and err.count("\n") == 1, err
 
 
 def test_invert_one_period_calibration_is_a_calibration_error(tmp_path, capsys):
@@ -407,7 +420,7 @@ def test_validate_command_passes(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in printed
-    assert "selected sign convention: corrected" in printed
+    assert any(line.startswith("PASS  shape_derivative ") for line in printed.splitlines())
     assert "alpha1_mirror_symmetry" in printed
     assert printed.splitlines()[-1] == "17/17 checks passed"
 
