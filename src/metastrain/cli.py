@@ -277,6 +277,16 @@ def cmd_scatter(config: RunConfig, out_dir: Path, beta_zero: bool = False) -> in
 _CALIBRATION_COLUMNS = ("period", "peak_wavelength_m", "peak_magnitude", "mode_index")
 
 
+def _calibration_number(kind: type, text: str | None, path: Path, name: str):
+    """kind(text) for the calibration entry ``name``, or a CalibrationError echoing it capped."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError) as exc:
+        # TypeError: a short row leaves its missing cells as None
+        raise CalibrationError(f"calibration file {path} has a non-numeric {name}: "
+                               f"{reprlib.repr(text)}") from exc
+
+
 def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTable:
     header = {}
     rows = []
@@ -293,31 +303,32 @@ def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTab
     except (OSError, UnicodeDecodeError) as exc:
         raise CalibrationError(f"cannot read calibration file {path}: {exc}") from exc
     reader = csv.DictReader(data_lines)
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # a field beyond the csv module's size limit, say
+        raise CalibrationError(f"calibration file {path} is not a CSV table: {exc}") from exc
     missing = [name for name in _CALIBRATION_COLUMNS if name not in (reader.fieldnames or ())]
     if missing:
         raise CalibrationError(f"calibration file {path} lacks columns {missing}")
-    try:
-        for record in reader:
-            period = float(record["period"])
-            lam = float(record["peak_wavelength_m"])
-            mode = int(record["mode_index"])
-            if not (math.isfinite(period) and period > 0.0):
-                raise CalibrationError(f"calibration file {path} has period {period!r}, "
-                                       "not a positive finite number")
-            if not (np.isnan(lam) or (math.isfinite(lam) and lam > 0.0)):
-                raise CalibrationError(f"calibration file {path} has peak wavelength {lam!r}, "
-                                       "neither NaN (no peak) nor a positive finite number")
-            rows.append(CalibrationRow(
-                period=period,
-                peak_wavelength=None if np.isnan(lam) else lam,
-                peak_magnitude=float(record["peak_magnitude"]),
-                mode_index=None if mode < 0 else mode,
-            ))
-        radius = float(header.get("radius", "nan"))
-        node_count = int(header.get("node_count", "0"))
-    except (TypeError, ValueError) as exc:
-        # TypeError: a short row leaves its missing cells as None
-        raise CalibrationError(f"calibration file {path} has a non-numeric entry: {exc}") from exc
+    for record in records:
+        period = _calibration_number(float, record["period"], path, "period")
+        lam = _calibration_number(float, record["peak_wavelength_m"], path, "peak_wavelength_m")
+        mode = _calibration_number(int, record["mode_index"], path, "mode_index")
+        if not (math.isfinite(period) and period > 0.0):
+            raise CalibrationError(f"calibration file {path} has period {period!r}, "
+                                   "not a positive finite number")
+        if not (np.isnan(lam) or (math.isfinite(lam) and lam > 0.0)):
+            raise CalibrationError(f"calibration file {path} has peak wavelength {lam!r}, "
+                                   "neither NaN (no peak) nor a positive finite number")
+        rows.append(CalibrationRow(
+            period=period,
+            peak_wavelength=None if np.isnan(lam) else lam,
+            peak_magnitude=_calibration_number(float, record["peak_magnitude"], path,
+                                               "peak_magnitude"),
+            mode_index=None if mode < 0 else mode,
+        ))
+    radius = _calibration_number(float, header.get("radius", "nan"), path, "radius")
+    node_count = _calibration_number(int, header.get("node_count", "0"), path, "node_count")
     if not rows:
         raise CalibrationError(f"calibration file {path} has no rows")
     return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count,

@@ -79,7 +79,7 @@ def _tracked_eigenvalue(base: SpectralDecomposition, perturbed: SpectralDecompos
     phi = base.eigendensities[:, j]
     candidates = perturbed.eigendensities[:, 1:]
     cross = phi @ base.gram @ candidates
-    norms = np.sqrt(np.einsum("ij,jk,ki->i", candidates.T, base.gram, candidates))
+    norms = np.sqrt(np.einsum("ij,ij->j", candidates, base.gram @ candidates))
     overlaps = np.abs(cross) / norms
     k = int(np.argmax(overlaps))
     return float(perturbed.eigenvalues[1 + k]), float(overlaps[k])

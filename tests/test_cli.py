@@ -388,6 +388,30 @@ def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
     assert "calibration file" in err and err.count("\n") == 1, err
 
 
+LONG_CELL = "x" * 5000
+
+
+@pytest.mark.parametrize("radius, row", [
+    ("0.45", f"{LONG_CELL},9e-07,2.5,0"),
+    ("0.45", f"1.0,{LONG_CELL},2.5,0"),
+    ("0.45", f"1.0,9e-07,2.5,{LONG_CELL}"),
+    (LONG_CELL, "1.0,9e-07,2.5,0"),
+    ("0.45", f"{'x' * 200_000},9e-07,2.5,0"),
+], ids=["period", "peak_wavelength_m", "mode_index", "radius_header", "beyond_csv_field_limit"])
+def test_invert_caps_a_long_calibration_entry(tmp_path, capsys, radius, row):
+    # the offending entry is echoed capped, as config values are; a field
+    # beyond the csv module's limit is a calibration error too
+    cfg = write_config(tmp_path)
+    path = tmp_path / "calibration.csv"
+    path.write_text(f"# radius = {radius}\nperiod,peak_wavelength_m,peak_magnitude,mode_index\n"
+                    f"{row}\n1.5,8e-07,2.5,0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "invert",
+                 "--peak-wavelength-nm", "900", "--calibration", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "calibration file" in err and err.count("\n") == 1, err
+    assert len(err.encode()) < 300, err
+
+
 def test_invert_one_period_calibration_is_a_calibration_error(tmp_path, capsys):
     # a single knot has no interpolant; it used to end in a ValueError traceback
     cfg = write_config(tmp_path)

@@ -4,12 +4,14 @@ import pytest
 from metastrain import (
     decompose,
     make_disk_cell,
+    make_ellipse_cell,
     make_smooth_cell,
     perturb_normal,
     shape_derivative,
     validate_shape_derivative,
 )
 from metastrain.errors import DegenerateModeError, DomainError, MetastrainError, ModeTrackingError
+from metastrain.shape_deriv import _tracked_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,23 @@ def test_mode_lost_between_displaced_curves_is_a_tracking_error():
     message = rf"mode {j} overlap dropped to 0\.869 at eta = 0\.01"
     with pytest.raises(ModeTrackingError, match=message):
         validate_shape_derivative(dec, j, [1e-2, 1e-3])
+
+
+def test_tracked_eigenvalue_matches_the_three_operand_norms():
+    # the Gram norms of the candidates, one product and a column-wise dot,
+    # against the plain three-operand expression, on validate's ellipse ladder
+    base = decompose(make_ellipse_cell(0.35, 0.22, 1.0, 96))
+    j = base.dominant_mode()
+    phi = base.eigendensities[:, j]
+    for eta in (1e-2, -1e-2, 1e-3, -1e-3):
+        perturbed = decompose(perturb_normal(base.cell, eta))
+        candidates = perturbed.eigendensities[:, 1:]
+        norms = np.sqrt(np.einsum("ij,jk,ki->i", candidates.T, base.gram, candidates))
+        overlaps = np.abs(phi @ base.gram @ candidates) / norms
+        k = int(np.argmax(overlaps))
+        lam, overlap = _tracked_eigenvalue(base, perturbed, j)
+        assert abs(lam - perturbed.eigenvalues[1 + k]) <= 1e-12 * abs(lam)
+        assert abs(overlap - overlaps[k]) <= 1e-12 * overlaps[k]
 
 
 def test_equilibrium_mode_rejected(disk128_dec):

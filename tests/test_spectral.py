@@ -666,6 +666,59 @@ def test_sector_blocks_from_gathers_match_the_folded_halves(make_cell, count):
         assert np.abs(sector.restrict(basis) - np.eye(oracle.size)).max() <= 1e-15
 
 
+INVERSE_CELLS = {
+    "disk": lambda: make_disk_cell(0.45, 1.0, 256),
+    "disk130": lambda: make_disk_cell(0.45, 1.0, 130),
+    "bench_curve": lambda: make_smooth_cell(BENCH_CURVE, 1.3, 128),
+    "asymmetric": lambda: make_smooth_cell([0.0, 0.3 + 0.02j, 0.03 - 0.01j, 0.0, 0.0, 0.0,
+                                            0.01j, 0.02], 1.0, 128),
+    "disk1024": lambda: make_disk_cell(0.45, 1.0, 1024),
+}
+
+
+def _lower_factor(m, condition, seed):
+    """A Cholesky factor of a random SPD matrix with eigenvalues spread over ``condition``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    spectrum = np.logspace(0.0, -np.log10(condition), m)
+    return np.linalg.cholesky((q * spectrum) @ q.T)
+
+
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 255, 256])
+def test_triangular_inverse_by_halves_matches_numpy(m):
+    from metastrain.spectral import _triangular_inverse
+
+    eye = np.eye(m)
+    for condition in (1e2, 1e8):
+        # the factor's condition number is the square root of the matrix's
+        L = _lower_factor(m, condition**2, seed=m)
+        inverse, reference = _triangular_inverse(L), np.linalg.inv(L)
+        ours = np.abs(inverse @ L - eye).max()
+        numpy_residual = np.abs(reference @ L - eye).max()
+        assert ours <= 10.0 * max(numpy_residual, np.finfo(float).eps)
+        if condition < 1e3:
+            assert np.abs(inverse - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_CELLS))
+def test_no_general_inverse_above_the_leaf(monkeypatch, name):
+    # the Cholesky factors are inverted by halves down to 32 unknowns, and
+    # the equilibrium mode is found by solves: numpy's general inverse never
+    # sees a larger matrix
+    from metastrain.spectral import _TRIANGULAR_LEAF
+
+    orders = []
+    original = np.linalg.inv
+
+    def recorded(a):
+        orders.append(np.shape(a)[-1])
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    decompose(INVERSE_CELLS[name]())
+    assert orders and max(orders) <= _TRIANGULAR_LEAF == 32
+
+
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(half_n=st.integers(32, 128), c1=st.floats(0.25, 0.35),
        odd=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
