@@ -137,13 +137,14 @@ def _real_ladder(z: np.ndarray, n_modes: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     top = int(n_modes.max(initial=0)) + 1
     start = top + 20 + int(np.ceil(8.0 * np.cbrt(z.max(initial=0.0))))
-    # a backward step grows max |f| at most 2 start / z + 1 times: rescaling
-    # by a power of two every `every` orders keeps it below 2^1000
-    every = max(1, int(500 // max(np.log2(2.0 * start / z.min(initial=np.inf) + 1.0), 1.0)))
-    two_over_z = 2.0 / z
     f = np.zeros((start + 2, z.size))
     f[start] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a z so small that 2/z overflows ends in non-finite columns, refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a backward step grows max |f| at most 2 start / z + 1 times: rescaling
+        # by a power of two every `every` orders keeps it below 2^1000
+        every = max(1, int(500 // max(np.log2(2.0 * start / z.min(initial=np.inf) + 1.0), 1.0)))
+        two_over_z = 2.0 / z
         for n in range(start, 0, -1):
             np.multiply(n * two_over_z, f[n], out=f[n - 1])
             f[n - 1] -= f[n + 1]
@@ -180,6 +181,15 @@ def _real_ladder(z: np.ndarray, n_modes: np.ndarray) -> tuple[np.ndarray, np.nda
     return Jp, Yp
 
 
+def _refuse_non_finite(values: np.ndarray, wavelengths: np.ndarray, what: str):
+    """Raise :class:`OutOfRangeError` at the first wavelength (column) where ``values`` is
+    not finite."""
+    finite = np.isfinite(values).reshape(-1, wavelengths.size).all(axis=0)
+    if not finite.all():
+        raise OutOfRangeError(f"{what} is not finite at wavelength "
+                              f"{float(wavelengths[np.argmin(finite)])!r} m")
+
+
 @dataclass(frozen=True)
 class ExtinctionCurve:
     wavelengths: np.ndarray
@@ -201,7 +211,10 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     array, a ``delta_phys`` that is not a positive finite length and a
     ``beta_override`` that is not finite are a :class:`DomainError`; a
     spectrum whose Bessel ladder would not fit the memory budget is refused
-    too, both before anything is computed.
+    too, both before anything is computed.  So are, as out of range, a
+    beta*k or |beta*k|^2 that is not finite, before the ladder, and a layer
+    so strong for the capsule that the mode systems' |D|^2 or a width
+    overflows.
     """
     lam_grid = np.asarray(wavelengths, dtype=float)
     if lam_grid.ndim != 1:
@@ -214,31 +227,38 @@ def extinction_spectrum(radius: float, material: MaterialParams,
     z = _check_size_parameter(k, radius)
     omega = omega_from_wavelength(lam_grid, material)
     if beta_override is None:
-        contrasts = contrast_values(omega, material)
-        betas = 2.0 * delta_phys * alpha2_plus_batch(decomposition, contrasts)
-    else:
-        betas = np.full(lam_grid.shape, complex(beta_override))
+        alpha2 = alpha2_plus_batch(decomposition, contrast_values(omega, material))
+    # 2 delta_phys alpha2 k may overflow, and a product with an infinite part
+    # may hold NaN: both are refused here, before the ladder
+    with np.errstate(over="ignore", invalid="ignore"):
+        betas = (2.0 * delta_phys * alpha2 if beta_override is None
+                 else np.full(lam_grid.shape, complex(beta_override)))
+        beta_k = betas * k
+        beta_k2 = np.abs(beta_k) ** 2
+    _refuse_non_finite(beta_k2, lam_grid, "the interface coefficient is too large: |beta * k|^2")
 
     Jp, Yp = _real_ladder(z, np.ceil(z).astype(int) + 16)  # orders x wavelengths
-    beta_k = betas * k
     b_r, b_i = beta_k.real, beta_k.imag
     w = 2.0 / (np.pi * z)
     # -Re D and -Im D of D = W - beta*k J' H' and their squares summed, in two
-    # buffers and a scratch one, then the size of its two terms in the scratch
-    Jp2 = Jp * Jp
-    re = b_r * Jp
-    scratch = b_i * Yp
-    re += scratch
-    re *= Jp
-    im = b_i * Jp
-    np.multiply(b_r, Yp, out=scratch)
-    im -= scratch
-    im *= Jp
-    im += w
-    re *= re
-    im *= im
-    denom2 = re
-    denom2 += im
+    # buffers and a scratch one, then the size of its two terms in the scratch.
+    # A strong layer on a small capsule may overflow them: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Jp2 = Jp * Jp
+        re = b_r * Jp
+        scratch = b_i * Yp
+        re += scratch
+        re *= Jp
+        im = b_i * Jp
+        np.multiply(b_r, Yp, out=scratch)
+        im -= scratch
+        im *= Jp
+        im += w
+        re *= re
+        im *= im
+        denom2 = re
+        denom2 += im
+    _refuse_non_finite(denom2, lam_grid, "the layer is too strong for the capsule: |D|^2")
     size = np.abs(Jp, out=scratch)
     size *= np.abs(beta_k)
     size *= np.hypot(Jp, Yp, out=im)
@@ -256,6 +276,8 @@ def extinction_spectrum(radius: float, material: MaterialParams,
         )
     q = np.divide(Jp2, denom2, out=im)
     q[1:] *= 2.0  # the folded orders -n and n
-    sca = 4.0 / k * np.abs(beta_k) ** 2 * np.sum(np.multiply(q, Jp2, out=scratch), axis=0)
-    ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sca = 4.0 / k * beta_k2 * np.sum(np.multiply(q, Jp2, out=scratch), axis=0)
+        ext = sca + 4.0 / k * beta_k.imag * w * np.sum(q, axis=0)
+    _refuse_non_finite(np.stack([ext, sca]), lam_grid, "the extinction or scattering width")
     return ExtinctionCurve(wavelengths=lam_grid, extinction=ext, scattering=sca)

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .capsule_scattering import extinction_spectrum
-from .dispersion import MaterialParams
+from .dispersion import MaterialParams, check_window
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -35,7 +35,7 @@ from .geometry import CellGeometry, _finite, make_disk_cell, make_ellipse_cell, 
 from .resonance_sweep import CalibrationRow, CalibrationTable, calibrate
 from .spectral import check_working_set, decompose
 from .strain import CapsuleState, invert_peak_to_deformation
-from .validate import run_validation
+from .validate import broken_copy, run_validation
 
 _NUM = (int, float)
 _REQUIRED = object()
@@ -73,7 +73,7 @@ _SHAPE_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration, one field per config section."""
 
@@ -86,7 +86,7 @@ class RunConfig:
     @property
     def resolved(self) -> dict:
         """The canonical config dict embedded in every CSV header."""
-        return asdict(self)
+        return dataclasses.asdict(self)
 
     def material_params(self) -> MaterialParams:
         m = self.material
@@ -96,7 +96,6 @@ class RunConfig:
                 eps_m_rel=m["eps_m_rel"],
                 omega_p=m["plasma_frequency_rad_per_s"],
                 collision_time=m["collision_time_s"],
-                eps_c_rel=m["eps_c_rel"],
                 plasma_frequency_is_angular=m["plasma_frequency_is_angular"],
             )
         except DomainError as exc:
@@ -154,9 +153,21 @@ def _finite_number(value) -> bool:
     return isinstance(value, _NUM) and not isinstance(value, bool) and _finite(value)
 
 
+def _sweep_file(period) -> str:
+    return f"sweep_period_{period:g}.csv"
+
+
 def _check_periods(periods, source: str):
+    """Refuse periods that are not positive finite numbers, or two that share a sweep file."""
     if not periods or not all(_finite_number(p) and p > 0 for p in periods):
         raise ConfigError(f"{source} must be a non-empty list of positive finite numbers")
+    owners = {}
+    for period in periods:
+        name = _sweep_file(period)
+        if name in owners:
+            raise ConfigError(f"{source} holds {owners[name]!r} and {period!r}, which would "
+                              f"both write {name}")
+        owners[name] = period
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -178,7 +189,11 @@ def parse_config(raw: dict) -> RunConfig:
     _check_periods(s["periods"], "sweep.periods")
     if c["radius_m"] <= 0 or c["particle_scale_m"] <= 0 or c["particle_count"] < 3:
         raise ConfigError("capsule section requires positive sizes and at least 3 particles")
-    config.material_params()  # a material that is not representable in SI is a config error
+    material = config.material_params()  # one not representable in SI is a config error
+    try:
+        check_window(material, s["wavelength_min_m"], s["wavelength_max_m"])
+    except DomainError as exc:
+        raise ConfigError(f"sweep window invalid for the material: {exc}") from exc
     return config
 
 
@@ -235,16 +250,14 @@ def cmd_eigs(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, periods=None) -> int:
-    periods = list(config.sweep["periods"]) if periods is None else periods
-    material = config.material_params()
+def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     s = config.sweep
-    table, curves = calibrate(config.build_cell, periods, material, s["wavelength_min_m"],
-                              s["wavelength_max_m"], s["samples"],
+    table, curves = calibrate(config.build_cell, s["periods"], config.material_params(),
+                              s["wavelength_min_m"], s["wavelength_max_m"], s["samples"],
                               radius=config.geometry.get("radius", float("nan")),
                               node_count=config.geometry["node_count"])
-    for period, curve in zip(periods, curves):
-        _write_csv(out_dir / f"sweep_period_{period:g}.csv", config,
+    for period, curve in zip(s["periods"], curves):
+        _write_csv(out_dir / _sweep_file(period), config,
                    {"period_ratio": period, "node_count": table.node_count},
                    {"wavelength_m": curve.wavelengths, "magnitude": curve.magnitudes})
     _write_csv(out_dir / "calibration.csv", config,
@@ -287,7 +300,7 @@ def _calibration_number(kind: type, text: str | None, path: Path, name: str):
                                f"{reprlib.repr(text)}") from exc
 
 
-def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTable:
+def read_calibration_csv(path: Path) -> CalibrationTable:
     header = {}
     rows = []
     try:
@@ -331,10 +344,7 @@ def read_calibration_csv(path: Path, material: MaterialParams) -> CalibrationTab
     node_count = _calibration_number(int, header.get("node_count", "0"), path, "node_count")
     if not rows:
         raise CalibrationError(f"calibration file {path} has no rows")
-    return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count,
-                            wavelength_min=min(r.peak_wavelength or np.inf for r in rows),
-                            wavelength_max=max(r.peak_wavelength or -np.inf for r in rows),
-                            samples=0, material=material)
+    return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count)
 
 
 # (label, CapsuleState field) of the invert record, on stdout and in deformation.csv
@@ -345,7 +355,7 @@ _STATE_FIELDS = (("r_m", "r"), ("N", "N"), ("d_m", "d"), ("P_m", "P"), ("L1_m", 
 def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
                calibration_path: Path | None = None, write_csv: bool = False) -> int:
     path = calibration_path or (out_dir / "calibration.csv")
-    table = read_calibration_csv(path, config.material_params())
+    table = read_calibration_csv(path)
     cap = config.capsule
     state = invert_peak_to_deformation(
         peak_wavelength_nm * 1e-9, table,
@@ -369,7 +379,7 @@ def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
 
 def cmd_validate(config: RunConfig, break_quadrature: bool = False) -> int:
     cell = config.build_cell()
-    results = run_validation(cell, break_quadrature=break_quadrature)
+    results = run_validation(broken_copy(cell) if break_quadrature else cell)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -410,18 +420,18 @@ def main(argv=None) -> int:
             sweeps = args.command in ("sweep", "scatter")
             check_working_set(config.geometry["node_count"],
                               config.sweep["samples"] if sweeps else 0)
-        periods = None
         if args.command == "sweep" and args.periods:
             try:
                 periods = [float(p) for p in args.periods.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"bad --periods list: {reprlib.repr(args.periods)}") from exc
             _check_periods(periods, "--periods")
+            config = dataclasses.replace(config, sweep={**config.sweep, "periods": periods})
         out_dir = Path(args.out or config.output_dir)
         if args.command == "eigs":
             return cmd_eigs(config, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, periods=periods)
+            return cmd_sweep(config, out_dir)
         if args.command == "scatter":
             return cmd_scatter(config, out_dir, beta_zero=args.beta_zero)
         if args.command == "invert":

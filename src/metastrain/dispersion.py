@@ -26,16 +26,10 @@ MU0 = 1.25663706127e-06
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Background and particle material constants in SI units.
-
-    ``eps_c`` is carried for completeness but plays no role in the
-    quasi-static cell problem and appears in no report; only the CSV config
-    header echoes it, as ``eps_c_rel``.
-    """
+    """Background and particle material constants in SI units."""
 
     mu_m: float = MU0
     eps_m: float = EPS0
-    eps_c: complex | None = None
     omega_p: float = 2.0e15
     collision_time: float = 1.0e-14
 
@@ -60,14 +54,12 @@ class MaterialParams:
     @classmethod
     def from_relative(cls, mu_m_rel: float = 1.0, eps_m_rel: float = 1.0,
                       omega_p: float = 2.0e15, collision_time: float = 1.0e-14,
-                      eps_c_rel: complex | None = None,
                       plasma_frequency_is_angular: bool = True) -> "MaterialParams":
         """Build from relative constants; a non-angular plasma frequency is scaled by 2*pi."""
         wp = omega_p if plasma_frequency_is_angular else 2.0 * np.pi * omega_p
         return cls(
             mu_m=mu_m_rel * MU0,
             eps_m=eps_m_rel * EPS0,
-            eps_c=None if eps_c_rel is None else complex(eps_c_rel) * EPS0,
             omega_p=wp,
             collision_time=collision_time,
         )
@@ -102,9 +94,11 @@ def resonance_radicand(lambda_j, material: MaterialParams):
 
     The closed form of the resonance condition lambda_j = lam(omega); a mode
     whose radicand is not positive is overdamped and has no real resonance
-    frequency.
+    frequency.  The damping term is 1/(2T) squared as 0.25/T/T, which underflows
+    to zero where T^2 would overflow.
     """
-    return (lambda_j + 0.5) * material.omega_p**2 - 0.25 / material.collision_time**2
+    T = material.collision_time
+    return (lambda_j + 0.5) * material.omega_p**2 - 0.25 / T / T
 
 
 def omega_from_wavelength(lam_m, material: MaterialParams):
@@ -118,3 +112,37 @@ def omega_from_wavelength(lam_m, material: MaterialParams):
         raise DomainError("wavelength must be positive")
     val = 2.0 * np.pi * material.background_speed / lam_m
     return float(val) if val.ndim == 0 else val
+
+
+def check_window(material: MaterialParams, wavelength_min: float, wavelength_max: float):
+    """Refuse a window over which the contrast, or its square, may not be finite.
+
+    Decided from the window's two ends, where the frequencies are extreme.
+    Every intermediate of the contrast, omega^2, omega/T and the Drude ratio,
+    peaks at one of them, so an overflow there is refused.  Over the window
+    Re(mu_m - mu_c) = mu_m - mu0 + mu0 omega_p^2/(omega^2 + 1/T^2) falls with
+    omega and |Im(mu_m - mu_c)| = mu0 omega_p^2/(omega T (omega^2 + 1/T^2))
+    does too, so |mu_m - mu_c| is at least the larger of their smallest values
+    (less a slack for the rounding of the real part, which cancels near a
+    sign change).  The contrast (mu_m + mu_c)/(2 (mu_m - mu_c)) is then at
+    most mu_m/|mu_m - mu_c| + 1/2 in modulus; the window is refused unless
+    2 (mu_m/|mu_m - mu_c| + 1) squares to a finite number, which leaves room
+    for the squares of the mode sums.  A :class:`DomainError` names the
+    failure.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            omega = omega_from_wavelength([wavelength_max, wavelength_min], material)
+            diff = material.mu_m - drude_mu(omega, material)
+        except FloatingPointError as exc:
+            raise DomainError(f"the Drude permeability is not finite over the window: {exc}"
+                              ) from exc
+    re_lo, re_hi = diff.real
+    slack = 1e-12 * (material.mu_m + MU0 + max(abs(re_lo), abs(re_hi)))
+    re_min = re_hi if re_hi > 0.0 else -re_lo if re_lo < 0.0 else 0.0
+    floor = max(re_min - slack, abs(diff.imag[1]) * (1.0 - 1e-12))
+    with np.errstate(over="ignore", divide="ignore"):  # a floor of 0 is a pole: inf
+        bound = material.mu_m / floor + 1.0
+        if not (2.0 * bound) ** 2 < math.inf:
+            raise DomainError(f"the contrast may reach {bound:.3g} in modulus over the window, "
+                              "beyond what its square can hold")

@@ -121,15 +121,20 @@ class CalibrationRow:
 
 @dataclass(frozen=True)
 class CalibrationTable:
-    """Dominant peak wavelength per period ratio, for the strain inversion."""
+    """Dominant peak wavelength per period ratio, for the strain inversion.
+
+    The inversion reads only ``rows``; ``radius`` and ``node_count`` label the
+    table, and the sweep settings, which a table read back from a file does
+    not know, are None there.
+    """
 
     rows: tuple[CalibrationRow, ...]
     radius: float
     node_count: int
-    wavelength_min: float
-    wavelength_max: float
-    samples: int
-    material: MaterialParams
+    wavelength_min: float | None = None
+    wavelength_max: float | None = None
+    samples: int | None = None
+    material: MaterialParams | None = None
 
     def complete(self) -> bool:
         return all(r.peak_wavelength is not None for r in self.rows)

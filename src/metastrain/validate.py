@@ -144,8 +144,8 @@ def _up_down_symmetric(cell: CellGeometry) -> bool:
     return False
 
 
-def _broken_copy(cell: CellGeometry) -> CellGeometry:
-    """Detuned quadrature weights, used as the negative control."""
+def broken_copy(cell: CellGeometry) -> CellGeometry:
+    """The cell with detuned quadrature weights: the suite's negative control."""
     bad = cell.weights * (1.0 + 0.03 * np.where(np.arange(cell.node_count) % 2 == 0, 1.0, -1.0))
     return dataclasses.replace(cell, weights=bad)
 
@@ -199,9 +199,7 @@ def trace_check(adjoint: BoundaryOperator) -> CheckResult:
     return CheckResult("trace_formulae_fd", resid < 1e-6, resid, 1e-6)
 
 
-def run_validation(cell: CellGeometry, break_quadrature: bool = False) -> list[CheckResult]:
-    if break_quadrature:
-        cell = _broken_copy(cell)
+def run_validation(cell: CellGeometry) -> list[CheckResult]:
     results: list[CheckResult] = []
     n = cell.node_count
     L = cell.period_ratio

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,6 +149,16 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
      ["invert", "--peak-wavelength-nm", "1000"], "is not valid JSON"),
     (b"[" * 200_000, ["eigs"], "is not valid JSON"),
     ({"geometry": {"x" * 5000: 1}}, ["eigs"], "unknown keys in 'geometry' section: ['xxx"),
+    ({}, ["sweep", "--periods", "1.0000001,1.0000002"],
+     "--periods holds 1.0000001 and 1.0000002, which would both write sweep_period_1.csv"),
+    ({"geometry": {"node_count": 32}, "sweep": {"samples": 16, "periods": [1.0],
+                                                "wavelength_min_m": 1e-310}},
+     ["sweep"], "sweep window invalid for the material"),
+    ({"geometry": {"node_count": 32}, "sweep": {"samples": 16, "periods": [1.0]},
+      "material": {"mu_m_rel": 1e-300}}, ["sweep"], "sweep window invalid for the material"),
+    ({"geometry": {"node_count": 32}, "sweep": {"samples": 16, "periods": [1.0]},
+      "material": {"plasma_frequency_rad_per_s": 1e-124}},
+     ["sweep"], "sweep window invalid for the material: the contrast may reach"),
 ], ids=["unknown_key", "missing_key", "wrong_type", "root_not_object", "unknown_section",
         "too_few_samples", "too_few_particles", "negative_particle_scale", "unreadable",
         "periods_not_numbers", "null_section", "list_section", "number_section",
@@ -155,7 +166,8 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
         "radius_of_fourier", "boolean_period", "boolean_material", "boolean_in_periods",
         "node_count_beyond_float", "samples_beyond_float", "particle_count_beyond_float",
         "not_utf8", "integer_beyond_parse_limit", "nested_beyond_recursion_limit",
-        "long_unknown_key"])
+        "long_unknown_key", "periods_sharing_a_file", "omega_overflows", "omega_squared_overflows",
+        "contrast_squared_overflows"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message):
     # a missing file stands for an unreadable one; bytes are the file's raw
     # text; every other config is the raw JSON text, not merged into FAST_CONFIG
@@ -252,6 +264,35 @@ def test_sweep_determinism(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out2), "sweep"]) == 0
     for name in ("sweep_period_1.csv", "calibration.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sweep_periods_flag_is_recorded_as_the_swept_periods(tmp_path):
+    # --periods resolves into the config: every header's config line lists
+    # the periods swept, and the files are those of a config that lists them
+    flag, listed = tmp_path / "flag", tmp_path / "listed"
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(flag), "sweep",
+                 "--periods", "1.1,1.6"]) == 0
+    cfg = write_config(tmp_path, {"sweep": {"periods": [1.1, 1.6]}})
+    assert main(["--config", str(cfg), "--out", str(listed), "sweep"]) == 0
+    names = sorted(path.name for path in flag.iterdir())
+    assert names == ["calibration.csv", "sweep_period_1.1.csv", "sweep_period_1.6.csv"]
+    for name in names:
+        text = (flag / name).read_text()
+        assert text == (listed / name).read_text()
+        line = next(line for line in text.splitlines() if line.startswith("# config = "))
+        assert json.loads(line.removeprefix("# config = "))["sweep"]["periods"] == [1.1, 1.6]
+
+
+def test_collision_time_whose_square_overflows_runs_undamped(tmp_path):
+    # at T = 1e155 the damping term 1/(4 T^2) underflows to zero; squaring T
+    # used to overflow in an OverflowError traceback
+    cfg = write_config(tmp_path, {"material": {"collision_time_s": 1e155},
+                                  "geometry": {"node_count": 32},
+                                  "sweep": {"samples": 16, "periods": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+    for name in ("sweep_period_1.csv", "calibration.csv"):
+        assert all(math.isfinite(float(v)) for row in read_rows(out / name) for v in row.values())
 
 
 def test_scatter_and_beta_zero(tmp_path):
@@ -613,8 +654,9 @@ def test_period_whose_kernels_underflow_is_a_config_error(tmp_path, capsys, extr
     ({"capsule": {"radius_m": 1e-30}}, ["scatter"], 3),
     (None, ["sweep", "--periods", "1.0,0.905"], 4),
     ({"geometry": {"period": 0.905}}, ["scatter"], 4),
+    ({"capsule": {"particle_scale_m": 1e300}}, ["scatter"], 3),
 ], ids=["eigs_overlap", "sweep_overlap", "scatter_overlap", "scatter_tiny_capsule",
-        "sweep_unresolved", "scatter_unresolved"])
+        "sweep_unresolved", "scatter_unresolved", "scatter_beta_k_overflows"])
 def test_failed_command_makes_no_output_directory(tmp_path, capsys, extra, command, code):
     # the directory is made by the first file written, so a run that fails
     # before writing one leaves nothing behind
@@ -768,6 +810,21 @@ def _command(draw):
     return argv
 
 
+def _run_in_contract(argv) -> int:
+    """main(argv)'s exit code, checked to be 0, 2, 3 or 4 with at most one stderr line,
+    no traceback and no warning."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+    assert not caught, [str(w.message) for w in caught]
+    return code
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(raw=_run_config(), command=_command(),
        out_kind=st.sampled_from(["fresh", "file", "under_file"]))
@@ -787,12 +844,80 @@ def test_main_keeps_its_exit_code_contract(calibration, raw, command, out_kind):
                "under_file": root / "afile" / "sub"}[out_kind]
         cfg = root / "config.json"
         cfg.write_text(json.dumps(raw))
-        stderr = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = main(["--config", str(cfg), "--out", str(out), *command])
-    err = stderr.getvalue()
-    assert code in (0, 2, 3, 4), (code, err)
-    assert err.count("\n") <= 1 and "Traceback" not in err, err
-    assert not caught, [str(w.message) for w in caught]
+        _run_in_contract(["--config", str(cfg), "--out", str(out), *command])
+
+
+# a positive float drawn log-uniformly over the float range, subnormals included
+_MAGNITUDE = st.floats(-323.0, 308.0).map(lambda exponent: 10.0 ** exponent)
+_MAGNITUDE_KEYS = (
+    ("material", "mu_m_rel"), ("material", "eps_m_rel"),
+    ("material", "plasma_frequency_rad_per_s"), ("material", "collision_time_s"),
+    ("sweep", "wavelength_min_m"), ("sweep", "wavelength_max_m"),
+    ("capsule", "radius_m"), ("capsule", "particle_scale_m"),
+    ("geometry", "radius"), ("geometry", "period"),
+)
+
+
+@st.composite
+def _magnitude_config(draw):
+    """A well-typed config at node_count 32, 16 samples and one period.
+
+    One to three of the material constants, window ends, capsule sizes and
+    the disk's radius and period are drawn, the others left at their
+    defaults; a drawn window keeps min < max, and a drawn period is the one
+    swept too.
+    """
+    raw = {"geometry": {"node_count": 32}, "sweep": {"samples": 16},
+           "material": {"plasma_frequency_is_angular": draw(st.booleans())}, "capsule": {}}
+    for section, key in draw(st.sets(st.sampled_from(_MAGNITUDE_KEYS), min_size=1, max_size=3)):
+        raw[section][key] = draw(_MAGNITUDE)
+    window = raw["sweep"]
+    if len(window) == 3:
+        window["wavelength_min_m"], window["wavelength_max_m"] = sorted(
+            (window["wavelength_min_m"], window["wavelength_max_m"]))
+    window["periods"] = [raw["geometry"].get("period", 1.0)]
+    return raw
+
+
+# the examples' base: the run size at which the strategy draws
+_BASE = {"geometry": {"node_count": 32}, "sweep": {"samples": 16, "periods": [1.0]}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=_magnitude_config())
+@example(raw={**_BASE, "material": {"collision_time_s": 1e155}})
+@example(raw={**_BASE, "sweep": {**_BASE["sweep"], "wavelength_min_m": 1e-310}})
+@example(raw={**_BASE, "material": {"mu_m_rel": 1e-300}})
+@example(raw={**_BASE, "material": {"plasma_frequency_rad_per_s": 1e-124}})
+@example(raw={**_BASE, "capsule": {"particle_scale_m": 1e300}})
+@example(raw={**_BASE, "capsule": {"radius_m": 1e-323}})
+@example(raw={**_BASE, "material": {"collision_time_s": 1e308},
+              "capsule": {"particle_scale_m": 1e308}})
+@example(raw={**_BASE, "sweep": {**_BASE["sweep"], "wavelength_min_m": 1e9,
+                                 "wavelength_max_m": 1e10},
+              "capsule": {"radius_m": 1e6, "particle_scale_m": 1e157}})
+@example(raw={**_BASE, "sweep": {**_BASE["sweep"], "wavelength_min_m": 500.0,
+                                 "wavelength_max_m": 700.0},
+              "capsule": {"radius_m": 100.0, "particle_scale_m": 2e154}})
+def test_sweep_and_scatter_write_finite_numbers_at_any_magnitude(raw):
+    # the contract on well-typed configs whose numbers span the float range;
+    # a run that succeeds writes finite numbers only, but for the NaN peak of
+    # a calibration row without one, and a run that fails writes nothing.
+    # The examples overflowed, or warned on the way, at T^2, omega, omega^2,
+    # the contrast's square, beta*k, 2/(k r), 2 delta_phys alpha2, the mode
+    # systems' |D|^2 and the widths in turn
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        cfg = root / "config.json"
+        cfg.write_text(json.dumps(raw))
+        for command in ("sweep", "scatter"):
+            out = root / command
+            if _run_in_contract(["--config", str(cfg), "--out", str(out), command]) != 0:
+                assert not out.exists()
+                continue
+            for path in out.iterdir():
+                for row in read_rows(path):
+                    if path.name == "calibration.csv" and row["peak_wavelength_m"] == "nan":
+                        assert (row["peak_magnitude"], row["mode_index"]) == ("nan", "-1"), row
+                        row = {"period": row["period"]}
+                    assert all(math.isfinite(float(v)) for v in row.values()), (path.name, row)
