@@ -24,10 +24,6 @@ class QuadratureFailure(MetastrainError):
 class ResonanceError(MetastrainError):
     """The contrast coincides with (or is numerically too close to) a real eigenvalue."""
 
-    def __init__(self, message, mode_index=None):
-        super().__init__(message)
-        self.mode_index = mode_index
-
 
 class DegenerateModeError(MetastrainError):
     """Eigenvalue is not simple enough for first-order perturbation theory."""
@@ -47,11 +43,6 @@ class CalibrationError(MetastrainError):
 
 class OutOfRangeError(MetastrainError):
     """Requested value lies outside the calibrated or feasible range."""
-
-    def __init__(self, message, lo=None, hi=None):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
 
 
 class ConfigError(MetastrainError):

@@ -81,21 +81,19 @@ class CellGeometry:
     period_ratio: float
     nodes: np.ndarray        # (n, 2)
     normals: np.ndarray      # (n, 2), outward unit normals
-    tangents: np.ndarray     # (n, 2), unit tangents, counterclockwise
     curvatures: np.ndarray   # (n,), signed curvature
     weights: np.ndarray      # (n,), arclength quadrature weights
-    parametrization: TrigCurve
-    t: np.ndarray            # (n,), uniform parameter grid on [0, 2*pi)
+    parametrization: TrigCurve  # sampled at t_j = 2*pi*j/n, counterclockwise
 
     def __post_init__(self):
-        for name in ("nodes", "normals", "tangents", "curvatures", "weights", "t"):
+        for name in ("nodes", "normals", "curvatures", "weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def node_count(self) -> int:
-        return self.t.size
+        return self.weights.size
 
     @property
     def perimeter(self) -> float:
@@ -214,17 +212,14 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
     dz = curve.sample(node_count, order=1)
     d2z = curve.sample(node_count, order=2)
     speed = np.abs(dz)
-    tangent = dz / speed
-    normal = -1j * tangent
+    normal = -1j * (dz / speed)
     spacing = np.abs(np.roll(z, -1) - z).min()
     return reach, np.pi * spacing / np.sqrt(np.finfo(float).tiny), dict(
         nodes=np.column_stack([z.real, z.imag]),
         normals=np.column_stack([normal.real, normal.imag]),
-        tangents=np.column_stack([tangent.real, tangent.imag]),
         curvatures=np.imag(np.conj(dz) * d2z) / speed**3,
         weights=speed * (2.0 * np.pi / node_count),
         parametrization=curve,
-        t=2.0 * np.pi * np.arange(node_count) / node_count,
     )
 
 

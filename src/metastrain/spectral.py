@@ -106,9 +106,12 @@ class SpectralDecomposition:
     moments_nu1: np.ndarray
     moments_nu2: np.ndarray
     equilibrium_density: np.ndarray
-    cell: CellGeometry
     _operators: tuple[BoundaryOperator, BoundaryOperator]
     _sectors: tuple
+
+    @property
+    def cell(self) -> CellGeometry:
+        return self._operators[0].cell
 
     @property
     def mode_count(self) -> int:
@@ -498,7 +501,6 @@ def eigendecompose(single_layer: BoundaryOperator, np_adjoint: BoundaryOperator
         moments_nu1=moments[0],
         moments_nu2=moments[1],
         equilibrium_density=sectors[0].extend(psi0),
-        cell=cell,
         _operators=(single_layer, np_adjoint),
         _sectors=records,
     )
@@ -552,8 +554,7 @@ def _check_off_spectrum(decomposition: SpectralDecomposition, lam: complex):
     if gaps[j] < 1e-12 * max(1.0, abs(lam.real)):
         raise ResonanceError(
             f"real contrast {lam.real} coincides with eigenvalue index {j} "
-            f"(lambda_{j} = {decomposition.eigenvalues[j]})",
-            mode_index=j,
+            f"(lambda_{j} = {decomposition.eigenvalues[j]})"
         )
 
 

