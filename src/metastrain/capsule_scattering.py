@@ -97,17 +97,24 @@ _LADDER_BYTES_MAX = 2**29
 def _check_size_parameter(k, radius):
     """k r, rejected unless positive and small enough for the Bessel ladder's memory budget.
 
-    The ladder holds _LADDER_ARRAYS arrays of (rows x orders 0..ceil(k r) + 17)
-    floats; above _LADDER_BYTES_MAX bytes the request is refused before
-    anything is allocated.
+    A wavenumber or radius that is not positive is a domain error; a product
+    of positive ones that underflows to 0 is out of range.  The ladder holds
+    _LADDER_ARRAYS arrays of (rows x orders 0..ceil(k r) + 17) floats; above
+    _LADDER_BYTES_MAX bytes the request is refused before anything is
+    allocated.
     """
     with np.errstate(over="ignore"):
         z = k * radius
         z_max = np.max(z, initial=0.0)
         # inf when k r or the byte count overflows
         ladder_bytes = np.size(z) * (np.ceil(z_max) + 18.0) * 8.0 * _LADDER_ARRAYS
-    if not np.all(z > 0.0):
+    if not (np.all(k > 0.0) and radius > 0.0):
         raise DomainError("k * r must be positive")
+    if not np.all(z > 0.0):
+        raise OutOfRangeError(
+            f"size parameter k * r = {np.min(k):.3g} /m * {radius:.3g} m is too small: "
+            "the product underflows to 0"
+        )
     if not ladder_bytes <= _LADDER_BYTES_MAX:
         raise OutOfRangeError(
             f"size parameter k * r = {z_max:.3g} is too large: the Bessel ladder "

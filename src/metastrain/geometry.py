@@ -176,8 +176,8 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
     data are the validated, counterclockwise curve with its node arrays,
     which its cells make read-only and share, or the message of the first
     check the curve fails after the strip check: area, turns, crossing.  A
-    degenerate parametrization, or a curve whose products leave the float
-    range, is raised here, before the strip check.
+    degenerate parametrization, or a curve whose products overflow or fall
+    below the normal floats, is raised here, before the strip check.
     """
     curve = TrigCurve(np.frombuffer(coefficients, dtype=complex))
     fine = max(8 * curve.coefficients.size, 256)
@@ -194,9 +194,17 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
     if not (fastest < largest ** (1.0 / 3.0) / 1.1 and size < largest / max(size, fastest)):
         raise GeometryError(f"curve too large for double precision: |z| reaches {size:.6g} "
                             f"and |z'(t)| {fastest:.6g}")
+    # the sector solves multiply the Gram matrix -W S, of order w^2, by the node
+    # weights w = |z'(t)| 2 pi / n, and the curvatures divide by |z'|^3 > w^3:
+    # the cube of the lightest weight must stay a normal float.  The node
+    # grid's speeds fall below this grid's by a few per cent at most
+    lightest = float(speed.min()) * 2.0 * np.pi / node_count
+    if not lightest > 1.1 * float(np.finfo(float).tiny) ** (1.0 / 3.0):
+        raise GeometryError(f"curve too small for double precision: |z| reaches {size:.6g} "
+                            f"and the lightest of {node_count} node weights is {lightest:.6g}")
     reach = float(np.abs(z.real).max())
     area = 0.5 * (2.0 * np.pi / fine) * np.sum(np.imag(np.conj(z) * dz))
-    if abs(area) < 1e-14 * max(1.0, size * size):
+    if abs(area) < 1e-14 * size * size:
         return reach, np.inf, "degenerate curve: enclosed area is zero"
     # a simple closed curve's tangent turns exactly once (Hopf's Umlaufsatz);
     # a curve traversed twice has no proper crossing but turns twice

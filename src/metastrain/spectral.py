@@ -98,8 +98,9 @@ class SpectralDecomposition:
     order.  Columns of ``eigendensities`` are the matching nodal densities,
     orthonormal in the Gram inner product for j >= 1.  It keeps the rows of S
     and K* and each sector with its merged columns and its eigenvectors in
-    sector coordinates (None where no normal moment lives); ``single_layer``,
-    ``np_adjoint``, ``gram`` and ``eigendensities`` are built on first read.
+    sector coordinates (None where no normal moment lives); ``cell`` is the
+    operators' cell, and ``single_layer``, ``np_adjoint``, ``gram`` and
+    ``eigendensities`` are built on first read.
     """
 
     eigenvalues: np.ndarray
@@ -342,7 +343,7 @@ def _equilibrium_mode(K_sector: np.ndarray, sector: _Sector, w: np.ndarray
         )
     nodal = sector.extend(psi)
     mass = w @ nodal
-    if abs(mass) < 1e-13 * np.abs(nodal).max():
+    if abs(mass) < 1e-13 * w.sum() * np.abs(nodal).max():
         raise QuadratureFailure("equilibrium density has numerically zero mass")
     return lam0, psi / mass
 

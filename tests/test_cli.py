@@ -655,8 +655,11 @@ def test_period_whose_kernels_underflow_is_a_config_error(tmp_path, capsys, extr
     (None, ["sweep", "--periods", "1.0,0.905"], 4),
     ({"geometry": {"period": 0.905}}, ["scatter"], 4),
     ({"capsule": {"particle_scale_m": 1e300}}, ["scatter"], 3),
+    ({"sweep": {"wavelength_max_m": 2.1e264, "samples": 16},
+      "capsule": {"radius_m": 1.9e-128}, "geometry": {"node_count": 32}}, ["scatter"], 3),
 ], ids=["eigs_overlap", "sweep_overlap", "scatter_overlap", "scatter_tiny_capsule",
-        "sweep_unresolved", "scatter_unresolved", "scatter_beta_k_overflows"])
+        "sweep_unresolved", "scatter_unresolved", "scatter_beta_k_overflows",
+        "scatter_k_r_underflows"])
 def test_failed_command_makes_no_output_directory(tmp_path, capsys, extra, command, code):
     # the directory is made by the first file written, so a run that fails
     # before writing one leaves nothing behind
@@ -899,6 +902,10 @@ _BASE = {"geometry": {"node_count": 32}, "sweep": {"samples": 16, "periods": [1.
 @example(raw={**_BASE, "sweep": {**_BASE["sweep"], "wavelength_min_m": 500.0,
                                  "wavelength_max_m": 700.0},
               "capsule": {"radius_m": 100.0, "particle_scale_m": 2e154}})
+@example(raw={**_BASE, "geometry": {"node_count": 32, "radius": 4.5e-9, "period": 1e-8},
+              "sweep": {**_BASE["sweep"], "periods": [1e-8]}})
+@example(raw={**_BASE, "geometry": {"node_count": 32, "radius": 4.5e-201, "period": 1e-200},
+              "sweep": {**_BASE["sweep"], "periods": [1e-200]}})
 def test_sweep_and_scatter_write_finite_numbers_at_any_magnitude(raw):
     # the contract on well-typed configs whose numbers span the float range;
     # a run that succeeds writes finite numbers only, but for the NaN peak of

@@ -1,14 +1,19 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from metastrain import (
     TrigCurve,
+    decompose,
     make_disk_cell,
     make_ellipse_cell,
     make_smooth_cell,
     perturb_normal,
 )
+from metastrain.cli import main
 from metastrain.errors import GeometryError
 from metastrain import geometry
 from metastrain.geometry import _segments_cross
@@ -339,3 +344,79 @@ def test_disk_at_scale_1e103_is_still_resolved():
     cell = make_disk_cell(4.5e102, 1e103, 32)
     assert np.all(np.isfinite(cell.curvatures))
     assert np.allclose(cell.curvatures, 1.0 / 4.5e102, rtol=1e-12)
+
+
+# the disk 0.45, the ellipse 0.35/0.22 and an asymmetric curve, at period 1
+SMALL_CELL_FIXTURES = {
+    "disk": [0.0, 0.45, 0.0],
+    "ellipse": [0.0, (0.35 + 0.22) / 2.0, (0.35 - 0.22) / 2.0],
+    "asymmetric": [0.0, 0.3 + 0.02j, 0.03 - 0.01j, 0.0, 0.0, 0.0, 0.01j, 0.02],
+}
+
+
+def _eigenvalues_at_scale(coeffs, scale, n):
+    return decompose(make_smooth_cell(coeffs * scale, scale, n)).eigenvalues
+
+
+def _smallest_admitted_exponent(coeffs, n):
+    """log10 of the smallest scale at which the curve is not refused as too small, by bisection."""
+    refused, admitted = -110.0, -90.0
+    while admitted - refused > 1e-6:
+        mid = 0.5 * (refused + admitted)
+        try:
+            make_smooth_cell(coeffs * 10.0**mid, 10.0**mid, n)
+        except GeometryError as exc:
+            assert "too small for double precision" in str(exc)
+            refused = mid
+        else:
+            admitted = mid
+    return admitted
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", list(SMALL_CELL_FIXTURES))
+def test_small_cells_keep_the_unit_cell_eigenvalues(name, n):
+    # the cell problem is scale-free: lambda_j(s Omega, s L) = lambda_j(Omega, L)
+    coeffs = np.asarray(SMALL_CELL_FIXTURES[name], dtype=complex)
+    unit = _eigenvalues_at_scale(coeffs, 1.0, n)
+    for k in (3, 7, 13, 19, 50, 100):
+        gap = np.abs(_eigenvalues_at_scale(coeffs, 10.0**-k, n) - unit).max()
+        assert gap < 1e-13, (k, gap)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", list(SMALL_CELL_FIXTURES))
+def test_small_curve_bound_refuses_where_the_eigenvalues_move(name, n):
+    # below about 1e-101 the cubes of the node weights leave the normal
+    # floats and the eigenvalues move by 1e-13 and more: every admitted scale
+    # keeps them, and 1e-103 is refused
+    coeffs = np.asarray(SMALL_CELL_FIXTURES[name], dtype=complex)
+    with pytest.raises(GeometryError, match="too small for double precision"):
+        make_smooth_cell(coeffs * 1e-103, 1e-103, n)
+    edge = _smallest_admitted_exponent(coeffs, n)
+    assert -102.0 < edge < -100.0
+    unit = _eigenvalues_at_scale(coeffs, 1.0, n)
+    for exponent in edge + np.arange(0.0, 1.0, 0.1):
+        gap = np.abs(_eigenvalues_at_scale(coeffs, 10.0**exponent, n) - unit).max()
+        assert gap < 1e-13, (exponent, gap)
+
+
+@pytest.mark.parametrize("name", list(SMALL_CELL_FIXTURES))
+def test_curve_just_below_the_small_bound_is_a_config_error(tmp_path, capsys, name):
+    coeffs = np.asarray(SMALL_CELL_FIXTURES[name], dtype=complex)
+    scale = 0.99 * 10.0 ** _smallest_admitted_exponent(coeffs, 64)
+    geometry = {
+        "disk": {"shape": "disk", "radius": 0.45 * scale},
+        "ellipse": {"shape": "ellipse", "semi_axis_1": 0.35 * scale, "semi_axis_2": 0.22 * scale},
+        "asymmetric": {"shape": "fourier", "fourier_coefficients":
+                       [[c.real * scale, c.imag * scale] for c in coeffs]},
+    }[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"geometry": {**geometry, "period": scale, "node_count": 64}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "eigs"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too small for double precision" in err, err
+    size = np.abs(TrigCurve(coeffs).sample(4096)).max() * scale
+    assert float(re.search(r"\|z\| reaches (\S+) ", err)[1]) == pytest.approx(size, rel=1e-3)
+    assert not out.exists()
