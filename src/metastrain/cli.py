@@ -49,9 +49,7 @@ _SCHEMA = {
         "mu_m_rel": (_NUM, 1.0),
         "eps_m_rel": (_NUM, 3.1329),
         "plasma_frequency_rad_per_s": (_NUM, 2.0e15),
-        "plasma_frequency_is_angular": (bool, True),
         "collision_time_s": (_NUM, 1.0e-14),
-        "eps_c_rel": (_NUM, None),
     },
     "sweep": {
         "wavelength_min_m": (_NUM, 6.5e-7),
@@ -96,7 +94,6 @@ class RunConfig:
                 eps_m_rel=m["eps_m_rel"],
                 omega_p=m["plasma_frequency_rad_per_s"],
                 collision_time=m["collision_time_s"],
-                plasma_frequency_is_angular=m["plasma_frequency_is_angular"],
             )
         except DomainError as exc:
             raise ConfigError(f"material section invalid: {exc}") from exc
@@ -116,16 +113,15 @@ class RunConfig:
             raise ConfigError(f"geometry section invalid: {exc}") from exc
 
 
-def _require(value, name: str, types, default):
+def _require(value, name: str, types):
     """``value`` of config entry ``name`` (``_REQUIRED`` if absent), checked against ``types``."""
     if value is _REQUIRED:
         raise ConfigError(f"missing required key {name}")
     if value is None:
-        if default is not None:
-            raise ConfigError(f"{name} must not be null")
-    elif not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ConfigError(f"{name} must not be null")
+    if isinstance(value, bool) or not isinstance(value, types):  # no key takes a boolean
         raise ConfigError(f"{name} must be of type {types}, got {reprlib.repr(value)}")
-    elif types in (_NUM, int) and not _finite(value):
+    if types in (_NUM, int) and not _finite(value):
         raise ConfigError(f"{name} must be finite, got {reprlib.repr(value)}")
     return value
 
@@ -134,8 +130,8 @@ def _resolve(raw: dict, name: str):
     """Top-level entry ``name`` of the raw config, checked and with its defaults filled in."""
     spec = _SCHEMA[name]
     if isinstance(spec, tuple):  # output_dir, a value rather than a section
-        return _require(raw.get(name, spec[1]), name, *spec)
-    section = _require(raw.get(name, {}), name, dict, {})
+        return _require(raw.get(name, spec[1]), name, spec[0])
+    section = _require(raw.get(name, {}), name, dict)
     if name == "geometry":
         shape = section.get("shape", "disk")
         if not (isinstance(shape, str) and shape in _SHAPE_KEYS):
@@ -145,7 +141,7 @@ def _resolve(raw: dict, name: str):
     unknown = set(section) - set(spec)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r} section: {reprlib.repr(sorted(unknown))}")
-    return {key: _require(section.get(key, default), f"{name}.{key}", types, default)
+    return {key: _require(section.get(key, default), f"{name}.{key}", types)
             for key, (types, default) in spec.items()}
 
 
@@ -349,7 +345,7 @@ def read_calibration_csv(path: Path) -> CalibrationTable:
 
 # (label, CapsuleState field) of the invert record, on stdout and in deformation.csv
 _STATE_FIELDS = (("r_m", "r"), ("N", "N"), ("d_m", "d"), ("P_m", "P"), ("L1_m", "L1"),
-                 ("L2_m", "L2"), ("D", "D"), ("theta", "theta"))
+                 ("L2_m", "L2"), ("D", "D"))
 
 
 def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,

@@ -184,7 +184,7 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
     z = curve.sample(fine)
     dz = curve.sample(fine, order=1)
     speed = np.abs(dz)
-    if speed.min() < 1e-12 * max(speed.max(), 1e-300):
+    if speed.min() <= 1e-12 * speed.max():
         raise GeometryError("degenerate parametrization: |z'(t)| vanishes")
     # the area's conj(z) z', its threshold |z|^2 and the curvatures' |z'|^3 must
     # stay floats; the node grid's speeds exceed this grid's by a few per cent

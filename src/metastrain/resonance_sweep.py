@@ -124,8 +124,9 @@ class CalibrationTable:
     """Dominant peak wavelength per period ratio, for the strain inversion.
 
     The inversion reads only ``rows``; ``radius`` and ``node_count`` label the
-    table, and the sweep settings, which a table read back from a file does
-    not know, are None there.
+    table.  The sweep settings are None unless a caller passes them: neither
+    ``calibrate`` nor a table read back from a file sets them, and nothing in
+    the package reads them.
     """
 
     rows: tuple[CalibrationRow, ...]
@@ -172,10 +173,7 @@ def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: floa
                                    peak_magnitude=peak and peak.magnitude,
                                    mode_index=peak and peak.mode_index))
         curves.append(curve)
-    table = CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count,
-                             wavelength_min=wavelength_min, wavelength_max=wavelength_max,
-                             samples=samples, material=material)
-    return table, curves
+    return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count), curves
 
 
 def peak_vs_period(radius: float, periods, material: MaterialParams,

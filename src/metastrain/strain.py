@@ -2,8 +2,8 @@
 
 An area-conserving uniaxial stretch turns the circular capsule of radius r
 into an ellipse with semi-axes L1 >= L2 = r^2/L1.  Its perimeter is taken as
-P = pi*sqrt(2)*sqrt(L1^2 + L2^2) (exact for the circle), the particles stay
-equally spaced so P = N*d, and the orientation angle is always zero.
+P = pi*sqrt(2)*sqrt(L1^2 + L2^2) (exact for the circle), and the particles
+stay equally spaced so P = N*d.
 
 A measured peak maps back to a period through the monotone piecewise-cubic
 Hermite interpolant (PCHIP) of the calibration knots (Fritsch & Carlson,
@@ -51,7 +51,6 @@ class CapsuleState:
     D: float
     P: float
     d: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if abs(self.L1 * self.L2 - self.r**2) > _REL_TOL * self.r**2:

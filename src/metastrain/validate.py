@@ -251,12 +251,14 @@ def run_validation(cell: CellGeometry) -> list[CheckResult]:
 
     results.append(trace_check(adjoint))
 
-    # the lattice Green's function at complex separations xi1 + i*xi2
+    # the lattice Green's function at complex separations xi1 + i*xi2, in cell
+    # units: G(L z, L) - G(z, 1) is a constant, so the stencil of step h L gives
+    # L^2 times the Laplacian, a residual independent of the cell's scale
     h = 1e-4
-    g = value_from_delta(0.21 * L + 0.33j * L + np.array([h, -h, 1j * h, -1j * h, 0.0]), L)
+    g = value_from_delta(L * (0.21 + 0.33j + h * np.array([1.0, -1.0, 1j, -1j, 0.0])), L)
     lap = (g[0] + g[1] + g[2] + g[3] - 4.0 * g[4]) / h**2
     results.append(CheckResult("green_harmonic_fd", abs(lap) < 1e-5, abs(lap), 1e-5))
-    g = value_from_delta(np.array([0.3 * L + L + 0.2j, 0.3 * L + 0.2j]), L)
+    g = value_from_delta(np.array([0.3 * L + L + 0.2j * L, 0.3 * L + 0.2j * L]), L)
     period_shift = abs(g[0] - g[1])
     results.append(CheckResult("green_periodicity", period_shift < 1e-12, period_shift, 1e-12))
     t_far = 8.0 * L

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import metastrain
-from metastrain.cli import _SCHEMA, _SHAPE_KEYS, main, parse_config
+from metastrain.cli import _SCHEMA, _SHAPE_KEYS, _STATE_FIELDS, main, parse_config
 from metastrain.errors import ConfigError
 
 FAST_CONFIG = {
@@ -159,6 +159,18 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
     ({"geometry": {"node_count": 32}, "sweep": {"samples": 16, "periods": [1.0]},
       "material": {"plasma_frequency_rad_per_s": 1e-124}},
      ["sweep"], "sweep window invalid for the material: the contrast may reach"),
+    ({"material": {"eps_c_rel": 5.0}}, ["sweep"],
+     "unknown keys in 'material' section: ['eps_c_rel']"),
+    ({"material": {"eps_c_rel": None}}, ["sweep"],
+     "unknown keys in 'material' section: ['eps_c_rel']"),
+    ({"material": {"plasma_frequency_is_angular": True}}, ["sweep"],
+     "unknown keys in 'material' section: ['plasma_frequency_is_angular']"),
+    ({"material": {"plasma_frequency_is_angular": False}}, ["sweep"],
+     "unknown keys in 'material' section: ['plasma_frequency_is_angular']"),
+    ({"geometry": {"radius": 4.5e-314, "period": 1e-313}}, ["eigs"],
+     "curve too small for double precision"),
+    ({"geometry": {"shape": "fourier", "fourier_coefficients": [[0.0, 0.0]] * 3}}, ["eigs"],
+     "degenerate parametrization"),
 ], ids=["unknown_key", "missing_key", "wrong_type", "root_not_object", "unknown_section",
         "too_few_samples", "too_few_particles", "negative_particle_scale", "unreadable",
         "periods_not_numbers", "null_section", "list_section", "number_section",
@@ -167,7 +179,8 @@ def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
         "node_count_beyond_float", "samples_beyond_float", "particle_count_beyond_float",
         "not_utf8", "integer_beyond_parse_limit", "nested_beyond_recursion_limit",
         "long_unknown_key", "periods_sharing_a_file", "omega_overflows", "omega_squared_overflows",
-        "contrast_squared_overflows"])
+        "contrast_squared_overflows", "eps_c_rel", "null_eps_c_rel", "angular_plasma_frequency",
+        "ordinary_plasma_frequency", "subnormal_disk", "zero_curve"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, raw, args, message):
     # a missing file stands for an unreadable one; bytes are the file's raw
     # text; every other config is the raw JSON text, not merged into FAST_CONFIG
@@ -465,15 +478,23 @@ def test_invert_one_period_calibration_is_a_calibration_error(tmp_path, capsys):
     assert "at least two periods" in err and err.count("\n") == 1
 
 
-def test_invert_csv_output(tmp_path):
+def test_invert_csv_output(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     main(["--config", str(cfg), "--out", str(out), "sweep"])
     rows = read_rows(out / "calibration.csv")
     peak_nm = float(rows[1]["peak_wavelength_m"]) * 1e9
+    capsys.readouterr()
     assert main(["--config", str(cfg), "--out", str(out), "invert",
                  "--peak-wavelength-nm", str(peak_nm), "--csv"]) == 0
+    # stdout and deformation.csv carry the same labels, one per CapsuleState field
+    labels = [label for label, _ in _STATE_FIELDS]
+    assert labels == ["r_m", "N", "d_m", "P_m", "L1_m", "L2_m", "D"]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0].strip() for line in printed[:len(labels)]] == labels
+    assert not any(line.startswith("theta") for line in printed)
     record = read_rows(out / "deformation.csv")[0]
+    assert list(record) == labels
     assert float(record["D"]) >= 0.0
     assert float(record["L1_m"]) * float(record["L2_m"]) == pytest.approx(
         float(record["r_m"]) ** 2, rel=1e-9)
@@ -488,6 +509,15 @@ def test_validate_command_passes(tmp_path, capsys):
     assert any(line.startswith("PASS  shape_derivative ") for line in printed.splitlines())
     assert "alpha1_mirror_symmetry" in printed
     assert printed.splitlines()[-1] == "17/17 checks passed"
+
+
+def test_validate_small_cell_passes(tmp_path, capsys):
+    # the cell problem is scale-free, and the Green's function checks take
+    # their stencil and offsets in cell units
+    cfg = write_config(tmp_path, {"geometry": {"radius": 4.5e-9, "period": 1e-8,
+                                               "node_count": 256}})
+    assert main(["--config", str(cfg), "validate"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "17/17 checks passed"
 
 
 def test_validate_negative_control(tmp_path, capsys):
@@ -871,7 +901,7 @@ def _magnitude_config(draw):
     swept too.
     """
     raw = {"geometry": {"node_count": 32}, "sweep": {"samples": 16},
-           "material": {"plasma_frequency_is_angular": draw(st.booleans())}, "capsule": {}}
+           "material": {}, "capsule": {}}
     for section, key in draw(st.sets(st.sampled_from(_MAGNITUDE_KEYS), min_size=1, max_size=3)):
         raw[section][key] = draw(_MAGNITUDE)
     window = raw["sweep"]

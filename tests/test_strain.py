@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_capsule_state_invariants():
     assert state.L1 * state.L2 == pytest.approx(R**2, rel=1e-10)
     assert state.P == pytest.approx(state.N * state.d, rel=1e-10)
     assert 0.0 <= state.D < 1.0
-    assert state.theta == 0.0
+    assert [f.name for f in dataclasses.fields(state)] == ["r", "N", "L1", "L2", "D", "P", "d"]
     with pytest.raises(ValueError):
         CapsuleState(r=R, N=10, L1=2 * R, L2=R, D=0.3, P=1.0, d=0.1)
 
