@@ -23,14 +23,7 @@ import numpy as np
 
 from .capsule_scattering import extinction_spectrum
 from .dispersion import MaterialParams, check_window
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DomainError,
-    GeometryError,
-    MetastrainError,
-    OutOfRangeError,
-)
+from .errors import ConfigError, DomainError, GeometryError, MetastrainError, OutOfRangeError
 from .geometry import CellGeometry, _finite, make_disk_cell, make_ellipse_cell, make_smooth_cell
 from .resonance_sweep import CalibrationRow, CalibrationTable, calibrate
 from .spectral import check_working_set, decompose
@@ -287,13 +280,13 @@ _CALIBRATION_COLUMNS = ("period", "peak_wavelength_m", "peak_magnitude", "mode_i
 
 
 def _calibration_number(kind: type, text: str | None, path: Path, name: str):
-    """kind(text) for the calibration entry ``name``, or a CalibrationError echoing it capped."""
+    """kind(text) for the calibration entry ``name``, or an OutOfRangeError echoing it capped."""
     try:
         return kind(text)
     except (TypeError, ValueError) as exc:
         # TypeError: a short row leaves its missing cells as None
-        raise CalibrationError(f"calibration file {path} has a non-numeric {name}: "
-                               f"{reprlib.repr(text)}") from exc
+        raise OutOfRangeError(f"calibration file {path} has a non-numeric {name}: "
+                              f"{reprlib.repr(text)}") from exc
 
 
 def read_calibration_csv(path: Path) -> CalibrationTable:
@@ -310,25 +303,25 @@ def read_calibration_csv(path: Path) -> CalibrationTable:
                 else:
                     data_lines.append(line)
     except (OSError, UnicodeDecodeError) as exc:
-        raise CalibrationError(f"cannot read calibration file {path}: {exc}") from exc
+        raise OutOfRangeError(f"cannot read calibration file {path}: {exc}") from exc
     reader = csv.DictReader(data_lines)
     try:
         records = list(reader)
     except csv.Error as exc:  # a field beyond the csv module's size limit, say
-        raise CalibrationError(f"calibration file {path} is not a CSV table: {exc}") from exc
+        raise OutOfRangeError(f"calibration file {path} is not a CSV table: {exc}") from exc
     missing = [name for name in _CALIBRATION_COLUMNS if name not in (reader.fieldnames or ())]
     if missing:
-        raise CalibrationError(f"calibration file {path} lacks columns {missing}")
+        raise OutOfRangeError(f"calibration file {path} lacks columns {missing}")
     for record in records:
         period = _calibration_number(float, record["period"], path, "period")
         lam = _calibration_number(float, record["peak_wavelength_m"], path, "peak_wavelength_m")
         mode = _calibration_number(int, record["mode_index"], path, "mode_index")
         if not (math.isfinite(period) and period > 0.0):
-            raise CalibrationError(f"calibration file {path} has period {period!r}, "
-                                   "not a positive finite number")
+            raise OutOfRangeError(f"calibration file {path} has period {period!r}, "
+                                  "not a positive finite number")
         if not (np.isnan(lam) or (math.isfinite(lam) and lam > 0.0)):
-            raise CalibrationError(f"calibration file {path} has peak wavelength {lam!r}, "
-                                   "neither NaN (no peak) nor a positive finite number")
+            raise OutOfRangeError(f"calibration file {path} has peak wavelength {lam!r}, "
+                                  "neither NaN (no peak) nor a positive finite number")
         rows.append(CalibrationRow(
             period=period,
             peak_wavelength=None if np.isnan(lam) else lam,
@@ -339,7 +332,7 @@ def read_calibration_csv(path: Path) -> CalibrationTable:
     radius = _calibration_number(float, header.get("radius", "nan"), path, "radius")
     node_count = _calibration_number(int, header.get("node_count", "0"), path, "node_count")
     if not rows:
-        raise CalibrationError(f"calibration file {path} has no rows")
+        raise OutOfRangeError(f"calibration file {path} has no rows")
     return CalibrationTable(rows=tuple(rows), radius=radius, node_count=node_count)
 
 
@@ -416,7 +409,7 @@ def main(argv=None) -> int:
             sweeps = args.command in ("sweep", "scatter")
             check_working_set(config.geometry["node_count"],
                               config.sweep["samples"] if sweeps else 0)
-        if args.command == "sweep" and args.periods:
+        if args.command == "sweep" and args.periods is not None:
             try:
                 periods = [float(p) for p in args.periods.split(",")]
             except ValueError as exc:
@@ -438,7 +431,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OutOfRangeError, CalibrationError) as exc:
+    except OutOfRangeError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except MetastrainError as exc:

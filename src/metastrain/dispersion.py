@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContrastError, DomainError
+from .errors import DomainError
 
 # vacuum permittivity and permeability, CODATA 2022 (the edition scipy 1.17
 # ships as scipy.constants); literals keep the output bytes independent of the
@@ -85,7 +85,7 @@ def contrast_values(omega, material: MaterialParams):
     mu_c = np.asarray(drude_mu(omega, material))
     diff = material.mu_m - mu_c
     if np.any(diff == 0.0):
-        raise ContrastError("mu_m equals mu_c: contrast is infinite")
+        raise DomainError("mu_m equals mu_c: contrast is infinite")
     return (material.mu_m + mu_c) / (2.0 * diff)
 
 

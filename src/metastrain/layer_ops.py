@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, EvaluationDistanceError
+from .errors import DomainError
 from .geometry import CellGeometry
 
 # beyond this |pi*xi2/L| the sinh^2 term dwarfs everything representable
@@ -382,7 +382,7 @@ def evaluate_single_layer_off_surface(cell: CellGeometry, density: np.ndarray, x
     for x in points.reshape(-1, 2):
         delta = (x[0] + 1j * x[1]) - z
         if np.abs(delta).min() < spacing:
-            raise EvaluationDistanceError(
+            raise DomainError(
                 f"evaluation point within one node spacing ({spacing:.3g}) of the boundary"
             )
         kern = value_from_delta(delta, cell.period_ratio)

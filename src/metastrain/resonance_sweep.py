@@ -81,12 +81,14 @@ def _nearest_mode(resonances: tuple[np.ndarray, np.ndarray], omega_peak: float) 
 def find_peaks(wavelengths: np.ndarray, magnitudes: np.ndarray) -> list[Peak]:
     """Strict interior maxima of a sampled curve, each refined by a three-point log-parabola.
 
-    Any sampled curve will do, a measured spectrum too; the peaks carry no
-    mode index (``sweep`` names them).
+    Any sampled curve of positive finite magnitudes will do, a measured
+    spectrum too; the peaks carry no mode index (``sweep`` names them).
     """
     lam, mag = np.asarray(wavelengths, dtype=float), np.asarray(magnitudes, dtype=float)
     if lam.size < 3:
         raise DomainError("peak finding needs at least 3 samples")
+    if not np.all((mag > 0.0) & (mag < np.inf)):
+        raise DomainError("peak finding needs positive finite magnitudes")
     peaks = []
     logm = np.log(mag)
     maxima = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])) + 1
@@ -148,10 +150,13 @@ class CalibrationTable:
                          for r in self.rows])
 
     def is_monotone(self) -> bool:
-        """Strict monotonicity of peak wavelength in period, in either direction."""
+        """Strict monotonicity of peak wavelength in period, in either direction.
+
+        The rows are taken in period order, whatever order they were swept in.
+        """
         if not self.complete():
             return False
-        diffs = np.diff(self.peak_wavelengths())
+        diffs = np.diff(self.peak_wavelengths()[np.argsort(self.periods())])
         return bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModeError, DomainError, ModeTrackingError
+from .errors import DomainError, QuadratureFailure
 from .geometry import CellGeometry, perturb_normal
 from .spectral import SpectralDecomposition, decompose
 
@@ -47,7 +47,7 @@ def shape_derivative(decomposition: SpectralDecomposition, cell: CellGeometry, j
         raise DomainError("the equilibrium eigenvalue 1/2 is stationary; pick j >= 1")
     gap = _mode_gap(decomposition, j)
     if gap <= SIMPLE_GAP:
-        raise DegenerateModeError(
+        raise DomainError(
             f"eigenvalue {decomposition.eigenvalues[j]:.3e} of mode {j} is not simple: "
             f"gap {gap:.3e} <= {SIMPLE_GAP:.0e}"
         )
@@ -109,7 +109,7 @@ def validate_shape_derivative(base: SpectralDecomposition, j: int,
         lam_minus, o_minus = _tracked_eigenvalue(base, decompose(perturb_normal(cell, -eta)), j)
         worst_overlap = min(worst_overlap, o_plus, o_minus)
         if worst_overlap < MIN_OVERLAP:
-            raise ModeTrackingError(
+            raise QuadratureFailure(
                 f"mode {j} overlap dropped to {worst_overlap:.3f} at eta = {eta:g}"
             )
         slopes[i] = (lam_plus - lam_minus) / (2.0 * eta)

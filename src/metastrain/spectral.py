@@ -78,7 +78,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, QuadratureFailure, ResonanceError
+from .errors import DomainError, OutOfRangeError, QuadratureFailure
 from .geometry import CellGeometry
 from .layer_ops import (
     BoundaryOperator,
@@ -553,7 +553,7 @@ def _check_off_spectrum(decomposition: SpectralDecomposition, lam: complex):
     gaps = np.abs(lam.real - decomposition.eigenvalues)
     j = int(np.argmin(gaps))
     if gaps[j] < 1e-12 * max(1.0, abs(lam.real)):
-        raise ResonanceError(
+        raise DomainError(
             f"real contrast {lam.real} coincides with eigenvalue index {j} "
             f"(lambda_{j} = {decomposition.eigenvalues[j]})"
         )
@@ -644,7 +644,7 @@ def resolvent_density(decomposition: SpectralDecomposition, lam: complex,
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"resolvent system singular at contrast {lam}") from exc
+        raise DomainError(f"resolvent system singular at contrast {lam}") from exc
 
 
 def alpha_field(decomposition: SpectralDecomposition, lam: complex, component: int,

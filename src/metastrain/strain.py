@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError
 from .resonance_sweep import CalibrationTable
 
 _REL_TOL = 1e-10
@@ -147,11 +147,11 @@ def _peak_to_period(calibration: CalibrationTable):
     """
     if not calibration.complete():
         missing = [row.period for row in calibration.rows if row.peak_wavelength is None]
-        raise CalibrationError(f"calibration rows without a peak at periods {missing}")
+        raise OutOfRangeError(f"calibration rows without a peak at periods {missing}")
     if len(calibration.rows) < 2:
-        raise CalibrationError("calibration table needs at least two periods")
+        raise OutOfRangeError("calibration table needs at least two periods")
     if not calibration.is_monotone():
-        raise CalibrationError("calibration table is not strictly monotone in wavelength")
+        raise OutOfRangeError("calibration table is not strictly monotone in wavelength")
     lam = calibration.peak_wavelengths()
     per = calibration.periods()
     order = np.argsort(lam)

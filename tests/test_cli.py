@@ -107,12 +107,14 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, extra):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("periods", ["1,nan", "1,inf", "1.0,-1.5", "0"])
+@pytest.mark.parametrize("periods", ["1,nan", "1,inf", "1.0,-1.5", "0", ",", ""])
 def test_sweep_periods_flag_validated(tmp_path, capsys, periods):
+    # an empty list is refused too, not taken for an absent flag
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "sweep",
                  f"--periods={periods}"]) == 2
     assert "--periods" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw, args, message", [
@@ -777,6 +779,27 @@ def calibration(tmp_path_factory):
     root = tmp_path_factory.mktemp("calibration")
     assert main(["--config", str(write_config(root)), "--out", str(root), "sweep"]) == 0
     return root / "calibration.csv"
+
+
+def test_sweep_out_of_period_order_inverts_as_the_ascending_sweep(tmp_path, capsys,
+                                                                 calibration):
+    # monotonicity is judged in period order: the periods swept as 2.0, 1.0,
+    # 1.5 give the ascending sweep's rows, reordered, and the same record
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep", "--periods", "2.0,1.0,1.5"]) == 0
+    assert "# monotone = True" in (out / "calibration.csv").read_text().splitlines()
+    ascending = read_rows(calibration)
+    assert sorted(read_rows(out / "calibration.csv"),
+                  key=lambda row: float(row["period"])) == ascending
+    lams = [float(row["peak_wavelength_m"]) for row in ascending]
+    peak_nm = repr(0.5 * (lams[0] + lams[1]) * 1e9)
+    records = []
+    for path in (calibration, out / "calibration.csv"):
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "inv"), "invert",
+                     "--peak-wavelength-nm", peak_nm, "--calibration", str(path)]) == 0
+        records.append(capsys.readouterr().out)
+    assert records[0] == records[1] and records[0].startswith("r_m ")
 
 
 def test_invert_reports_an_infeasible_miscount(tmp_path, capsys, calibration):

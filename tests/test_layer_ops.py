@@ -13,7 +13,7 @@ from metastrain import (
     make_smooth_cell,
     perturb_normal,
 )
-from metastrain.errors import DomainError, EvaluationDistanceError, MetastrainError
+from metastrain.errors import DomainError, MetastrainError
 from metastrain import layer_ops
 from metastrain.layer_ops import log_quadrature_matrix
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
@@ -617,7 +617,7 @@ def test_off_surface_far_field_constant_for_zero_mean(disk256):
 def test_off_surface_too_close_rejected(disk256):
     phi = np.cos(parameter_grid(disk256))
     x0 = disk256.nodes[0] + 1e-4 * disk256.normals[0]
-    with pytest.raises(EvaluationDistanceError):
+    with pytest.raises(DomainError, match="within one node spacing .* of the boundary"):
         evaluate_single_layer_off_surface(disk256, phi, x0, upsample=1)
 
 

@@ -8,7 +8,7 @@ import pytest
 from metastrain import decompose, dominant_peak, find_peaks, make_disk_cell, peak_vs_period, sweep
 from metastrain.dispersion import MaterialParams, omega_from_wavelength, resonance_radicand
 from metastrain.errors import DomainError
-from metastrain.resonance_sweep import _nearest_mode, _resonances
+from metastrain.resonance_sweep import CalibrationRow, CalibrationTable, _nearest_mode, _resonances
 
 WINDOW = (6.5e-7, 1.7e-6)
 
@@ -78,6 +78,18 @@ def test_peak_when_sample_count_small(disk128_dec, water_gold):
         sweep(disk128_dec, water_gold, WINDOW[1], WINDOW[0])
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_find_peaks_refuses_a_magnitude_without_a_logarithm(bad):
+    # a measured curve may hold a zero, a negative or a missing sample; the
+    # log-parabola has no logarithm for it, and a NaN would be skipped silently
+    x = np.linspace(0.0, 1.0, 9)
+    mag = 1.0 / (1.0 + (x - 0.5) ** 2)
+    mag[6] = bad
+    with pytest.raises(DomainError, match="peak finding needs positive finite magnitudes"):
+        find_peaks(x, mag)
+
+
 def test_find_peaks_on_synthetic_lorentzian():
     # oracle: analytic Lorentzian centre; refinement must land within 1e-3
     x = np.linspace(0.0, 1.0, 201)
@@ -145,6 +157,20 @@ def test_peak_vs_period_closed_form_crosscheck(water_gold):
         lam_j = dec.eigenvalues[dec.dominant_mode()]
         lam_pred = omega_from_wavelength(np.sqrt(resonance_radicand(lam_j, water_gold)), water_gold)
         assert abs(lam_pred - row.peak_wavelength) < 2 * step
+
+
+@pytest.mark.parametrize("periods, peaks, monotone", [
+    ([2.0, 1.0, 1.5], [8.0e-7, 1.4e-6, 1.0e-6], True),
+    ([1.5, 2.0, 1.0], [1.0e-6, 1.2e-6, 8.0e-7], True),
+    ([2.0, 1.0, 1.5], [8.0e-7, 1.0e-6, 1.4e-6], False),
+], ids=["falling", "rising", "not_monotone"])
+def test_monotone_in_period_order_not_row_order(periods, peaks, monotone):
+    # rows swept out of period order are judged as the same rows sorted by period
+    table = CalibrationTable(
+        rows=tuple(CalibrationRow(period=p, peak_wavelength=w, peak_magnitude=1.0, mode_index=1)
+                   for p, w in zip(periods, peaks)),
+        radius=0.45, node_count=64)
+    assert table.is_monotone() is monotone
 
 
 def test_missing_peak_reported_per_row(water_gold):

@@ -12,7 +12,7 @@ from metastrain import (
     peak_vs_period,
     perimeter,
 )
-from metastrain.errors import CalibrationError, DomainError, MetastrainError, OutOfRangeError
+from metastrain.errors import DomainError, MetastrainError, OutOfRangeError
 from metastrain.resonance_sweep import CalibrationRow, CalibrationTable
 from metastrain.strain import _pchip, _peak_to_period
 
@@ -136,7 +136,7 @@ def test_invert_out_of_range():
 
 def test_invert_rejects_non_monotone_table():
     table = synthetic_table([1.0, 1.5, 2.0], [1.4e-6, 1.0e-6, 1.2e-6])
-    with pytest.raises(CalibrationError):
+    with pytest.raises(OutOfRangeError, match="not strictly monotone in wavelength"):
         invert_peak_to_deformation(1.1e-6, table, r=9.9e-7, N=1256, delta_phys=5e-9)
 
 
@@ -148,7 +148,7 @@ def test_invert_rejects_incomplete_table():
 
     table = CalibrationTable(rows=rows, radius=0.45, node_count=64, wavelength_min=0.0,
                              wavelength_max=2e-6, samples=10, material=MaterialParams())
-    with pytest.raises(CalibrationError):
+    with pytest.raises(OutOfRangeError, match=re.escape("without a peak at periods [1.5]")):
         invert_peak_to_deformation(1.2e-6, table, r=9.9e-7, N=1256, delta_phys=5e-9)
 
 
@@ -214,10 +214,10 @@ def test_rejected_table_raises_on_every_call(rows):
         material=synthetic_table([1.0, 2.0], [1.0e-6, 9.0e-7]).material)
     good = synthetic_table([1.0, 1.5, 2.0], [1.3e-6, 1.0e-6, 8.5e-7])
     for _ in range(3):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OutOfRangeError, match="^calibration "):
             _invert(1.1e-6, bad)
         _invert(1.1e-6, good)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OutOfRangeError, match="^calibration "):
             _invert(1.1e-6, bad)
 
 
