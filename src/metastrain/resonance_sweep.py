@@ -153,11 +153,15 @@ class CalibrationTable:
         """Strict monotonicity of peak wavelength in period, in either direction.
 
         The rows are taken in period order, whatever order they were swept in.
+        A period listed twice has no one peak, so such a table is not monotone.
         """
         if not self.complete():
             return False
-        diffs = np.diff(self.peak_wavelengths()[np.argsort(self.periods())])
-        return bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
+        periods = self.periods()
+        order = np.argsort(periods)
+        diffs = np.diff(self.peak_wavelengths()[order])
+        return bool(np.all(np.diff(periods[order]) > 0.0)
+                    and (np.all(diffs > 0.0) or np.all(diffs < 0.0)))
 
 
 def calibrate(make_cell, periods, material: MaterialParams, wavelength_min: float,

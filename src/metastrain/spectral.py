@@ -69,6 +69,15 @@ has no positive nu2 weight and is reported as a QuadratureFailure.  The sums
 run in two (contrast x mode) buffers with the products and the summation order
 of the plain expression, so their values are the same bytes
 (``tests/allocating_kernels.py``).
+
+alpha2_plus on a grid of contrasts is kept per decomposition, the last grid
+only.  The jump coefficient beta = 2 delta alpha2_plus of the effective
+transmission condition is a property of the grating (lattice and material at
+each wavelength), not of the capsule that carries it, so capsules that share
+a decomposition and a wavelength grid share one batch: 2 of the 3 batches of
+a benchmark ``spectrum`` op repeat (the beta = 0 control computes none), none
+of the 5 of a ``calibrate`` op (a new decomposition per period) nor the one
+of a ``shape`` op, and no CLI command repeats a grid.
 """
 
 from __future__ import annotations
@@ -97,10 +106,12 @@ class SpectralDecomposition:
     error); the remaining entries are the zero-mean modes sorted in descending
     order.  Columns of ``eigendensities`` are the matching nodal densities,
     orthonormal in the Gram inner product for j >= 1.  It keeps the rows of S
-    and K* and each sector with its merged columns and its eigenvectors in
-    sector coordinates (None where no normal moment lives); ``cell`` is the
-    operators' cell, and ``single_layer``, ``np_adjoint``, ``gram`` and
-    ``eigendensities`` are built on first read.
+    and K*, each sector with its merged columns and its eigenvectors in
+    sector coordinates (None where no normal moment lives) and the last
+    batch of :func:`alpha2_plus_batch`, a property of the grating that the
+    capsules on it share; ``cell`` is the operators' cell, and
+    ``single_layer``, ``np_adjoint``, ``gram`` and ``eigendensities`` are
+    built on first read.
     """
 
     eigenvalues: np.ndarray
@@ -612,7 +623,10 @@ def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray) ->
     Input that is not 1-D is a :class:`DomainError`.  A zero-mean eigenvalue
     at or above 1/2 has no positive nu2 coupling weight; only an unresolved
     discretisation produces one, and it is reported as a
-    :class:`QuadratureFailure` naming the mode.
+    :class:`QuadratureFailure` naming the mode.  Both checks run on every
+    call.  The last batch is kept on the decomposition, keyed by the
+    contrasts' bytes, and returned read-only: the capsules of one grating
+    at one wavelength grid share it.
     """
     lams = np.asarray(lams, dtype=complex)
     if lams.ndim != 1:
@@ -625,7 +639,14 @@ def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray) ->
             f"zero-mean eigenvalue lambda_{j} = {eigenvalues[j]:.6g} is not below 1/2, "
             "so its nu2 coupling weight is not positive: the discretisation does not resolve the cell"
         )
-    return _mode_sums(decomposition, lams, decomposition.moments_nu2)
+    key = lams.tobytes()
+    kept = decomposition.__dict__.get("_alpha2_plus")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    batch = _mode_sums(decomposition, lams, decomposition.moments_nu2)
+    batch.setflags(write=False)
+    decomposition.__dict__["_alpha2_plus"] = (key, batch)  # as cached_property keeps its values
+    return batch
 
 
 def resolvent_density(decomposition: SpectralDecomposition, lam: complex,

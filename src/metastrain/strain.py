@@ -150,10 +150,13 @@ def _peak_to_period(calibration: CalibrationTable):
         raise OutOfRangeError(f"calibration rows without a peak at periods {missing}")
     if len(calibration.rows) < 2:
         raise OutOfRangeError("calibration table needs at least two periods")
-    if not calibration.is_monotone():
-        raise OutOfRangeError("calibration table is not strictly monotone in wavelength")
     lam = calibration.peak_wavelengths()
     per = calibration.periods()
+    if not calibration.is_monotone():
+        unique, counts = np.unique(per, return_counts=True)
+        repeated = unique[counts > 1]
+        named = f": period {float(repeated[0])!r} is listed more than once" if repeated.size else ""
+        raise OutOfRangeError(f"calibration table is not strictly monotone in wavelength{named}")
     order = np.argsort(lam)
     lam, per = lam[order], per[order]
     return lam, _pchip(lam, per)

@@ -321,6 +321,42 @@ def test_capsules_sharing_a_decomposition_repeat_their_bytes(water_gold):
     assert np.all(control.extinction == 0.0) and np.all(control.scattering == 0.0)
 
 
+CAPSULES = ((1.1e-6, 4e-9), (0.85e-6, 6.5e-9), (0.95e-6, 5e-9))
+
+
+def test_capsules_on_one_decomposition_match_fresh_decompositions(water_gold):
+    # the shared alpha2_plus batch gives each capsule the bytes of a cold decomposition
+    dec = decompose(make_disk_cell(0.4, 1.2, 64))
+    lams = np.linspace(6.5e-7, 1.7e-6, 300)
+    for radius, delta in CAPSULES:
+        warm = extinction_spectrum(radius, water_gold, dec, delta, lams)
+        cold = extinction_spectrum(radius, water_gold, decompose(make_disk_cell(0.4, 1.2, 64)),
+                                   delta, lams)
+        assert _same_bytes(warm.extinction, cold.extinction)
+        assert _same_bytes(warm.scattering, cold.scattering)
+
+
+def test_mode_sums_run_once_per_wavelength_grid(water_gold, monkeypatch):
+    from metastrain import spectral
+
+    calls = []
+    mode_sums = spectral._mode_sums
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return mode_sums(*args)
+
+    monkeypatch.setattr(spectral, "_mode_sums", counted)
+    dec = decompose(make_disk_cell(0.4, 1.2, 64))
+    lams = np.linspace(6.5e-7, 1.7e-6, 300)
+    for radius, delta in CAPSULES:
+        extinction_spectrum(radius, water_gold, dec, delta, lams)
+    assert calls == [300]
+    radius, delta = CAPSULES[0]
+    extinction_spectrum(radius, water_gold, dec, delta, lams[:200])
+    assert calls == [300, 200]
+
+
 @pytest.mark.parametrize("change, message", [
     ({"delta_phys": np.nan}, "delta_phys must be a positive finite length"),
     ({"delta_phys": np.inf}, "delta_phys must be a positive finite length"),

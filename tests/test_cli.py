@@ -423,25 +423,32 @@ def test_invert_missing_calibration(tmp_path):
                  "--peak-wavelength-nm", "900"]) == 3
 
 
-@pytest.mark.parametrize("table", [
-    "period,peak_magnitude,mode_index\n1.0,2.5,0\n",
-    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,abc,2.5,0\n",
-    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07\n",
-    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\nnan,8e-07,2.5,0\n",
-    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\n-1.5,8e-07,2.5,0\n",
-    "period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,inf,2.5,0\n1.5,8e-07,2.5,0\n",
-    "period,peak_wavelength_m,peak_magnitude,mode_index\n",
-    b"\xff\xfe",
+@pytest.mark.parametrize("table, message", [
+    ("period,peak_magnitude,mode_index\n1.0,2.5,0\n", "calibration file"),
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,abc,2.5,0\n", "calibration file"),
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07\n", "calibration file"),
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\nnan,8e-07,2.5,0\n",
+     "calibration file"),
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,9e-07,2.5,0\n-1.5,8e-07,2.5,0\n",
+     "calibration file"),
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n1.0,inf,2.5,0\n1.5,8e-07,2.5,0\n",
+     "calibration file"),
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n", "calibration file"),
+    (b"\xff\xfe", "calibration file"),
+    # peaks that fall with the period but for the repeat, which used to read D = 0.0977
+    ("period,peak_wavelength_m,peak_magnitude,mode_index\n"
+     "1.0,1.4e-06,2.5,0\n1.0,1.2e-06,2.5,0\n2.0,8e-07,2.5,0\n",
+     "not strictly monotone in wavelength: period 1.0 is listed more than once"),
 ], ids=["missing_column", "non_numeric_cell", "short_row", "nan_period", "negative_period",
-        "inf_peak", "no_rows", "non_utf8"])
-def test_invert_rejects_malformed_calibration(tmp_path, capsys, table):
+        "inf_peak", "no_rows", "non_utf8", "repeated_period"])
+def test_invert_rejects_malformed_calibration(tmp_path, capsys, table, message):
     cfg = write_config(tmp_path)
     path = tmp_path / "calibration.csv"
     path.write_bytes(b"# radius = 0.45\n" + (table if isinstance(table, bytes) else table.encode()))
     assert main(["--config", str(cfg), "--out", str(tmp_path), "invert",
                  "--peak-wavelength-nm", "900", "--calibration", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "calibration file" in err and err.count("\n") == 1, err
+    assert message in err and err.count("\n") == 1, err
 
 
 LONG_CELL = "x" * 5000

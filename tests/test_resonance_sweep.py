@@ -163,7 +163,8 @@ def test_peak_vs_period_closed_form_crosscheck(water_gold):
     ([2.0, 1.0, 1.5], [8.0e-7, 1.4e-6, 1.0e-6], True),
     ([1.5, 2.0, 1.0], [1.0e-6, 1.2e-6, 8.0e-7], True),
     ([2.0, 1.0, 1.5], [8.0e-7, 1.0e-6, 1.4e-6], False),
-], ids=["falling", "rising", "not_monotone"])
+    ([1.0, 1.0, 2.0], [1.4e-6, 1.2e-6, 8.0e-7], False),
+], ids=["falling", "rising", "not_monotone", "repeated_period"])
 def test_monotone_in_period_order_not_row_order(periods, peaks, monotone):
     # rows swept out of period order are judged as the same rows sorted by period
     table = CalibrationTable(

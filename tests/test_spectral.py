@@ -462,6 +462,25 @@ def test_contrasts_not_1d_rejected(disk128_dec, lams, shape):
         alpha2_plus_batch(disk128_dec, lams)
 
 
+def test_alpha2_batch_kept_read_only_and_checked_when_warm(water_gold):
+    from metastrain import spectral
+
+    dec = decompose(make_disk_cell(0.45, 1.0, 64))
+    lams = default_window(water_gold)
+    cold = spectral.alpha2_plus_batch(dec, lams)
+    warm = spectral.alpha2_plus_batch(dec, lams.copy())
+    assert warm is cold and not cold.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        warm[0] = 0.0
+    # a 2-D array of the same bytes is still refused
+    with pytest.raises(DomainError, match=r"got shape \(1, 400\)"):
+        spectral.alpha2_plus_batch(dec, lams.reshape(1, -1))
+    # so is a mode at 1/2 that appears after the batch was kept
+    dec.eigenvalues[1] = 0.5
+    with pytest.raises(QuadratureFailure, match=r"lambda_1 = 0\.5 is not below 1/2"):
+        spectral.alpha2_plus_batch(dec, lams)
+
+
 def test_mode_above_one_half_reported():
     # n = 256 does not resolve a gap of 0.005: one zero-mean eigenvalue is 0.512
     dec = decompose(make_disk_cell(0.45, 0.905, 256))
