@@ -36,6 +36,9 @@ runs that same pass, so K* has one assembly path.  The free-space split cancels 
   (nu1_i sin u cos u + nu2_i sinh v cosh v) / (2L (sin^2 u + sinh^2 v));
   the (j, i) entry has nu_j and the opposite sign, both terms being odd.
 
+sin^2 u and sin u cos u are taken from one tangent t = tan u, as
+t^2 / (1 + t^2) and t / (1 + t^2): numpy runs float64 sin and cos as scalar
+loops and tan as a vector one, and the identity costs at most 4 ulp.
 Beyond |v| = 30 the lattice terms have reached their far field to within
 exp(-60), and v is clipped there so that sinh^2 v cannot overflow.
 
@@ -214,26 +217,44 @@ def _mirror_count(cell: CellGeometry) -> int:
     return mirrors
 
 
+def _tangent_factors(u):
+    """sin^2 u and sin u cos u from one tangent t = tan u, as t^2 / (1 + t^2) and t / (1 + t^2).
+
+    An identity wherever tan u is finite, which it is at every double; for
+    |u| < pi within 4 ulp of the exact values (against 120-bit mpmath, 0,
+    +-pi/2 and |u| -> pi included), where products of sin and cos are within
+    2.  numpy runs float64 sin and cos as scalar loops several times slower
+    than tan.  u is overwritten: t and then sin u cos u go into its buffer.
+    """
+    t = np.tan(u, out=u)
+    sin2 = t * t
+    den = sin2 + 1.0
+    sin2 /= den
+    t /= den
+    return sin2, t
+
+
 def _pair_kernels(u, v, lag, period_ratio):
     """S's smooth part and the two K* gradient components at pair offsets u + iv.
 
     ``lag()`` gives 4 sin^2((t_i - t_j)/2) of the same pairs; it is called
     once the other pair arrays are gone.  v is clipped at the far-field
-    guard, beyond which G keeps growing like |v|/(2pi).  u and v are
-    overwritten: cos u and cosh v go into them, and the kernels into the
-    buffers of sin u, sinh v and s^2.
+    guard, beyond which G keeps growing like |v|/(2pi).  sin^2 u and
+    sin u cos u come from tan u (:func:`_tangent_factors`).  u and v are
+    overwritten: the first gradient component goes into u's buffer and
+    cosh v into v's, and the other kernels into the buffers of sin^2 u and
+    sinh v.
     """
     excess = np.abs(v)
     excess -= _FAR_FIELD_GUARD
     np.maximum(excess, 0.0, out=excess)
     np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD, out=v)
-    g1, g2 = np.sin(u), np.sinh(v)
-    s2 = g1 * g1
+    s2, g1 = _tangent_factors(u)
+    g2 = np.sinh(v)
     den = g2 * g2
     s2 += den
     # grad G = (sin u cos u, sinh v cosh v) / (2L (sin^2 u + sinh^2 v)), odd in the pair
     np.multiply(2.0 * period_ratio, s2, out=den)
-    g1 *= np.cos(u, out=u)
     g1 /= den
     g2 *= np.cosh(v, out=v)
     g2 /= den

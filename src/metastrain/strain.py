@@ -173,8 +173,8 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
     lam, period_of_peak = _peak_to_period(calibration)
     if not lam[0] <= peak_wavelength <= lam[-1]:
         raise OutOfRangeError(
-            f"peak wavelength {peak_wavelength:.6g} m outside the calibrated range "
-            f"[{lam[0]:.6g}, {lam[-1]:.6g}] m"
+            f"peak wavelength {float(peak_wavelength)!r} m outside the calibrated range "
+            f"[{float(lam[0])!r}, {float(lam[-1])!r}] m"
         )
     ratio = period_of_peak(peak_wavelength)
     d_phys = ratio * delta_phys

@@ -91,10 +91,10 @@ def extinction(radius, material, decomposition, delta_phys, wavelengths, beta_ov
 def pair_kernels(u, v, lag, period_ratio):
     excess = np.maximum(np.abs(v) - _FAR_FIELD_GUARD, 0.0)
     v = np.clip(v, -_FAR_FIELD_GUARD, _FAR_FIELD_GUARD)
-    sin_u, sinh_v = np.sin(u), np.sinh(v)
-    s2 = sin_u**2 + sinh_v**2
+    t, sinh_v = np.tan(u), np.sinh(v)
+    s2 = t**2 / (t**2 + 1.0) + sinh_v**2
     den = 2.0 * period_ratio * s2
-    g1 = sin_u * np.cos(u) / den
+    g1 = t / (t**2 + 1.0) / den
     g2 = sinh_v * np.cosh(v) / den
     pair = np.log(s2 / lag) / (4.0 * np.pi) + excess / (2.0 * np.pi)
     return pair, g1, g2

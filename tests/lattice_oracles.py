@@ -75,17 +75,31 @@ def remainder_gradient_from_delta(delta, period_ratio):
     return g.real - 1j * g.imag
 
 
-def per_call_single_layer(cell):
+def tangent_factors(u):
+    """sin^2 u and sin u cos u from t = tan u, as the package's pair kernels take them."""
+    t = np.tan(u)
+    return t**2 / (t**2 + 1.0), t / (t**2 + 1.0)
+
+
+def sin_cos_factors(u):
+    """sin^2 u and sin u cos u from sin and cos: the closed form the tangent one stands for."""
+    sin_u = np.sin(u)
+    return sin_u**2, sin_u * np.cos(u)
+
+
+def per_call_single_layer(cell, factors=tangent_factors):
     """S as assembled by one call per operator, each with its own pass over the node pairs.
 
     Kept verbatim, n x n index gather of the log rule included, as the
-    bit-for-bit oracle of the one-pass assembly of S and K*.
+    bit-for-bit oracle of the one-pass assembly of S and K*: ``factors(u)``
+    gives sin^2 u and sin u cos u, from tan u as there by default.
     """
     n = cell.node_count
     s = cell.speeds
     i, j, u, v, excess = _per_call_pairs(cell)
     canonical = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    pair = np.log((np.sin(u) ** 2 + np.sinh(v) ** 2) / canonical[j - i]) / (4.0 * np.pi)
+    sin2_u, _ = factors(u)
+    pair = np.log((sin2_u + np.sinh(v) ** 2) / canonical[j - i]) / (4.0 * np.pi)
     pair += excess / (2.0 * np.pi)
     smooth = np.empty((n, n))
     smooth[i, j] = pair
@@ -95,13 +109,13 @@ def per_call_single_layer(cell):
     return (0.5 * _gathered_log_rule(n) + (2.0 * np.pi / n) * smooth) * s[None, :]
 
 
-def per_call_np_adjoint(cell):
+def per_call_np_adjoint(cell, factors=tangent_factors):
     """K* as assembled by one call per operator (see :func:`per_call_single_layer`)."""
     n = cell.node_count
     i, j, u, v, _ = _per_call_pairs(cell)
-    sin_u, sinh_v = np.sin(u), np.sinh(v)
-    den = 2.0 * cell.period_ratio * (sin_u**2 + sinh_v**2)
-    g1 = sin_u * np.cos(u) / den
+    (sin2_u, sin_cos_u), sinh_v = factors(u), np.sinh(v)
+    den = 2.0 * cell.period_ratio * (sin2_u + sinh_v**2)
+    g1 = sin_cos_u / den
     g2 = sinh_v * np.cosh(v) / den
     nu = cell.normals
     kernel = np.empty((n, n))

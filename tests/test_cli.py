@@ -825,6 +825,31 @@ def test_invert_reports_an_infeasible_miscount(tmp_path, capsys, calibration):
     assert float(next(line for line in printed if line.startswith("D_if_N+1")).split("=")[1]) > 0.0
 
 
+@pytest.mark.parametrize("periods", ["1.2,1.6", "1.0,1.5,2.0", "1.1,1.3", "1.4,1.9", "1.05,1.75"])
+def test_invert_reads_an_end_knot_typed_in_nm_as_that_knot(tmp_path, capsys, periods):
+    # repr(knot * 1e9) is a decimal nm value whose conversion back to metres
+    # may land one ulp beside the knot, outside the calibrated range; it reads
+    # as the knot, and a peak farther out is refused with the range in full
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep", "--periods", periods]) == 0
+    knots = sorted(float(row["peak_wavelength_m"]) for row in read_rows(out / "calibration.csv"))
+    for knot in (knots[0], knots[-1]):
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--out", str(out), "invert",
+                     "--peak-wavelength-nm", repr(knot * 1e9)]) == 0, capsys.readouterr().err
+    # the first nm value above the upper knot that lands two ulps out
+    beyond_nm = knots[-1] * 1e9
+    while beyond_nm / 1e9 < knots[-1] + 2.0 * np.spacing(knots[-1]):
+        beyond_nm = np.nextafter(beyond_nm, np.inf)
+    for nm in (beyond_nm, knots[-1] * (1.0 + 1e-12) * 1e9):
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--out", str(out), "invert",
+                     "--peak-wavelength-nm", repr(float(nm))]) == 3
+        err = capsys.readouterr().err
+        assert (f"peak wavelength {float(nm) / 1e9!r} m outside the calibrated range "
+                f"[{knots[0]!r}, {knots[-1]!r}] m") in err
+
+
 # node_count and samples: valid values at 16..64 only, so that a run is quick,
 # two draws in three, else a refused one (too small or negative, beyond the
 # working-set budget or the float range, not an integer)
