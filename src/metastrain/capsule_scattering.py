@@ -75,13 +75,10 @@ products and the summation order of the plain expressions, so the widths are
 the same bytes (``tests/allocating_kernels.py``).
 
 A mode system is singular, and the spectrum a :class:`QuadratureFailure`
-naming its orders and wavelength, where |D|^2 < (1e-14 (|J_n'| |beta k| |H_n'| + w))^2.
-numpy runs float64 hypot as a scalar loop, so that threshold is first
-bounded with |J_n'| + |Y_n'| >= |H_n'| in place of |H_n'|, in the same
-operations and with a relative margin of 2^-40 against a hypot off by an
-ulp; only the entries under the bound take the exact threshold, hypot
-included, so every decision is the exact one.  On the default capsule no
-entry is under the bound.
+naming its orders and wavelength, where
+|D|^2 < (1e-14 (|J_n'| |beta k| (|J_n'| + |Y_n'|) + w))^2.  The sum
+|J_n'| + |Y_n'| stands for |H_n'| = hypot(J_n', Y_n'), which it exceeds by at
+most a factor sqrt 2: numpy runs float64 hypot as a scalar loop.
 """
 
 from __future__ import annotations
@@ -275,28 +272,16 @@ def extinction_spectrum(radius: float, material: MaterialParams,
         denom2 = re
         denom2 += im
     _refuse_non_finite(denom2, lam_grid, "the layer is too strong for the capsule: |D|^2")
-    # the singular-system threshold (1e-14 (|J'| |beta k| |H'| + w))^2, bounded
-    # by |J'| + |Y'| >= |H'| and taken exactly, with hypot, only under the bound
-    # (module docstring); the factor on 1e-14 covers a hypot off by an ulp
-    abs_beta_k = np.abs(beta_k)
-    bound = np.abs(Jp, out=scratch)
-    sum_abs = np.abs(Yp, out=im)
-    sum_abs += bound
-    bound *= abs_beta_k
-    bound *= sum_abs
-    bound += w
-    bound *= 1e-14 * (1.0 + 2.0**-40)
-    bound *= bound
-    bad = denom2 < bound  # the screen's flags, then the exact test's verdicts on them
-    if np.any(bad):
-        orders, columns = np.nonzero(bad)
-        size = np.abs(Jp[orders, columns])
-        size *= abs_beta_k[columns]
-        size *= np.hypot(Jp[orders, columns], Yp[orders, columns])
-        size += w[columns]
-        size *= 1e-14
-        size *= size
-        bad[orders, columns] = denom2[orders, columns] < size
+    # the singular-system threshold, |J'| + |Y'| in place of |H'| (module docstring)
+    size = np.abs(Jp, out=scratch)
+    abs_h = np.abs(Yp, out=im)
+    abs_h += size
+    size *= np.abs(beta_k)
+    size *= abs_h
+    size += w
+    size *= 1e-14
+    size *= size
+    bad = denom2 < size
     if np.any(bad):
         i = int(np.argmax(bad.any(axis=0)))
         m = np.flatnonzero(bad[:, i])

@@ -345,16 +345,9 @@ def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
                calibration_path: Path | None = None, write_csv: bool = False) -> int:
     path = calibration_path or (out_dir / "calibration.csv")
     table = read_calibration_csv(path)
-    # 1e9 is exact, so a knot typed as repr(knot * 1e9) divides back to within
-    # one ulp of itself; a peak that close to an end knot reads as that knot
-    peak = peak_wavelength_nm / 1e9
-    knots = table.peak_wavelengths()
-    for knot in (knots.min(), knots.max()):
-        if abs(peak - knot) <= np.spacing(knot):
-            peak = float(knot)
     cap = config.capsule
     state = invert_peak_to_deformation(
-        peak, table,
+        peak_wavelength_nm / 1e9, table,
         r=cap["radius_m"], N=cap["particle_count"], delta_phys=cap["particle_scale_m"],
     )
     for label, field in _STATE_FIELDS:

@@ -168,9 +168,14 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
 
     Monotone piecewise-cubic interpolation maps the peak back to a period
     ratio, the physical spacing follows as ratio * delta_phys, and the axes
-    come from the perimeter inversion.
+    come from the perimeter inversion.  A peak within one ulp of the lowest
+    or highest knot reads as that knot, so a knot typed in other units and
+    converted back still inverts; anything farther out is out of range.
     """
     lam, period_of_peak = _peak_to_period(calibration)
+    for knot in (lam[0], lam[-1]):
+        if abs(peak_wavelength - knot) <= np.spacing(knot):
+            peak_wavelength = float(knot)
     if not lam[0] <= peak_wavelength <= lam[-1]:
         raise OutOfRangeError(
             f"peak wavelength {float(peak_wavelength)!r} m outside the calibrated range "

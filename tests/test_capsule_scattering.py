@@ -6,7 +6,6 @@ from scipy.special import h2vp, jvp
 
 from metastrain import decompose, extinction_spectrum, make_disk_cell
 from metastrain import capsule_scattering
-from metastrain.cli import main
 from metastrain.dispersion import contrast_values, omega_from_wavelength
 from metastrain.errors import DomainError, MetastrainError, OutOfRangeError, QuadratureFailure
 from metastrain.spectral import alpha2_plus_batch
@@ -142,61 +141,6 @@ def test_extinction_spectrum_reports_singular_mode(disk128_dec, water_gold):
         extinction_spectrum(R, water_gold, disk128_dec, 5e-9, lams, beta_override=beta)
 
 
-def _singular_screen(radius, lams, beta):
-    """|D|^2, the exact singular-system threshold and its hypot-free bound, as the
-    module docstring states them, on the package's Bessel ladder (orders x wavelengths)."""
-    k = 2 * np.pi / lams
-    z = k * radius
-    Jp, Yp = capsule_scattering._real_ladder(z, np.ceil(z).astype(int) + 16)
-    beta_k = beta * k
-    b_r, b_i, w = beta_k.real, beta_k.imag, 2.0 / (np.pi * z)
-    denom2 = (Jp * (b_r * Jp + b_i * Yp)) ** 2 + (w + Jp * (b_i * Jp - b_r * Yp)) ** 2
-    exact = (1e-14 * (np.abs(Jp) * np.abs(beta_k) * np.hypot(Jp, Yp) + w)) ** 2
-    bound = (1e-14 * (np.abs(Jp) * np.abs(beta_k) * (np.abs(Jp) + np.abs(Yp)) + w)) ** 2
-    return denom2, exact, bound
-
-
-def _count_hypot_entries(monkeypatch):
-    """Patch np.hypot to count the entries it evaluates; returns the running count."""
-    entries = [0]
-    hypot = np.hypot
-
-    def counted(*args, **kwargs):
-        entries[0] += np.broadcast(*args[:2]).size
-        return hypot(*args, **kwargs)
-    monkeypatch.setattr(np, "hypot", counted)
-    return entries
-
-
-def test_system_between_the_exact_threshold_and_the_screen_is_not_singular(
-        disk128_dec, water_gold, monkeypatch):
-    # at order 2 and the seventh wavelength (z = 5.87) |J'| + |Y'| is 1.414 |H'|,
-    # so the screen's bound on |D| is 1.21 times the exact threshold; beta puts
-    # |D| at 1.1 times it, where the screen flags the system and the exact
-    # threshold clears it, so the spectrum returns
-    lams = np.linspace(6.5e-7, 1.7e-6, 16)
-    col, order = 6, 2
-    k = 2 * np.pi / lams[col]
-    z = k * R
-    D = 2.2e-14 * 2.0 / (np.pi * z)
-    beta = ((-2j / (np.pi * z)) - D) / (k * jvp(order, z) * h2vp(order, z))
-    denom2, exact, bound = _singular_screen(R, lams, beta)
-    assert exact[order, col] < denom2[order, col] < bound[order, col]
-    assert np.count_nonzero(denom2 < bound) == 1 and not np.any(denom2 < exact)
-    entries = _count_hypot_entries(monkeypatch)
-    curve = extinction_spectrum(R, water_gold, disk128_dec, 5e-9, lams, beta_override=beta)
-    assert entries[0] == 1
-    assert np.all(np.isfinite(curve.extinction)) and np.all(np.isfinite(curve.scattering))
-
-
-def test_default_scatter_spectrum_evaluates_no_hypot(tmp_path, monkeypatch):
-    # the default capsule's mode systems all clear the screen, so the exact
-    # threshold, hypot included, is evaluated nowhere
-    entries = _count_hypot_entries(monkeypatch)
-    assert main(["--out", str(tmp_path), "scatter"]) == 0
-    assert entries[0] == 0
-
-
 @pytest.mark.parametrize("beta", [(3 + 2j) * 1e-9, 1e-7 - 4e-8j, -2e-9j, 5e-12, 0.0])
 def test_extinction_spectrum_with_beta_override_is_bit_identical_to_the_allocating_widths(
         disk128_dec, water_gold, beta):
@@ -207,8 +151,9 @@ def test_extinction_spectrum_with_beta_override_is_bit_identical_to_the_allocati
     assert _same_bytes(curve.extinction, ext) and _same_bytes(curve.scattering, sca)
 
 
-def test_strongest_layer_short_of_overflow_screens_without_a_warning(disk128_dec, water_gold):
-    # a warning is an error in this suite: the screen's bound at the largest
+def test_strongest_layer_short_of_overflow_tests_singularity_without_a_warning(
+        disk128_dec, water_gold):
+    # a warning is an error in this suite: the singular-system threshold at the largest
     # |D|^2 that is still finite, one power of two below the refused layer.
     # On a capsule this small (k r <= 0.02) J_n' Y_n' is large, so |D|^2
     # overflows before |beta k|^2 does

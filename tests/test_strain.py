@@ -134,6 +134,17 @@ def test_invert_out_of_range():
         invert_peak_to_deformation(7.0e-7, table, r=9.9e-7, N=1256, delta_phys=5e-9)
 
 
+def test_invert_reads_a_peak_one_ulp_beside_an_end_knot_as_that_knot():
+    table = synthetic_table([1.0, 1.5, 2.0], [1.4e-6, 1.0e-6, 8.0e-7])
+    for knot, period, outward in ((8.0e-7, 2.0, -np.inf), (1.4e-6, 1.0, np.inf)):
+        one_ulp = np.nextafter(knot, outward)
+        assert _invert(one_ulp, table).d == _invert(knot, table).d == period * 5e-9
+        two_ulps = np.nextafter(one_ulp, outward)
+        message = f"peak wavelength {float(two_ulps)!r} m outside"
+        with pytest.raises(OutOfRangeError, match=re.escape(message)):
+            _invert(two_ulps, table)
+
+
 def test_invert_rejects_non_monotone_table():
     table = synthetic_table([1.0, 1.5, 2.0], [1.4e-6, 1.0e-6, 1.2e-6])
     with pytest.raises(OutOfRangeError, match="not strictly monotone in wavelength"):
