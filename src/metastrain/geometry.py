@@ -47,25 +47,16 @@ class TrigCurve:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def _series(self, order: int):
-        k = _frequencies(self.coefficients.size)
-        return k, ((1j * k) ** order) * self.coefficients
-
-    def evaluate(self, t, order: int = 0) -> np.ndarray:
-        """Curve point (order 0) or t-derivative of given order at any t, as xi1 + i*xi2."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k, series = self._series(order)
-        return np.exp(1j * t[:, None] * k[None, :]) @ series
-
     def sample(self, count: int, order: int = 0) -> np.ndarray:
-        """``evaluate(2*pi*j/count, order)`` for j = 0, ..., count-1, by one inverse FFT.
+        """Curve point (order 0) or t-derivative of given order at t_j = 2*pi*j/count.
 
+        One inverse FFT gives all j = 0, ..., count-1, as xi1 + i*xi2:
         exp(i*k*t_j) depends only on k mod count, so folding the coefficients
         into those bins aliases them exactly, for any count.
         """
-        k, series = self._series(order)
+        k = _frequencies(self.coefficients.size)
         bins = np.zeros(count, dtype=complex)
-        np.add.at(bins, k % count, series)
+        np.add.at(bins, k % count, ((1j * k) ** order) * self.coefficients)
         return np.fft.ifft(bins, norm="forward")
 
     def reversed(self) -> "TrigCurve":
@@ -119,13 +110,6 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _check_node_count(node_count: int):
-    if node_count < MIN_NODE_COUNT:
-        raise GeometryError(f"node_count must be at least {MIN_NODE_COUNT}, got {node_count}")
-    if node_count % 2 != 0:
-        raise GeometryError(f"node_count must be even, got {node_count}")
 
 
 def _segments_cross(points: np.ndarray) -> bool:
@@ -232,6 +216,10 @@ def _node_data(coefficients: bytes, node_count: int) -> tuple[float, float, dict
 
 
 def _discretize(curve: TrigCurve, period: float, node_count: int) -> CellGeometry:
+    if node_count < MIN_NODE_COUNT:
+        raise GeometryError(f"node_count must be at least {MIN_NODE_COUNT}, got {node_count}")
+    if node_count % 2 != 0:
+        raise GeometryError(f"node_count must be even, got {node_count}")
     if not (_finite(period) and np.isfinite(curve.coefficients).all()):
         raise GeometryError(f"period and Fourier coefficients must be finite, got period {period}")
     reach, longest, data = _node_data(curve.coefficients.tobytes(), node_count)
@@ -250,22 +238,18 @@ def _discretize(curve: TrigCurve, period: float, node_count: int) -> CellGeometr
 def make_disk_cell(radius: float, period: float, node_count: int) -> CellGeometry:
     """Disk of given radius centred at the cell origin.
 
-    Rejects disks touching or overlapping their periodic copies (2*radius >= period).
+    A disk touching or overlapping its periodic copies (2*radius >= period)
+    exits the period strip: the fine grid of [0, radius, 0] reaches |xi1| =
+    radius exactly.
     """
-    _check_node_count(node_count)
     if radius <= 0.0:
         raise GeometryError(f"radius must be positive, got {radius}")
-    if 2.0 * radius >= period:
-        raise GeometryError(
-            f"disk of radius {radius} overlaps its periodic copies at period {period}"
-        )
     return _discretize(TrigCurve([0.0, radius, 0.0]), period, node_count)
 
 
 def make_ellipse_cell(semi_axis_1: float, semi_axis_2: float, period: float,
                       node_count: int) -> CellGeometry:
     """Axis-aligned ellipse with semi-axes (semi_axis_1, semi_axis_2)."""
-    _check_node_count(node_count)
     a, b = float(semi_axis_1), float(semi_axis_2)
     if a <= 0.0 or b <= 0.0:
         raise GeometryError("ellipse semi-axes must be positive")
@@ -278,7 +262,6 @@ def make_smooth_cell(fourier_coefficients, period: float, node_count: int) -> Ce
     The curve must be simple, enclose a nonzero area and stay strictly inside
     the period strip; otherwise a :class:`GeometryError` is raised.
     """
-    _check_node_count(node_count)
     return _discretize(TrigCurve(fourier_coefficients), period, node_count)
 
 

@@ -74,13 +74,6 @@ def deformation_index(L1: float, L2: float) -> float:
     return (L1 - L2) / (L1 + L2)
 
 
-def perimeter(L1: float, L2: float) -> float:
-    """Ellipse perimeter approximation pi*sqrt(2)*sqrt(L1^2 + L2^2)."""
-    if L1 <= 0.0 or L2 <= 0.0:
-        raise DomainError("axes must be positive")
-    return np.pi * np.sqrt(2.0) * np.hypot(L1, L2)
-
-
 def axes_from_perimeter(r: float, P_target: float) -> tuple[float, float]:
     """Invert the perimeter approximation under area conservation.
 

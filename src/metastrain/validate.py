@@ -189,8 +189,8 @@ def trace_check(adjoint: BoundaryOperator) -> CheckResult:
     n = cell.node_count
     resid = 0.0
     phi = cell.normals[:, 1]
-    plus = (0.5 * np.eye(n) + adjoint.matrix) @ phi
-    minus = (-0.5 * np.eye(n) + adjoint.matrix) @ phi
+    k_phi = adjoint.matrix @ phi
+    plus, minus = k_phi + 0.5 * phi, k_phi - 0.5 * phi
     for node in probe_nodes(n):
         fd_plus = off_surface_normal_derivative(cell, phi, node, +1)
         fd_minus = off_surface_normal_derivative(cell, phi, node, -1)

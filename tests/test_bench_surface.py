@@ -1,7 +1,9 @@
 """The package surface that the benchmark in ``perfbench/`` calls.
 
 These tests read the benchmark's sources and fail when a name, attribute or
-keyword argument it uses is gone from the package.
+keyword argument it uses is gone from the package, or when the package
+exports a name at its top level that neither the benchmark reads nor the
+pipeline enters by.
 """
 
 import ast
@@ -14,6 +16,10 @@ import pytest
 import metastrain
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# top-level exports the benchmark does not read: the call that decomposes a
+# cell, and the third cell constructor the command line dispatches over
+PIPELINE_ENTRIES = {"decompose", "make_ellipse_cell"}
 
 
 def parse(name):
@@ -67,3 +73,23 @@ def test_bench_names_and_keywords_resolve(source):
         if isinstance(node, ast.Call) and target is not None:
             keywords = {k.arg: None for k in node.keywords if k.arg is not None}
             inspect.signature(target).bind_partial(**keywords)
+
+
+def bench_top_level_names():
+    """Package names the benchmark reads at the top level: its traced calls and ``metastrain.<name>``."""
+    names = set(package_calls().values())
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "metastrain"):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "metastrain":
+                names.update(alias.name for alias in node.names)
+    return {name for name in names if not name.startswith("__")}
+
+
+def test_exports_are_the_bench_names_and_the_pipeline_entries():
+    assert sorted(metastrain.__all__) == sorted(bench_top_level_names() | PIPELINE_ENTRIES)
+    public = {name for name, value in vars(metastrain).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(metastrain.__all__)

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from metastrain import MaterialParams, drude_mu, omega_from_wavelength
-from metastrain.dispersion import EPS0, MU0, contrast_values, resonance_radicand
+from metastrain import MaterialParams
+from metastrain.dispersion import (
+    EPS0,
+    MU0,
+    contrast_values,
+    drude_mu,
+    omega_from_wavelength,
+    resonance_radicand,
+)
 from metastrain.errors import DomainError, MetastrainError
 
 
@@ -31,6 +38,11 @@ def test_drude_rejects_nonpositive_frequency(water_gold):
         drude_mu(0.0, water_gold)
     with pytest.raises(ValueError):
         drude_mu(-1e15, water_gold)
+
+
+def test_wavelength_must_be_positive(water_gold):
+    with pytest.raises(DomainError, match="wavelength must be positive"):
+        omega_from_wavelength(0.0, water_gold)
 
 
 def test_contrast_special_values():

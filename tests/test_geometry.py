@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from metastrain import (
-    TrigCurve,
     decompose,
     make_disk_cell,
     make_ellipse_cell,
@@ -16,7 +15,9 @@ from metastrain import (
 from metastrain.cli import main
 from metastrain.errors import GeometryError
 from metastrain import geometry
-from metastrain.geometry import _segments_cross
+from metastrain.geometry import TrigCurve, _segments_cross
+
+from curve_oracles import evaluate
 
 
 def test_disk_exact_quantities():
@@ -37,9 +38,10 @@ def test_reference_disk_configuration():
 
 
 def test_disk_admissibility_errors():
-    with pytest.raises(GeometryError):
-        make_disk_cell(0.5, 1.0, 64)  # touches periodic copies
-    with pytest.raises(GeometryError):
+    # a disk touching or overlapping its periodic copies exits the period strip
+    with pytest.raises(GeometryError, match="exits the period strip"):
+        make_disk_cell(0.5, 1.0, 64)
+    with pytest.raises(GeometryError, match="exits the period strip"):
         make_disk_cell(0.55, 1.0, 64)
     with pytest.raises(GeometryError):
         make_disk_cell(0.45, 1.0, 8)  # below minimum node count
@@ -49,13 +51,24 @@ def test_disk_admissibility_errors():
         make_disk_cell(-0.1, 1.0, 64)
 
 
+@pytest.mark.parametrize("axes", [(0.0, 0.2), (0.35, -0.2)])
+def test_ellipse_refuses_a_non_positive_semi_axis(axes):
+    with pytest.raises(GeometryError, match="semi-axes must be positive"):
+        make_ellipse_cell(*axes, 1.0, 64)
+
+
+def test_trig_curve_refuses_no_coefficients():
+    with pytest.raises(GeometryError, match="non-empty 1-D"):
+        TrigCurve([])
+
+
 def test_closed_curve_quadrature_identities():
     for cell in (make_disk_cell(0.3, 1.0, 64), make_ellipse_cell(0.35, 0.2, 1.0, 96)):
         # integral of the normal over a closed curve vanishes
         assert np.abs(cell.weights @ cell.normals).max() < 1e-12
         # the outward normal is the unit tangent turned by -90 degrees
         n = cell.node_count
-        dz = cell.parametrization.evaluate(2.0 * np.pi * np.arange(n) / n, order=1)
+        dz = evaluate(cell.parametrization, 2.0 * np.pi * np.arange(n) / n, order=1)
         assert np.abs(cell.normals_complex - (-1j) * dz / np.abs(dz)).max() < 1e-13
 
 
@@ -69,7 +82,7 @@ def test_smooth_cell_circle_matches_disk():
 def test_ellipse_perimeter_against_arclength_quadrature():
     cell = make_ellipse_cell(0.45, 0.30, 1.0, 128)
     # oracle: adaptive quadrature of |z'(t)|
-    speed = lambda t: np.abs(cell.parametrization.evaluate(t, order=1))[0]
+    speed = lambda t: np.abs(evaluate(cell.parametrization, t, order=1))[0]
     exact, err = quad(speed, 0.0, 2 * np.pi, limit=200)
     assert err < 1e-7
     assert cell.perimeter == pytest.approx(exact, abs=1e-12)
@@ -85,7 +98,7 @@ def test_sample_matches_dense_evaluate(order, count):
     k = np.fft.fftfreq(16, 1.0 / 16)
     t = 2 * np.pi * np.arange(count) / count
     scale = np.abs(k**order * coeffs).sum()
-    assert np.abs(curve.sample(count, order) - curve.evaluate(t, order)).max() < 1e-13 * scale
+    assert np.abs(curve.sample(count, order) - evaluate(curve, t, order)).max() < 1e-13 * scale
 
 
 def test_perturb_normal_matches_parallel_curve():

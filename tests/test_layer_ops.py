@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from metastrain import (
     assemble_np_adjoint,
     assemble_single_layer,
-    evaluate_single_layer_off_surface,
     make_disk_cell,
     make_ellipse_cell,
     make_smooth_cell,
@@ -16,10 +15,11 @@ from metastrain import (
 )
 from metastrain.errors import DomainError, MetastrainError
 from metastrain import layer_ops
-from metastrain.layer_ops import log_quadrature_matrix
+from metastrain.layer_ops import evaluate_single_layer_off_surface, log_quadrature_matrix
 from metastrain.validate import neville_to_zero, off_surface_normal_derivative
 
 import allocating_kernels
+from curve_oracles import evaluate
 from lattice_oracles import (
     cot_minus_inverse,
     gradient_from_delta,
@@ -597,8 +597,8 @@ def test_double_layer_off_surface_limit(disk256):
 
     fine = 4096
     tf = 2 * np.pi * np.arange(fine) / fine
-    zf = disk256.parametrization.evaluate(tf)
-    dzf = disk256.parametrization.evaluate(tf, order=1)
+    zf = evaluate(disk256.parametrization, tf)
+    dzf = evaluate(disk256.parametrization, tf, order=1)
     wf = np.abs(dzf) * (2 * np.pi / fine)
     nuf = -1j * dzf / np.abs(dzf)
     phif = nuf.imag  # nu2 on the fine grid

@@ -5,10 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
-from metastrain import decompose, dominant_peak, find_peaks, make_disk_cell, peak_vs_period, sweep
+from metastrain import decompose, dominant_peak, make_disk_cell, peak_vs_period, sweep
 from metastrain.dispersion import MaterialParams, omega_from_wavelength, resonance_radicand
 from metastrain.errors import DomainError
-from metastrain.resonance_sweep import CalibrationRow, CalibrationTable, _nearest_mode, _resonances
+from metastrain.resonance_sweep import (
+    CalibrationRow,
+    CalibrationTable,
+    _nearest_mode,
+    _resonances,
+    find_peaks,
+)
 
 WINDOW = (6.5e-7, 1.7e-6)
 
@@ -112,6 +118,17 @@ def test_find_peaks_symmetric_stencil():
     peaks = find_peaks(x, mag)
     assert len(peaks) == 1
     assert peaks[0].wavelength == 2.0
+
+
+def test_find_peaks_flat_log_top():
+    # the middle sample is one ulp above its neighbours, so all three logs round
+    # equal: the log-parabola is flat and the peak stays on the grid point
+    x = np.array([1.0, 2.0, 3.0])
+    mag = np.array([1e10, np.nextafter(1e10, np.inf), 1e10])
+    peaks = find_peaks(x, mag)
+    assert len(peaks) == 1
+    assert peaks[0].wavelength == 2.0
+    assert peaks[0].magnitude == pytest.approx(1e10, rel=1e-15)
 
 
 def test_peak_pole_correspondence(disk_curve, disk128_dec, water_gold):

@@ -8,10 +8,13 @@ from metastrain import (
     make_smooth_cell,
     perturb_normal,
     shape_derivative,
-    validate_shape_derivative,
 )
 from metastrain.errors import DomainError, MetastrainError, QuadratureFailure
-from metastrain.shape_deriv import _tangential_derivative, _tracked_eigenvalue
+from metastrain.shape_deriv import (
+    _tangential_derivative,
+    _tracked_eigenvalue,
+    validate_shape_derivative,
+)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from metastrain import (
-    BoundaryOperator,
     alpha_field,
     alpha_infinity,
     assemble_np_adjoint,
@@ -17,9 +16,10 @@ from metastrain import (
     make_ellipse_cell,
     make_smooth_cell,
     perturb_normal,
-    resolvent_density,
 )
 from metastrain.errors import DomainError, OutOfRangeError, QuadratureFailure
+from metastrain.layer_ops import BoundaryOperator
+from metastrain.spectral import resolvent_density
 from metastrain.validate import off_surface_normal_derivative
 
 import allocating_kernels
