@@ -355,7 +355,7 @@ def cmd_invert(config: RunConfig, out_dir: Path, peak_wavelength_nm: float,
     # sensitivity of D to a miscounted particle number
     for dn in (-1, +1):
         try:
-            alt = CapsuleState.from_perimeter(state.r, state.N + dn, (state.N + dn) * state.d)
+            alt = CapsuleState(state.r, state.N + dn, (state.N + dn) * state.d)
             print(f"D_if_N{dn:+d} = {alt.D!r}")
         except (OutOfRangeError, DomainError):
             print(f"D_if_N{dn:+d} = infeasible")
@@ -438,6 +438,3 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

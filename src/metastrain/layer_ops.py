@@ -54,7 +54,7 @@ one triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -87,24 +87,26 @@ def value_from_delta(delta: np.ndarray, period_ratio: float) -> np.ndarray:
 class BoundaryOperator:
     """Dense boundary operator on a cell's nodal densities, kept as its representatives' rows.
 
-    ``rows``: all n without a mirror, 0 .. n/2 with one, 0 .. n/4 with two.
-    The n x n ``matrix`` is expanded from them on first read, and ``rows``
-    then becomes a view of its first rows; both are read-only.
+    ``rows``: all n without a mirror, 0 .. n/2 with one, 0 .. n/4 with two;
+    ``mirrors``, the lattice mirrors it commutes with, is read off their
+    count.  The n x n ``matrix`` is expanded from them on first read, and
+    ``rows`` then becomes a view of its first rows; both are read-only.
     """
 
     rows: np.ndarray
     cell: CellGeometry
-    mirrors: int = 0  # lattice mirrors it commutes with (_mirror_count); 0 when built by hand
+    mirrors: int = field(init=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
         n = self.cell.node_count
-        if (self.mirrors not in (0, 1, 2) or self.mirrors == 2 and n % 4
-                or rows.shape != (_representatives(n, self.mirrors), n)):
-            raise DomainError(f"operator rows of shape {rows.shape} do not fit {n} nodes "
-                              f"under {self.mirrors} lattice mirrors")
+        counts = [_representatives(n, mirrors) for mirrors in range(3 if n % 4 == 0 else 2)]
+        if rows.ndim != 2 or rows.shape[1] != n or rows.shape[0] not in counts:
+            raise DomainError(f"operator rows of shape {rows.shape} do not fit {n} nodes: a "
+                              f"lattice mirror group keeps {' or '.join(map(str, counts))} rows")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "mirrors", counts.index(rows.shape[0]))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -343,8 +345,8 @@ def assemble_single_layer(cell: CellGeometry) -> BoundaryOperator:
     matrix += smooth
     del smooth
     matrix *= s[None, :]
-    cell.__dict__[_PENDING_ADJOINT] = BoundaryOperator(adjoint, cell, mirrors)
-    return BoundaryOperator(matrix, cell, mirrors)
+    cell.__dict__[_PENDING_ADJOINT] = BoundaryOperator(adjoint, cell)
+    return BoundaryOperator(matrix, cell)
 
 
 def assemble_np_adjoint(cell: CellGeometry) -> BoundaryOperator:

@@ -14,7 +14,7 @@ differences of direct eigensolves on the displaced curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,22 @@ def shape_derivative(decomposition: SpectralDecomposition, cell: CellGeometry, j
 
 @dataclass(frozen=True)
 class ShapeDerivativeReport:
-    """Prediction versus finite differences for one mode over an eta ladder."""
+    """Prediction versus finite differences for one mode over an eta ladder.
+
+    The report is converging when the prediction's error at the smallest eta
+    is at most its error at the largest eta, or below 1e-10.
+    """
 
     predicted_slope: float
     fd_slopes: np.ndarray         # central slope per eta, largest eta first
     eta_ladder: np.ndarray
-    converging: bool              # the error at the smallest eta is no larger than at the largest
+    converging: bool = field(init=False)
     min_overlap: float
+
+    def __post_init__(self):
+        last = abs(self.fd_slopes[-1] - self.predicted_slope)
+        first = abs(self.fd_slopes[0] - self.predicted_slope)
+        object.__setattr__(self, "converging", bool(last <= first or last < 1e-10))
 
     @property
     def fd_slope(self) -> float:
@@ -92,9 +101,7 @@ def validate_shape_derivative(base: SpectralDecomposition, j: int,
     ``base`` is the decomposition of the unperturbed cell.  For each eta the
     eigenvalue is recomputed on the curves displaced by +eta and -eta, the
     mode is tracked by its overlap with the base eigendensity in the base
-    Gram metric, and the central slope is formed.  The report is converging
-    when the prediction's error at the smallest eta is at most its error at
-    the largest eta, or below 1e-10.
+    Gram metric, and the central slope is formed.
     """
     etas = np.sort(np.asarray(eta_ladder, dtype=float))[::-1]
     if etas.size == 0 or np.any(etas <= 0.0):
@@ -114,11 +121,9 @@ def validate_shape_derivative(base: SpectralDecomposition, j: int,
             )
         slopes[i] = (lam_plus - lam_minus) / (2.0 * eta)
 
-    last, first = abs(slopes[-1] - predicted), abs(slopes[0] - predicted)
     return ShapeDerivativeReport(
         predicted_slope=predicted,
         fd_slopes=slopes,
         eta_ladder=etas,
-        converging=bool(last <= first or last < 1e-10),
         min_overlap=float(worst_overlap),
     )

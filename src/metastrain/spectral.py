@@ -82,7 +82,7 @@ of a ``shape`` op, and no CLI command repeats a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -167,12 +167,19 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class BoundaryLayerLimits:
-    """Far-field constants of the two corrector fields above (+) and below (-) the grating."""
+    """Far-field constants of the two corrector fields above (+) and below (-) the grating.
+
+    Each limit below is minus the one above.
+    """
 
     alpha1_plus: complex
-    alpha1_minus: complex
+    alpha1_minus: complex = field(init=False)
     alpha2_plus: complex
-    alpha2_minus: complex
+    alpha2_minus: complex = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha1_minus", -self.alpha1_plus)
+        object.__setattr__(self, "alpha2_minus", -self.alpha2_plus)
 
 
 def _fix_signs(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -613,8 +620,7 @@ def alpha_infinity(decomposition: SpectralDecomposition, lam: complex) -> Bounda
     _check_off_spectrum(decomposition, lam)
     a2 = alpha2_plus_batch(decomposition, [lam])[0]
     a1 = _mode_sums(decomposition, [lam], decomposition.moments_nu1)[0]
-    return BoundaryLayerLimits(alpha1_plus=a1, alpha1_minus=-a1,
-                               alpha2_plus=a2, alpha2_minus=-a2)
+    return BoundaryLayerLimits(alpha1_plus=a1, alpha2_plus=a2)
 
 
 def alpha2_plus_batch(decomposition: SpectralDecomposition, lams: np.ndarray) -> np.ndarray:

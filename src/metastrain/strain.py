@@ -28,43 +28,40 @@ the map agrees with ``PchipInterpolator`` bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .resonance_sweep import CalibrationTable
 
-_REL_TOL = 1e-10
 # r^2 stays a normal float and r^4 finite between these radii
 _RADIUS_MIN, _RADIUS_MAX = 1e-154, 1e77
 
 
 @dataclass(frozen=True)
 class CapsuleState:
-    """Deformed capsule: axes, Taylor deformation index and particle spacing."""
+    """Deformed capsule of radius r with N particles on perimeter P.
+
+    The axes, the Taylor deformation index and the particle spacing follow
+    from those three: L1, L2 from :func:`axes_from_perimeter`, D from
+    :func:`deformation_index` and d = P / N.
+    """
 
     r: float
     N: int
-    L1: float
-    L2: float
-    D: float
+    L1: float = field(init=False)
+    L2: float = field(init=False)
+    D: float = field(init=False)
     P: float
-    d: float
+    d: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.L1 * self.L2 - self.r**2) > _REL_TOL * self.r**2:
-            raise DomainError("axes violate area conservation L1*L2 = r^2")
-        if abs(self.P - self.N * self.d) > _REL_TOL * self.P:
-            raise DomainError("perimeter and spacing violate P = N*d")
-        if not 0.0 <= self.D < 1.0:
-            raise DomainError(f"deformation index {self.D} outside [0, 1)")
-
-    @classmethod
-    def from_perimeter(cls, r: float, N: int, P: float) -> "CapsuleState":
-        L1, L2 = axes_from_perimeter(r, P)
-        return cls(r=r, N=N, L1=L1, L2=L2, D=deformation_index(L1, L2),
-                   P=P, d=P / N)
+        L1, L2 = axes_from_perimeter(self.r, self.P)
+        object.__setattr__(self, "L1", L1)
+        object.__setattr__(self, "L2", L2)
+        object.__setattr__(self, "D", deformation_index(L1, L2))
+        object.__setattr__(self, "d", self.P / self.N)
 
 
 def deformation_index(L1: float, L2: float) -> float:
@@ -176,4 +173,4 @@ def invert_peak_to_deformation(peak_wavelength: float, calibration: CalibrationT
         )
     ratio = period_of_peak(peak_wavelength)
     d_phys = ratio * delta_phys
-    return CapsuleState.from_perimeter(r=r, N=N, P=N * d_phys)
+    return CapsuleState(r=r, N=N, P=N * d_phys)

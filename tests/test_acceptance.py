@@ -164,7 +164,7 @@ def test_criterion_5_strain_pipeline(material):
     probe = peak_vs_period(0.45, [1.55], material, *window, samples=600, node_count=96)
     state = invert_peak_to_deformation(probe.rows[0].peak_wavelength, table,
                                        r=r, N=N, delta_phys=delta)
-    expected = CapsuleState.from_perimeter(r, N, N * 1.55 * delta)
+    expected = CapsuleState(r, N, N * 1.55 * delta)
     d_err = abs(state.D - expected.D)
     ok = stretch_ok and round_trip < 1e-10 and d_err < 1e-3
     report(5, ok, f"stretch={stretch:.4f} (2.13+-0.005), axes round trip={round_trip:.1e} "

@@ -294,6 +294,16 @@ def test_resolvent_pole_error(disk256_dec, disk256):
         resolvent_density(disk256_dec, disk256_dec.eigenvalues[j], disk256.normals[:, 1])
 
 
+def test_singular_resolvent_system_names_the_contrast(disk256_dec, disk256, monkeypatch):
+    # a contrast the spectrum check admits can still meet a solve that fails
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(DomainError, match=r"resolvent system singular at contrast \(0\.8\+0j\)"):
+        resolvent_density(disk256_dec, 0.8, disk256.normals[:, 1])
+
+
 def test_alpha_field_far_limits(disk256_dec):
     lims = alpha_infinity(disk256_dec, PROBE)
     L = disk256_dec.cell.period_ratio
@@ -832,19 +842,27 @@ def test_hand_built_operators_take_the_whole_space(disk256_ops, disk256_dec, eig
 
 
 def test_rows_off_the_group_rejected(disk256_ops):
-    # a copy of a two-mirror S with a full edited matrix in place of its rows
-    # would be solved on the group's sectors, dropping the edit's couplings
-    single, _ = disk256_ops
+    # the group is read off the row count: a full edited matrix in place of a
+    # two-mirror S's rows is the trivial group, so the edit's couplings cannot
+    # be dropped by the sectors, and beside the mirrored K* it is refused
+    single, adjoint = disk256_ops
+    assert single.mirrors == 2 and single.rows.shape == (65, 256)
     edited = single.matrix.copy()
     edited[1, 2] += 1e-3
-    with pytest.raises(DomainError, match="do not fit 256 nodes under 2 lattice mirrors"):
-        dataclasses.replace(single, rows=edited)
-    for mirrors in (-1, 3):
-        with pytest.raises(DomainError, match="do not fit"):
-            BoundaryOperator(edited, single.cell, mirrors)
+    full = dataclasses.replace(single, rows=edited)
+    assert full.mirrors == 0
+    with pytest.raises(DomainError, match="different mirror groups"):
+        eigendecompose(full, adjoint)
+    assert BoundaryOperator(edited[:129], single.cell).mirrors == 1
+    for count in (64, 100, 257):
+        with pytest.raises(DomainError, match="do not fit 256 nodes: .* 256 or 129 or 65 rows"):
+            BoundaryOperator(np.zeros((count, 256)), single.cell)
+    with pytest.raises(DomainError, match="do not fit 256 nodes"):
+        BoundaryOperator(np.zeros((65, 255)), single.cell)
+    # n = 130 is not a multiple of 4: it has no quarters
     cell = make_disk_cell(0.45, 1.0, 130)
-    with pytest.raises(DomainError, match="do not fit 130 nodes under 2"):
-        BoundaryOperator(np.zeros((33, 130)), cell, 2)
+    with pytest.raises(DomainError, match="do not fit 130 nodes: .* 130 or 66 rows$"):
+        BoundaryOperator(np.zeros((33, 130)), cell)
 
 
 def test_calibrate_path_expands_nothing(monkeypatch, water_gold):

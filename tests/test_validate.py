@@ -3,6 +3,7 @@ import pytest
 
 from metastrain import assemble_np_adjoint, make_disk_cell, make_ellipse_cell, make_smooth_cell
 from metastrain import layer_ops, validate
+from metastrain.shape_deriv import ShapeDerivativeReport
 from metastrain.validate import (
     FD_LADDER,
     FD_MIN_RADIUS_SPACINGS,
@@ -37,14 +38,28 @@ def test_up_down_symmetry_read_from_nodes(cell, symmetric):
 
 def test_round_off_residual_prints_as_a_bound():
     # below 1e-3 of the tolerance the residual's digits are round-off
-    line = CheckResult("alpha_far_field_limits", True, 6.662e-16, 5e-11).line()
+    line = CheckResult("alpha_far_field_limits", 6.662e-16, 5e-11).line()
     assert line == "PASS  alpha_far_field_limits       residual<5.0e-14   tol=5.0e-11"
 
 
 def test_residual_near_tolerance_prints_its_value():
-    line = CheckResult("trace_formulae_fd", False, 2.388e-06, 1e-6, detail="x").line()
+    line = CheckResult("trace_formulae_fd", 2.388e-06, 1e-6, detail="x").line()
     assert line == "FAIL  trace_formulae_fd            residual=2.388e-06 tol=1.0e-06  x"
-    assert "residual=      inf" in CheckResult("eigendecomposition", False, np.inf, 0.0).line()
+    assert "residual=      inf" in CheckResult("eigendecomposition", np.inf, 0.0).line()
+
+
+def test_shape_derivative_line_fails_when_the_ladder_does_not_converge(monkeypatch):
+    # the error grows from 1e-5 at the larger eta to 2e-5 at the smaller: the
+    # line fails on its residual, not beside a residual below its tolerance
+    report = ShapeDerivativeReport(predicted_slope=1.0, fd_slopes=np.array([1.0 + 1e-5, 1.0 + 2e-5]),
+                                   eta_ladder=np.array([1e-2, 1e-3]), min_overlap=1.0)
+    assert not report.converging
+    monkeypatch.setattr(validate, "validate_shape_derivative", lambda base, j, eta_ladder: report)
+    shape = run_validation(make_disk_cell(0.45, 1.0, 64))[-1]
+    assert shape.name == "shape_derivative" and not shape.passed
+    assert not shape.residual < shape.tolerance
+    assert shape.line() == ("FAIL  shape_derivative             residual=      inf tol=1.0e-03"
+                            "  the slope error grows as eta shrinks")
 
 
 def test_alpha1_mirror_check_reads_the_moments_as_computed(disk128_dec):
